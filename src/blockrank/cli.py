@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .decomp import (
 )
 from .errors import BlockRankError, ConfigurationError, ReducibleModelError
 from .graph import DanglingPolicy, Graph, build_hyperlink, parse_edge_list
-from .ranker import RankParams, compare, pagerank, rank
+from .ranker import RankParams, compare, order_by_score, pagerank, rank
 from .spectra import CheckReport, teleportation_free_check
 
 BASELINE_ALPHA = 0.85
@@ -91,6 +92,9 @@ def _top_arg(args) -> int | None:
 def _resolve_weights(args) -> tuple[float, float]:
     eta = 0.85 if args.eta is None else args.eta
     mu = 0.15 if args.mu is None else args.mu
+    for flag, value in (("--eta", eta), ("--mu", mu), ("--teleport", args.teleport)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{flag} must be finite, got {value}")
     if args.teleport is not None:
         if abs(eta + mu + args.teleport - 1.0) > WEIGHT_FLAG_TOL:
             raise ConfigurationError(
@@ -151,11 +155,6 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.irreducible else EXIT_INADMISSIBLE
 
 
-def _sorted_rows(scores: np.ndarray, labels) -> list[tuple[str, float]]:
-    order = sorted(range(len(labels)), key=lambda i: (-scores[i], labels[i]))
-    return [(labels[i], float(scores[i])) for i in order]
-
-
 def cmd_rank(args) -> int:
     g, d = _load(args)
     eta, mu = _resolve_weights(args)
@@ -168,13 +167,12 @@ def cmd_rank(args) -> int:
         return EXIT_INADMISSIBLE
 
     result = rank(h, f, params, strict=False)
-    rows = _sorted_rows(result.scores, g.labels)
-    if top is not None:
-        rows = rows[:top]
+    order = order_by_score(result.scores, g.labels)[:top]
+    labels, scores = g.labels, result.scores.tolist()
 
     if args.output_format == "json":
         payload = {
-            "scores": {label: _jnum(score) for label, score in rows},
+            "scores": {labels[i]: _jnum(scores[i]) for i in order},
             "meta": {
                 "iterations": result.iterations,
                 "residual": _jnum(result.residual),
@@ -187,8 +185,7 @@ def cmd_rank(args) -> int:
         }
         print(json.dumps(payload))
     else:
-        for label, score in rows:
-            print(f"{label}\t{_fmt(score)}")
+        sys.stdout.write("".join(f"{labels[i]}\t{_fmt(scores[i])}\n" for i in order))
     if not result.converged:
         print(f"warning: no convergence after {result.iterations} iterations "
               f"(residual {_fmt(result.residual)})", file=sys.stderr)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import CapExceededError, ConfigurationError, CoverageError, ParseError
-from .graph import Graph
+from .graph import Graph, intern, ones_at, pattern, tokenize_pairs
 
 __all__ = [
     "DecompKind",
@@ -51,17 +52,12 @@ class FactorForm(Enum):
 class Decomposition:
     """Indexed family of non-empty node blocks covering all ``n`` nodes.
 
-    ``members[k]`` lists block k's node ids sorted ascending;
-    ``node_blocks[u]`` lists the blocks containing node u, sorted.
-    ``kind`` is PARTITION exactly when every node lies in one block.
+    ``B`` is the ``n x K`` 0/1 membership matrix in canonical CSR form;
+    ``members``, ``node_blocks`` and ``kind`` are derived from it on each access.
     """
 
-    n: int
-    K: int
     block_labels: tuple[str, ...]
-    members: tuple[np.ndarray, ...]
-    node_blocks: tuple[tuple[int, ...], ...]
-    kind: DecompKind
+    B: sparse.csr_array
 
     @classmethod
     def from_members(
@@ -71,15 +67,13 @@ class Decomposition:
         block_labels: Sequence[str] | None = None,
     ) -> Decomposition:
         """Build a decomposition from per-block node-id collections."""
-        member_arrays = []
-        for k, block in enumerate(members):
-            ids = sorted({int(v) for v in block})
-            if not ids:
+        blocks = [np.fromiter(block, dtype=np.int64) for block in members]
+        for k, ids in enumerate(blocks):
+            if not ids.size:
                 raise CoverageError(f"block {k} is empty")
-            if ids[0] < 0 or ids[-1] >= n:
+            if ids.min() < 0 or ids.max() >= n:
                 raise CoverageError(f"block {k} contains node ids outside [0, {n})")
-            member_arrays.append(np.array(ids, dtype=np.int64))
-        K = len(member_arrays)
+        K = len(blocks)
         if K == 0:
             raise CoverageError("decomposition has no blocks")
 
@@ -90,30 +84,41 @@ class Decomposition:
             if len(block_labels) != K or len(set(block_labels)) != K:
                 raise CoverageError("block labels must be unique, one per block")
 
-        node_blocks: list[list[int]] = [[] for _ in range(n)]
-        for k, ids in enumerate(member_arrays):
-            for v in ids.tolist():
-                node_blocks[v].append(k)
-        uncovered = [u for u in range(n) if not node_blocks[u]]
-        if uncovered:
-            raise CoverageError(f"nodes not covered by any block: {uncovered}")
+        block_of = np.repeat(np.arange(K), [ids.size for ids in blocks])
+        B = ones_at(np.concatenate(blocks), block_of, (n, K))
+        uncovered = np.flatnonzero(np.diff(B.indptr) == 0)
+        if uncovered.size:
+            raise CoverageError(f"nodes not covered by any block: {uncovered.tolist()}")
+        return cls(block_labels=block_labels, B=B)
 
-        kind = (
-            DecompKind.PARTITION
-            if all(len(bs) == 1 for bs in node_blocks)
-            else DecompKind.COVER
-        )
-        return cls(
-            n=n,
-            K=K,
-            block_labels=block_labels,
-            members=tuple(member_arrays),
-            node_blocks=tuple(tuple(bs) for bs in node_blocks),
-            kind=kind,
-        )
+    @property
+    def n(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def K(self) -> int:
+        return self.B.shape[1]
+
+    @property
+    def kind(self) -> DecompKind:
+        """PARTITION exactly when every node lies in one block."""
+        single = (np.diff(self.B.indptr) == 1).all()
+        return DecompKind.PARTITION if single else DecompKind.COVER
+
+    @property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """``members[k]``: block k's node ids, sorted ascending."""
+        by_block = self.B.T.tocsr()
+        return tuple(np.split(by_block.indices, by_block.indptr[1:-1]))
+
+    @property
+    def node_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """``node_blocks[u]``: the blocks containing node u, sorted."""
+        indices, indptr = self.B.indices.tolist(), self.B.indptr.tolist()
+        return tuple(tuple(indices[lo:hi]) for lo, hi in zip(indptr, indptr[1:]))
 
     def block_sizes(self) -> np.ndarray:
-        return np.array([ids.size for ids in self.members], dtype=np.int64)
+        return np.bincount(self.B.indices, minlength=self.K)
 
 
 def parse_blocks(text: str | Iterable[str], g: Graph) -> Decomposition:
@@ -123,50 +128,32 @@ def parse_blocks(text: str | Iterable[str], g: Graph) -> Decomposition:
     cover.  Unknown node labels and graph nodes missing from every block
     are hard errors.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
-
-    block_labels: list[str] = []
-    block_ids: dict[str, int] = {}
-    members: list[set[int]] = []
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"line {line_no}: expected 'node_label block_label', got {len(tokens)} token(s)",
-                line=line_no,
-            )
-        node_label, block_label = tokens
-        node = g.label_ids.get(node_label)
-        if node is None:
-            raise CoverageError(f"line {line_no}: node label {node_label!r} not in the graph")
-        k = block_ids.get(block_label)
-        if k is None:
-            k = len(block_labels)
-            block_ids[block_label] = k
-            block_labels.append(block_label)
-            members.append(set())
-        members[k].add(node)
-
-    if not members:
+    tokens, line_nos, error = tokenize_pairs(text, "node_label block_label")
+    node_labels = tokens[0::2]
+    nodes = np.fromiter(map(g.label_ids.get, node_labels, repeat(-1)),
+                        dtype=np.int64, count=len(node_labels))
+    unknown = np.flatnonzero(nodes < 0)
+    if unknown.size:
+        i = unknown[0]
+        raise CoverageError(f"line {line_nos[i]}: node label {node_labels[i]!r} not in the graph")
+    if error is not None:
+        raise error
+    block_ids, blocks = intern(tokens[1::2])
+    if not block_ids:
         raise ParseError("empty blocks file")
-    missing = [g.labels[u] for u in range(g.n) if not any(u in m for m in members)]
+
+    B = ones_at(nodes, blocks, (g.n, len(block_ids)))
+    missing = [g.labels[u] for u in np.flatnonzero(np.diff(B.indptr) == 0)]
     if missing:
         raise CoverageError(f"graph nodes missing from every block: {missing}")
-    return Decomposition.from_members(members, n=g.n, block_labels=block_labels)
+    return Decomposition(block_labels=tuple(block_ids), B=B)
 
 
 def proximal_set(d: Decomposition, g: Graph, u: int) -> set[int]:
     """Blocks containing ``u`` or any node ``u`` links to."""
     if not 0 <= u < g.n:
         raise IndexError(f"node id {u} outside [0, {g.n})")
-    blocks = set(d.node_blocks[u])
-    for w in g.out_neighbors(u):
-        blocks.update(d.node_blocks[w])
-    return blocks
+    return set(d.B[np.append(g.out_neighbors(u), u)].indices.tolist())
 
 
 @dataclass(frozen=True)
@@ -223,37 +210,20 @@ def build_factors(
     n, K = g.n, d.K
     sizes = d.block_sizes()
 
-    prox: list[list[int]] = []
-    N = np.empty(n, dtype=np.int64)
-    for u in range(n):
-        blocks = sorted(proximal_set(d, g, u))
-        prox.append(blocks)
-        N[u] = len(blocks)
-
-    r_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(N, out=r_indptr[1:])
-    r_indices = np.empty(int(r_indptr[-1]), dtype=np.int64)
-    r_data = np.empty(int(r_indptr[-1]), dtype=np.float64)
-    for u, blocks in enumerate(prox):
-        lo, hi = r_indptr[u], r_indptr[u + 1]
-        r_indices[lo:hi] = blocks
-        if form is FactorForm.PARTITION:
-            # R = Gamma @ Diag(sizes)^-1: per-entry (1/N_u) * (1/|D_J|)
-            r_data[lo:hi] = (1.0 / N[u]) * (1.0 / sizes[blocks])
-        else:
-            r_data[lo:hi] = 1.0 / N[u]
-    R = sparse.csr_array((r_data, r_indices, r_indptr), shape=(n, K))
-
-    a_indptr = np.zeros(K + 1, dtype=np.int64)
-    np.cumsum(sizes, out=a_indptr[1:])
-    a_indices = np.concatenate([ids for ids in d.members])
+    # Gamma = pattern((I + G) @ B): row u marks u's proximal blocks.
+    G = sparse.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    gamma = pattern(G @ d.B + d.B)
+    N = np.diff(gamma.indptr)
+    by_block = d.B.T.tocsr()  # B^T: block k's row lists its members
     if form is FactorForm.PARTITION:
-        a_data = np.ones(a_indices.size, dtype=np.float64)
+        # R = Gamma @ Diag(sizes)^-1: per-entry (1/N_u) * (1/|D_J|)
+        r_data = (1.0 / np.repeat(N, N)) * (1.0 / sizes[gamma.indices])
+        a_data = by_block.data
     else:
-        a_data = np.concatenate(
-            [np.full(ids.size, 1.0 / ids.size) for ids in d.members]
-        )
-    A = sparse.csr_array((a_data, a_indices, a_indptr), shape=(K, n))
+        r_data = 1.0 / np.repeat(N, N)
+        a_data = np.repeat(1.0 / sizes, sizes)
+    R = sparse.csr_array((r_data, gamma.indices, gamma.indptr), shape=(n, K))
+    A = sparse.csr_array((a_data, by_block.indices, by_block.indptr), shape=(K, n))
 
     return ProximityFactors(R=R, A=A, N=N, form=form)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -51,41 +52,100 @@ class Graph:
     @classmethod
     def from_edges(cls, labels: Sequence[str], edges: Iterable[tuple[int, int]]) -> Graph:
         """Build a graph from node labels and (src_id, dst_id) pairs."""
-        labels = tuple(str(lab) for lab in labels)
+        labels = tuple(map(str, labels))
         n = len(labels)
         if n == 0:
             raise ParseError("empty graph")
-        label_ids = {lab: i for i, lab in enumerate(labels)}
+        label_ids = dict(zip(labels, range(n)))
         if len(label_ids) != n:
             raise ParseError("duplicate node labels")
 
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DimensionError(f"edge ({u}, {v}) outside node range [0, {n})")
-            adjacency[u].add(v)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64).reshape(-1, 2)
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if outside.any():
+            u, v = pairs[outside.argmax()]
+            raise DimensionError(f"edge ({u}, {v}) outside node range [0, {n})")
 
-        out_degree = np.array([len(nbrs) for nbrs in adjacency], dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(out_degree, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for u, nbrs in enumerate(adjacency):
-            indices[indptr[u]:indptr[u + 1]] = sorted(nbrs)
-
-        dangling = frozenset(int(u) for u in np.flatnonzero(out_degree == 0))
+        adjacency = ones_at(pairs[:, 0], pairs[:, 1], (n, n))
+        out_degree = np.diff(adjacency.indptr)
         return cls(
             n=n,
             labels=labels,
             label_ids=label_ids,
-            indptr=indptr,
-            indices=indices,
+            indptr=adjacency.indptr,
+            indices=adjacency.indices,
             out_degree=out_degree,
-            dangling=dangling,
+            dangling=frozenset(np.flatnonzero(out_degree == 0).tolist()),
         )
 
     def out_neighbors(self, u: int) -> np.ndarray:
         """Node ids reachable from ``u`` in one step (sorted)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+
+def ones_at(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_array:
+    """The 0/1 CSR matrix with a one at each (row, col) pair."""
+    return pattern(sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=shape).tocsr())
+
+
+def pattern(m: sparse.csr_array) -> sparse.csr_array:
+    """``m`` made canonical (sorted, no duplicates) with every stored entry
+    set to 1, in place."""
+    m.sum_duplicates()
+    m.data[:] = 1.0
+    return m
+
+
+# The characters str.split() splits on and those str.splitlines() ends a
+# line at ("\r\n" counts once), as lookup tables over all code points.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+              "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+_IS_SPACE, _IS_BREAK = np.zeros((2, 0x110000), dtype=bool)
+_IS_SPACE[list(map(ord, WHITESPACE))] = True
+_IS_BREAK[list(map(ord, LINE_BREAKS))] = True
+
+
+def tokenize_pairs(
+    text: str | Iterable[str], expected: str
+) -> tuple[list[str], np.ndarray, ParseError | None]:
+    """Tokens ``[left, right, left, right, ...]`` of the ``left right`` lines.
+
+    Lines are those of ``str.splitlines``; blank lines and lines whose first
+    token starts with ``#`` are skipped.  Also returns the lines' 1-based
+    numbers, and the :class:`ParseError` for the first malformed line (or
+    ``None``), whose later lines are dropped: the caller raises it unless
+    it finds an error on an earlier line.
+    """
+    if not isinstance(text, str):
+        text = "\n".join(map(str.rstrip, text))
+    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    space = _IS_SPACE[code]
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))  # of each token
+    breaks = np.flatnonzero(_IS_BREAK[code])
+    breaks = breaks[(breaks == 0) | (code[breaks] != 0x0A) | (code[breaks - 1] != 0x0D)]
+    line = np.searchsorted(breaks, starts)  # 0-based line of each token
+    first = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
+    count = np.diff(first, append=line.size)
+    keep = code[starts[first]] != ord("#")
+    del code, space  # free the per-character arrays before text.split()
+    error = None
+    malformed = np.flatnonzero(keep & (count != 2))
+    if malformed.size:
+        bad = malformed[0]
+        line_no = int(line[first[bad]]) + 1
+        error = ParseError(f"line {line_no}: expected '{expected}', "
+                           f"got {count[bad]} token(s)", line=line_no)
+        keep[bad:] = False
+    tokens = list(compress(text.split(), np.repeat(keep, count).tolist()))
+    return tokens, line[first[keep]] + 1, error
+
+
+def intern(tokens: list[str]) -> tuple[dict[str, int], np.ndarray]:
+    """Dense ids for ``tokens`` in first-appearance order, and each token's id."""
+    ids = dict(zip(dict.fromkeys(tokens), count()))
+    return ids, np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
@@ -98,35 +158,14 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     Raises :class:`ParseError` on malformed lines (naming the line number)
     and on input without any edge ("empty graph").
     """
-    lines = text.splitlines() if isinstance(text, str) else text
-
-    labels: list[str] = []
-    label_ids: dict[str, int] = {}
-
-    def intern(label: str) -> int:
-        node = label_ids.get(label)
-        if node is None:
-            node = len(labels)
-            label_ids[label] = node
-            labels.append(label)
-        return node
-
-    edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"line {line_no}: expected 'src dst', got {len(tokens)} token(s)",
-                line=line_no,
-            )
-        edges.append((intern(tokens[0]), intern(tokens[1])))
-
-    if not labels:
+    tokens, _, error = tokenize_pairs(text, "src dst")
+    if error is not None:
+        raise error
+    label_ids, ids = intern(tokens)
+    del tokens  # free the token strings before the CSR build
+    if not label_ids:
         raise ParseError("empty graph")
-    return Graph.from_edges(labels, edges)
+    return Graph.from_edges(list(label_ids), ids.reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -175,31 +214,18 @@ def build_hyperlink(
             )
 
     n = g.n
-    data = np.empty(g.indices.size, dtype=np.float64)
-    for u in range(n):
-        lo, hi = g.indptr[u], g.indptr[u + 1]
-        if hi > lo:
-            data[lo:hi] = 1.0 / (hi - lo)
+    data = np.repeat(1.0 / np.maximum(g.out_degree, 1), g.out_degree)
     base = sparse.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
 
-    dangling = np.array(sorted(g.dangling), dtype=np.int64)
+    dangling = np.flatnonzero(g.out_degree == 0)
     dangling_rows = None
     if policy is DanglingPolicy.OWN_BLOCK:
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for u in dangling:
-            support = sorted(
-                {v for b in decomp.node_blocks[u] for v in decomp.members[b].tolist()}
-            )
-            weight = 1.0 / len(support)
-            rows.extend([int(u)] * len(support))
-            cols.extend(support)
-            vals.extend([weight] * len(support))
-        dangling_rows = sparse.csr_array(
-            (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-            shape=(n, n),
-        )
+        # Dangling row u is uniform over the union of u's blocks: the pattern
+        # of row u of Diag(dangling) @ B @ B^T.
+        select = sparse.diags_array((g.out_degree == 0).astype(np.float64))
+        dangling_rows = pattern(select @ decomp.B @ decomp.B.T)
+        size = np.diff(dangling_rows.indptr)
+        dangling_rows.data = np.repeat(1.0 / np.maximum(size, 1), size)
 
     return HyperlinkOperator(
         n=n, policy=policy, base=base, dangling=dangling, dangling_rows=dangling_rows

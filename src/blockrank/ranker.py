@@ -8,6 +8,7 @@ comparison report round out the module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,8 @@ class RankParams:
         if rest < -WEIGHT_TOL:
             raise ConfigurationError(f"eta + mu exceeds 1 by {-rest:.3e}")
         object.__setattr__(self, "teleport", 0.0 if abs(rest) <= WEIGHT_TOL else rest)
-        if self.tol <= 0.0:
-            raise ConfigurationError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
 
@@ -80,6 +81,13 @@ class ComparisonReport:
     top_b: tuple[str, ...]
     k: int
     clipped: bool
+
+
+def order_by_score(scores: np.ndarray, labels) -> list[int]:
+    """Node ids by descending score, ties broken by ascending label."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    order.sort(key=(-np.asarray(scores)).tolist().__getitem__)  # stable: ties keep label order
+    return order
 
 
 def _validate_personalization(v: np.ndarray | None, n: int) -> np.ndarray:
@@ -168,8 +176,8 @@ def pagerank(
     """
     if not 0.0 <= alpha < 1.0:
         raise ConfigurationError(f"alpha must be in [0, 1), got {alpha}")
-    if tol <= 0.0:
-        raise ConfigurationError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ConfigurationError("max_iter must be at least 1")
     n = h.n
@@ -198,11 +206,8 @@ def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:
     clipped = k > n
     k_eff = min(k, n)
 
-    def top(scores: np.ndarray) -> tuple[str, ...]:
-        order = sorted(range(n), key=lambda i: (-scores[i], labels[i]))
-        return tuple(labels[i] for i in order[:k_eff])
-
-    top_a, top_b = top(a.scores), top(b.scores)
+    top_a, top_b = (tuple(labels[i] for i in order_by_score(scores, labels)[:k_eff])
+                    for scores in (a.scores, b.scores))
     overlap = len(set(top_a) & set(top_b)) / k_eff
     l1 = float(np.abs(a.scores - b.scores).sum())
     return ComparisonReport(

@@ -8,8 +8,9 @@ they are used to check.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
-from blockrank import DanglingPolicy, Decomposition, Graph
+from blockrank import CoverageError, DanglingPolicy, Decomposition, FactorForm, Graph, ParseError
 
 G4_EDGES = "a b\nb a\nb c\nc d\nd a\n"
 G4_BLOCKS = "a B1\nb B1\nc B2\nd B2\n"
@@ -80,6 +81,7 @@ def dense_hyperlink(
 ) -> np.ndarray:
     """Dense stochastic H by direct definition (oracle)."""
     H = np.zeros((g.n, g.n))
+    members, node_blocks = (decomp.members, decomp.node_blocks) if decomp else ((), ())
     for u in range(g.n):
         nbrs = g.out_neighbors(u)
         if nbrs.size:
@@ -87,9 +89,7 @@ def dense_hyperlink(
         elif policy is DanglingPolicy.UNIFORM_ALL:
             H[u, :] = 1.0 / g.n
         else:
-            support = sorted(
-                {v for b in decomp.node_blocks[u] for v in decomp.members[b].tolist()}
-            )
+            support = sorted({v for b in node_blocks[u] for v in members[b].tolist()})
             H[u, support] = 1.0 / len(support)
     return H
 
@@ -102,13 +102,155 @@ def direct_proximity(g: Graph, d: Decomposition) -> np.ndarray:
     when blocks overlap.
     """
     M = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        blocks = set(d.node_blocks[u])
-        for w in g.out_neighbors(u):
-            blocks.update(d.node_blocks[int(w)])
+    members = d.members
+    for u, blocks in enumerate(reference_proximal_sets(g, d)):
         n_u = len(blocks)
         for k in blocks:
-            size = int(d.members[k].size)
-            for v in d.members[k].tolist():
+            size = int(members[k].size)
+            for v in members[k].tolist():
                 M[u, v] += 1.0 / (n_u * size)
     return M
+
+
+# Per-node reference builders: the loop constructions the vectorized
+# builders replaced, kept so the tests can demand bit-identical output.
+
+def reference_parse_pairs(text: str, expected: str) -> list[tuple[str, str]]:
+    """Token pairs of the non-blank, non-comment lines, in order.
+
+    Raises :class:`ParseError` naming the first malformed line.
+    """
+    pairs = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(
+                f"line {line_no}: expected '{expected}', got {len(tokens)} token(s)",
+                line=line_no,
+            )
+        pairs.append((tokens[0], tokens[1]))
+    return pairs
+
+
+def reference_parse_blocks(text: str, g: Graph) -> tuple[list[str], list[list[int]]]:
+    """(block labels, sorted members) parsed line by line, with the errors
+    of :func:`blockrank.parse_blocks` raised in line order."""
+    block_ids: dict[str, int] = {}
+    members: list[set[int]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(
+                f"line {line_no}: expected 'node_label block_label', got {len(tokens)} token(s)",
+                line=line_no,
+            )
+        node_label, block_label = tokens
+        if node_label not in g.label_ids:
+            raise CoverageError(f"line {line_no}: node label {node_label!r} not in the graph")
+        if block_label not in block_ids:
+            block_ids[block_label] = len(members)
+            members.append(set())
+        members[block_ids[block_label]].add(g.label_ids[node_label])
+    if not members:
+        raise ParseError("empty blocks file")
+    missing = [g.labels[u] for u in range(g.n) if not any(u in m for m in members)]
+    if missing:
+        raise CoverageError(f"graph nodes missing from every block: {missing}")
+    return list(block_ids), [sorted(m) for m in members]
+
+
+def first_appearance(tokens) -> dict[str, int]:
+    ids: dict[str, int] = {}
+    for token in tokens:
+        ids.setdefault(token, len(ids))
+    return ids
+
+
+def reference_adjacency(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the deduplicated adjacency, one set per node."""
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].add(v)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in adjacency], out=indptr[1:])
+    indices = np.array([v for nbrs in adjacency for v in sorted(nbrs)], dtype=np.int64)
+    return indptr, indices
+
+
+def reference_proximal_sets(g: Graph, d: Decomposition) -> list[set[int]]:
+    """Per node u: the blocks containing u or one of its out-neighbors."""
+    node_blocks = d.node_blocks
+    sets = []
+    for u in range(g.n):
+        blocks = set(node_blocks[u])
+        for w in g.out_neighbors(u):
+            blocks.update(node_blocks[int(w)])
+        sets.append(blocks)
+    return sets
+
+
+def reference_hyperlink(
+    g: Graph, policy: DanglingPolicy, d: Decomposition | None
+) -> tuple[sparse.csr_array, sparse.csr_array | None]:
+    """(base, dangling_rows) built row by row."""
+    n = g.n
+    data = np.empty(g.indices.size, dtype=np.float64)
+    for u in range(n):
+        lo, hi = g.indptr[u], g.indptr[u + 1]
+        if hi > lo:
+            data[lo:hi] = 1.0 / (hi - lo)
+    base = sparse.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
+    if policy is not DanglingPolicy.OWN_BLOCK:
+        return base, None
+    members, node_blocks = d.members, d.node_blocks
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for u in sorted(g.dangling):
+        support = sorted({v for b in node_blocks[u] for v in members[b].tolist()})
+        rows.extend([u] * len(support))
+        cols.extend(support)
+        vals.extend([1.0 / len(support)] * len(support))
+    dangling_rows = sparse.csr_array(
+        (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(n, n),
+    )
+    return base, dangling_rows
+
+
+def reference_factors(
+    d: Decomposition, g: Graph, form: FactorForm
+) -> tuple[sparse.csr_array, sparse.csr_array, np.ndarray]:
+    """(R, A, N) built node by node from the proximal sets."""
+    n, K = g.n, d.K
+    members = d.members
+    sizes = np.array([ids.size for ids in members], dtype=np.int64)
+    prox = [sorted(blocks) for blocks in reference_proximal_sets(g, d)]
+    N = np.array([len(blocks) for blocks in prox], dtype=np.int64)
+    r_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(N, out=r_indptr[1:])
+    r_indices = np.empty(int(r_indptr[-1]), dtype=np.int64)
+    r_data = np.empty(int(r_indptr[-1]), dtype=np.float64)
+    for u, blocks in enumerate(prox):
+        lo, hi = r_indptr[u], r_indptr[u + 1]
+        r_indices[lo:hi] = blocks
+        if form is FactorForm.PARTITION:
+            r_data[lo:hi] = (1.0 / N[u]) * (1.0 / sizes[blocks])
+        else:
+            r_data[lo:hi] = 1.0 / N[u]
+    R = sparse.csr_array((r_data, r_indices, r_indptr), shape=(n, K))
+    a_indptr = np.zeros(K + 1, dtype=np.int64)
+    np.cumsum(sizes, out=a_indptr[1:])
+    a_indices = np.concatenate(members)
+    if form is FactorForm.PARTITION:
+        a_data = np.ones(a_indices.size, dtype=np.float64)
+    else:
+        a_data = np.concatenate([np.full(ids.size, 1.0 / ids.size) for ids in members])
+    A = sparse.csr_array((a_data, a_indices, a_indptr), shape=(K, n))
+    return R, A, N

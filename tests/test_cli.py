@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -134,6 +136,17 @@ class TestRank:
                     "--eta", "0.6", "--mu", "0.3", "--teleport", "0.2"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--eta", "--mu", "--teleport", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flags_exit_two(self, g4_files, capsys, flag, value):
+        graph, blocks = g4_files
+        for command in ("rank", "compare"):
+            code = run([command, "--graph", graph, "--blocks", blocks, f"{flag}={value}"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "finite" in captured.err or "must be in" in captured.err
 
     def test_non_positive_top_exits_two(self, g4_files, capsys):
         graph, blocks = g4_files
@@ -322,3 +335,98 @@ class TestDeterminism:
             first = capsys.readouterr().out
             run(args)
             assert first == capsys.readouterr().out
+
+
+def _corpus(seed: int, n: int, k: int, overlap: float) -> tuple[bytes, bytes]:
+    """Seeded edge and block files exercising every input-format corner.
+
+    Node ``p<i>`` sits in block ``i % k``; a share ``overlap`` of the nodes
+    joins a second block.  About 10% of the nodes are dangling.  The text
+    mixes duplicate edges, self-loops, ``#`` comments, blank lines, ragged
+    whitespace and CRLF line endings.  A ring of links through every block
+    keeps the teleport-free model admissible.
+    """
+    rnd = random.Random(seed)
+    labels = [f"p{i}" for i in range(n)]
+    dangling = set(rnd.sample(range(k, n), n // 10))
+    home = [[i for i in range(n) if i % k == b] for b in range(k)]
+    edges = [(b, home[(b + 1) % k][0]) for b in range(k)]
+    edges += [(u % k, u) for u in sorted(dangling)]  # labels come from edges
+    for u in range(n):
+        if u in dangling:
+            continue
+        for _ in range(rnd.randint(1, 6)):
+            pool = home[u % k] if rnd.random() < 0.8 else range(n)
+            edges.append((u, rnd.choice(pool)))
+        if rnd.random() < 0.05:
+            edges.append((u, u))
+    edges += rnd.sample(edges, len(edges) // 20)
+    rnd.shuffle(edges)
+
+    lines = ["# seeded corpus"]
+    for u, v in edges:
+        if rnd.random() < 0.03:
+            lines.append(rnd.choice(["", "   ", "# note", "  # indented comment"]))
+        sep = rnd.choice([" ", "\t", "  ", " \t "])
+        lines.append(f"{rnd.choice(['', ' '])}{labels[u]}{sep}{labels[v]}")
+    memberships = [(u, u % k) for u in range(n)]
+    memberships += [(u, (u % k + 1) % k) for u in range(n) if rnd.random() < overlap]
+    rnd.shuffle(memberships)
+    block_lines = ["# memberships", ""] + [f"{labels[u]} C{b}" for u, b in memberships]
+    return ("\r\n".join(lines) + "\r\n").encode(), ("\n".join(block_lines) + "\n").encode()
+
+
+CORPORA = {
+    "g4": lambda: (G4_EDGES.encode(), G4_BLOCKS.encode()),
+    "partition": lambda: _corpus(11, 300, 7, 0.0),
+    "cover": lambda: _corpus(12, 300, 9, 0.15),
+}
+
+GOLDEN_ARGS = {
+    "check": ["check"],
+    "check-json": ["check", "--format", "json"],
+    "rank": ["rank"],
+    "rank-json": ["rank", "--format", "json"],
+    "rank-uniform": ["rank", "--dangling", "uniform", "--eta", "0.8", "--mu", "0.1",
+                     "--teleport", "0.1", "--top", "25"],
+    "compare": ["compare"],
+    "compare-json": ["compare", "--format", "json", "--top", "20"],
+}
+
+# (exit code, sha256 of stdout) recorded from the per-node reference
+# implementation; any construction rewrite must reproduce them exactly.
+GOLDEN = {
+    "cover/check": (0, "f2d20651cf05d04b7d693a8b16f3fe71dbacc1d959a0e481097a19d6373cf716"),
+    "cover/check-json": (0, "66159abb403aa04c211e563b909ff7157dfe0bfa4a98e8eae567c49dab9076fd"),
+    "cover/compare": (0, "372bf0fbf23bbabe1ec216cde5d9981386dd1cd6613c5b8d1388877960ee7275"),
+    "cover/compare-json": (0, "58cb02ecf959f5e0e5fbd2c1c37c852d0784e18f8f29a9c6c5a8aba54caf2807"),
+    "cover/rank": (0, "dc8db71af81e380210dbeadf39807915e2970ae0201a5c872084538f591c7083"),
+    "cover/rank-json": (0, "0117be24d8eac5ea40a1452419c752cd3283161570c993ef331a3748fc9289fd"),
+    "cover/rank-uniform": (0, "c67215ac8151126667ad63d36a3bdae8851f15046c3c78b38929f469d4c5d71b"),
+    "g4/check": (0, "1fce3837656fa4044d6bab1c6f72a826fc62e02278867a33383a4d1e85f45fc4"),
+    "g4/check-json": (0, "83c191b2654b7193dc7783fbf3aa709faafa45503d873f90098769bb89a4acc2"),
+    "g4/compare": (0, "0a55b9088e35285d533c8ce65fdd843dd1de335bd94732a531830f0786e9af0c"),
+    "g4/compare-json": (0, "a8a2a1219479978cbdb606ae64d6a05daee4082fd09c3ee4f11fed08069c0c90"),
+    "g4/rank": (0, "87d2b842f504af1b5099c52211fdd30d60a9479e0b23002b67c0434366adc357"),
+    "g4/rank-json": (0, "d7056235b4f4b30e5f55d62e971a1b80cdc810416fe4007974b24b642f21f1d9"),
+    "g4/rank-uniform": (0, "59841ca87a649becfb20d92297a1de35637a5335415cb5ea30b41fc8c301ddea"),
+    "partition/check": (0, "1d38b0ec90c77776feacf0bad6d09fdb6553a49ad17828de5073135f588837b5"),
+    "partition/check-json": (0, "035061b3e03fee64f33954baf9a4a1c04b75498180f03d344f2e67fb30f1f04c"),
+    "partition/compare": (0, "dbd391e907fd255b59bc042c95b011fb55e39abd1b027b47111557cc9889a7e5"),
+    "partition/compare-json": (0, "fb8590f09ad8a856594501b793a2ae826efa057e87169e657a1ceff72fe24231"),
+    "partition/rank": (0, "bef4392331c6a7ddef3ff8ee9596951f0725d40cb9e8aba9136d14faba5f6f76"),
+    "partition/rank-json": (0, "52efd643fd8dca5bf89b210fd3140b722661e498b98cb6ce19b51824c120be4a"),
+    "partition/rank-uniform": (0, "6f8e30457978d5690545188e32e50cc530cb5d76e60a439dc67c6d6f7ecde9c1"),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
+def test_golden_stdout(corpus, command, tmp_path, capsys):
+    edges, blocks = CORPORA[corpus]()
+    graph_path, blocks_path = tmp_path / "c.edges", tmp_path / "c.blocks"
+    graph_path.write_bytes(edges)
+    blocks_path.write_bytes(blocks)
+    code = run(GOLDEN_ARGS[command] + ["--graph", str(graph_path), "--blocks", str(blocks_path)])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN[f"{corpus}/{command}"]

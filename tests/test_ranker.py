@@ -68,6 +68,12 @@ class TestRankParams:
         with pytest.raises(ConfigurationError):
             RankParams(max_iter=0)
 
+    @pytest.mark.parametrize("field", ["eta", "mu", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            RankParams(**{field: value})
+
 
 class TestRank:
     def test_symmetric_two_node_cycle(self):
@@ -186,6 +192,13 @@ class TestPagerank:
         h, _ = _model(g4, g4_decomp)
         with pytest.raises(ConfigurationError):
             pagerank(h, alpha=1.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, g4, g4_decomp, field, value):
+        h, _ = _model(g4, g4_decomp)
+        with pytest.raises(ConfigurationError):
+            pagerank(h, **{field: value})
 
     def test_personalization_validated(self, g4, g4_decomp):
         h, _ = _model(g4, g4_decomp)
