@@ -160,11 +160,11 @@ def cmd_rank(args) -> int:
     eta, mu = _resolve_weights(args)
     top = _top_arg(args)
     params = RankParams(eta=eta, mu=mu, tol=args.tol, max_iter=args.max_iter)
-    h = build_hyperlink(g, _policy(args), d)
     f = build_factors(d, g)
     report = teleportation_free_check(indicator(f))
     if _strict_gate_refuses(args, params, report, d):
         return EXIT_INADMISSIBLE
+    h = build_hyperlink(g, _policy(args), d)
 
     result = rank(h, f, params, strict=False)
     order = order_by_score(result.scores, g.labels)[:top]
@@ -198,11 +198,11 @@ def cmd_compare(args) -> int:
     eta, mu = _resolve_weights(args)
     top = _top_arg(args)
     params = RankParams(eta=eta, mu=mu, tol=args.tol, max_iter=args.max_iter)
-    h = build_hyperlink(g, _policy(args), d)
     f = build_factors(d, g)
     report = teleportation_free_check(indicator(f))
     if _strict_gate_refuses(args, params, report, d):
         return EXIT_INADMISSIBLE
+    h = build_hyperlink(g, _policy(args), d)
 
     model = rank(h, f, params, strict=False)
     baseline = pagerank(h, alpha=BASELINE_ALPHA, tol=args.tol, max_iter=args.max_iter)

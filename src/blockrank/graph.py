@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import compress, count
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -97,6 +98,34 @@ def pattern(m: sparse.csr_array) -> sparse.csr_array:
     return m
 
 
+def distinct_rows(m: sparse.csr_array) -> tuple[sparse.csr_array, np.ndarray]:
+    """The distinct rows of the canonical 0/1 CSR ``m``, whose rows are all
+    non-empty, as a 0/1 CSR, and the index of each row of ``m`` among them.
+
+    Rows of each length are sorted as column tuples (one ``np.lexsort``),
+    which is several times faster than ``np.unique(axis=0)``.
+    """
+    size = np.diff(m.indptr)
+    which = np.empty(size.size, dtype=np.int64)
+    sizes, columns = [], []
+    found = 0
+    for d in np.unique(size).tolist():
+        rows = np.flatnonzero(size == d)
+        cols = m.indices[m.indptr[rows, None] + np.arange(d)]
+        order = np.lexsort(cols.T[::-1])
+        cols = cols[order]
+        first = np.concatenate(([True], (cols[1:] != cols[:-1]).any(axis=1)))
+        which[rows[order]] = found + np.cumsum(first) - 1
+        cols = cols[first]
+        found += len(cols)
+        sizes.append(np.full(len(cols), d))
+        columns.append(cols.reshape(-1))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    distinct = sparse.csr_array((np.ones(indptr[-1]), np.concatenate(columns), indptr),
+                                shape=(found, m.shape[1]))
+    return distinct, which
+
+
 # The characters str.split() splits on and those str.splitlines() ends a
 # line at ("\r\n" counts once), as lookup tables over all code points.
 WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
@@ -173,22 +202,48 @@ class HyperlinkOperator:
     """Row-stochastic surfing operator, applied as ``x -> x @ H``.
 
     ``base`` holds the normalized link rows (``1/d_u`` entries; dangling
-    rows are zero).  The substituted dangling rows are kept apart:
-    explicit sparse rows under ``OWN_BLOCK``, or the stored dangling set
-    plus an implicit uniform rank-one correction under ``UNIFORM_ALL``.
+    rows are zero).  The substituted dangling rows are kept apart.  Under
+    ``UNIFORM_ALL`` they are the stored dangling set plus an implicit
+    uniform rank-one correction.  Under ``OWN_BLOCK`` they are factored by
+    block signature, the set of blocks a node lies in: dangling node
+    ``dangling[i]`` spreads ``share[i]`` (one over the size of the union of
+    its blocks) to every node ``v`` with ``reach[signature[v], i] == 1``,
+    where ``reach`` is the 0/1 matrix with one row per distinct signature
+    and a one wherever that signature meets the dangling node's blocks.
+    ``dangling_rows`` rebuilds the explicit rows on demand, like
+    ``to_dense``, for tests and debugging.
     """
 
     n: int
     policy: DanglingPolicy
     base: sparse.csr_array
     dangling: np.ndarray
-    dangling_rows: sparse.csr_array | None
+    share: np.ndarray | None = None
+    reach: sparse.csr_array | None = None
+    signature: np.ndarray | None = None
+
+    @cached_property
+    def base_t(self) -> sparse.csc_array:
+        """``base.T``, built once: ``x @ base`` is ``base_t @ x``, same kernel,
+        shared arrays."""
+        return self.base.T
+
+    @property
+    def dangling_rows(self) -> sparse.csr_array | None:
+        """The explicit ``OWN_BLOCK`` dangling rows (test/debug aid)."""
+        if self.policy is not DanglingPolicy.OWN_BLOCK:
+            return None
+        k = self.dangling.size
+        place = sparse.csr_array((self.share, (self.dangling, np.arange(k))), shape=(self.n, k))
+        rows = place @ self.reach[self.signature].T
+        rows.sum_duplicates()
+        return rows
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full stochastic matrix (test/debug aid)."""
         dense = self.base.toarray()
         if self.policy is DanglingPolicy.OWN_BLOCK:
-            dense += self.dangling_rows.toarray()
+            dense[self.dangling] = self.reach.toarray()[self.signature].T * self.share[:, None]
         elif self.dangling.size:
             dense[self.dangling, :] = 1.0 / self.n
         return dense
@@ -216,34 +271,36 @@ def build_hyperlink(
     n = g.n
     data = np.repeat(1.0 / np.maximum(g.out_degree, 1), g.out_degree)
     base = sparse.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
-
     dangling = np.flatnonzero(g.out_degree == 0)
-    dangling_rows = None
-    if policy is DanglingPolicy.OWN_BLOCK:
-        # Dangling row u is uniform over the union of u's blocks: the pattern
-        # of row u of Diag(dangling) @ B @ B^T.
-        select = sparse.diags_array((g.out_degree == 0).astype(np.float64))
-        dangling_rows = pattern(select @ decomp.B @ decomp.B.T)
-        size = np.diff(dangling_rows.indptr)
-        dangling_rows.data = np.repeat(1.0 / np.maximum(size, 1), size)
+    if policy is not DanglingPolicy.OWN_BLOCK:
+        return HyperlinkOperator(n=n, policy=policy, base=base, dangling=dangling)
 
-    return HyperlinkOperator(
-        n=n, policy=policy, base=base, dangling=dangling, dangling_rows=dangling_rows
-    )
+    # v lies in the union of dangling u's blocks when their block sets meet,
+    # which depends on v only through its signature.  The union's size is
+    # then the number of nodes over the signatures that meet u's blocks.
+    signatures, signature = distinct_rows(decomp.B)
+    reach = pattern(signatures @ decomp.B[dangling].T)
+    size = reach.T @ np.bincount(signature)
+    return HyperlinkOperator(n=n, policy=policy, base=base, dangling=dangling,
+                             share=1.0 / size, reach=reach, signature=signature)
 
 
 def hyperlink_apply(h: HyperlinkOperator, x: np.ndarray) -> np.ndarray:
     """Compute ``x @ H`` without materializing the dense matrix.
 
     ``x`` must have length ``n`` with non-negative entries; the result is
-    exactly what the dense row-stochastic matrix would produce.
+    exactly what the dense row-stochastic matrix would produce.  The
+    ``OWN_BLOCK`` dangling term adds, at each node, the same products
+    ``share[i] * x[dangling[i]]`` in the same ascending order as a product
+    with the explicit rows would.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (h.n,):
         raise DimensionError(f"vector of length {x.shape} against operator of order {h.n}")
-    y = x @ h.base
-    if h.policy is DanglingPolicy.OWN_BLOCK:
-        y += x @ h.dangling_rows
-    elif h.dangling.size:
-        y += x[h.dangling].sum() / h.n
+    y = h.base_t @ x
+    if h.dangling.size:
+        if h.policy is DanglingPolicy.OWN_BLOCK:
+            y += (h.reach @ (x[h.dangling] * h.share))[h.signature]
+        else:
+            y += x[h.dangling].sum() / h.n
     return y

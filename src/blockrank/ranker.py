@@ -1,9 +1,12 @@
 """Ranking vectors by sparse power iteration on the factored surfing operator.
 
 The iteration step is ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t * v``
-with ``t = 1 - eta - mu``; the dense proximity matrix is never formed, so a
-step costs O(nnz(H) + nnz(R) + nnz(A)).  A PageRank baseline and a small
-comparison report round out the module.
+with ``t = 1 - eta - mu``; neither the dense proximity matrix nor the
+explicit ``OWN_BLOCK`` dangling rows are formed, and ``H``, ``R`` and ``A``
+are applied through transposed views built once, so a step costs
+O(nnz(G) + n + nnz(Q) + nnz(R) + nnz(A)) with ``Q`` the dangling operator's
+signature-by-dangling-node matrix (``HyperlinkOperator.reach``).  A PageRank
+baseline and a small comparison report round out the module.
 """
 
 from __future__ import annotations
@@ -148,12 +151,12 @@ def rank(
             )
 
     eta, mu, teleport = params.eta, params.mu, params.teleport
-    R, A = f.R, f.A
+    R_t, A_t = f.R.T, f.A.T  # built once: x @ R is R.T @ x, same kernel
 
     def step(x: np.ndarray) -> np.ndarray:
         y = eta * hyperlink_apply(h, x)
         if mu != 0.0:
-            y += mu * ((x @ R) @ A)
+            y += mu * (A_t @ (R_t @ x))
         if teleport != 0.0:
             y += teleport * v
         return y

@@ -254,3 +254,36 @@ def reference_factors(
         a_data = np.concatenate([np.full(ids.size, 1.0 / ids.size) for ids in members])
     A = sparse.csr_array((a_data, a_indices, a_indptr), shape=(K, n))
     return R, A, N
+
+
+# The surfing step before the dangling rows were factored by block
+# signature: explicit rows from ``reference_hyperlink``, applied as x @ M.
+
+def reference_surfing_apply(g: Graph, policy: DanglingPolicy, d: Decomposition | None):
+    """``x -> x @ H`` with ``H`` built row by row and applied as ``x @ M``."""
+    base, dangling_rows = reference_hyperlink(g, policy, d)
+    dangling = np.array(sorted(g.dangling), dtype=np.int64)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = x @ base
+        if dangling_rows is not None:
+            y += x @ dangling_rows
+        elif dangling.size:
+            y += x[dangling].sum() / g.n
+        return y
+
+    return apply
+
+
+def reference_power_iteration(step, n: int, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """(scores, iterations) of the power iteration ``rank``/``pagerank`` run:
+    uniform start, renormalized each step, stop at L1 change <= tol."""
+    x = np.full(n, 1.0 / n)
+    for it in range(1, max_iter + 1):
+        y = step(x)
+        y /= y.sum()
+        residual = float(np.abs(y - x).sum())
+        x = y
+        if residual <= tol:
+            break
+    return x, it
