@@ -43,9 +43,7 @@ class DecompKind(Enum):
     COVER = "cover"
 
 
-class FactorForm(Enum):
-    PARTITION = "partition"
-    COVER = "cover"
+FactorForm = DecompKind  # build_factors' form names the same two shapes
 
 
 @dataclass(frozen=True)
@@ -182,11 +180,25 @@ class ProximityFactors:
 
 @dataclass(frozen=True)
 class IndicatorMatrix:
-    """K x K non-negative matrix whose positivity pattern encodes one-step
-    block-to-block reachability of the proximity operator."""
+    """K x K non-negative sparse matrix whose positivity pattern encodes
+    one-step block-to-block reachability of the proximity operator."""
 
-    W: np.ndarray
-    zero_pattern: np.ndarray
+    matrix: sparse.csr_array
+
+    @property
+    def W(self) -> np.ndarray:
+        """Dense copy of ``matrix`` (test/debug aid; refuses above
+        ``MATERIALIZE_CAP`` blocks)."""
+        K = self.matrix.shape[0]
+        if K > MATERIALIZE_CAP:
+            raise CapExceededError(
+                f"refusing to materialize {K} x {K} matrix (cap {MATERIALIZE_CAP})")
+        return self.matrix.toarray()
+
+    @property
+    def zero_pattern(self) -> np.ndarray:
+        """Dense positivity pattern ``W > 0`` (same cap as :attr:`W`)."""
+        return self.W > 0
 
 
 def build_factors(
@@ -203,7 +215,7 @@ def build_factors(
     if d.n != g.n:
         raise ConfigurationError(f"decomposition covers {d.n} nodes but the graph has {g.n}")
     if form is None:
-        form = FactorForm.PARTITION if d.kind is DecompKind.PARTITION else FactorForm.COVER
+        form = d.kind
     elif form is FactorForm.PARTITION and d.kind is not DecompKind.PARTITION:
         raise ConfigurationError("overlapping cover cannot use the partition factor form")
 
@@ -236,6 +248,5 @@ def materialize_m(f: ProximityFactors, cap: int = MATERIALIZE_CAP) -> np.ndarray
 
 
 def indicator(f: ProximityFactors) -> IndicatorMatrix:
-    """The K x K indicator matrix ``A @ R`` with its positivity pattern."""
-    W = (f.A @ f.R).toarray()
-    return IndicatorMatrix(W=W, zero_pattern=W > 0)
+    """The K x K indicator matrix ``A @ R``, kept sparse."""
+    return IndicatorMatrix(matrix=f.A @ f.R)

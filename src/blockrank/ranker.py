@@ -99,6 +99,8 @@ def _validate_personalization(v: np.ndarray | None, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (n,):
         raise DimensionError(f"personalization has shape {v.shape}, expected ({n},)")
+    if not np.isfinite(v).all():
+        raise ConfigurationError("personalization must be finite")
     if v.min() <= 0.0:
         raise ConfigurationError("personalization must be entrywise positive")
     if abs(v.sum() - 1.0) > 1e-9:

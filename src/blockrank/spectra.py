@@ -1,11 +1,13 @@
 """Irreducibility/primitivity checks and dense oracles for stochastic matrices.
 
 Everything here works on the positivity pattern of a non-negative matrix.
-Irreducibility is strong connectivity of the pattern digraph, decided by a
-linear-time strongly-connected-components pass.  Primitivity is decided by
-the Wielandt power test: a non-negative k x k matrix is primitive exactly
-when its pattern raised to k^2 - 2k + 2 is entrywise positive.  Magnitudes
-never enter, so repeated boolean squaring is exact and overflow-free.
+Irreducibility is strong connectivity of the pattern digraph, decided on
+the sparse pattern by one linear-time strongly-connected-components pass
+(``scipy.sparse.csgraph``), so the K x K block indicator matrix is never
+made dense.  Primitivity is decided by the dense Wielandt power test: a
+non-negative k x k matrix is primitive exactly when its pattern raised to
+k^2 - 2k + 2 is entrywise positive.  Magnitudes never enter, so repeated
+boolean squaring is exact and overflow-free.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .decomp import IndicatorMatrix
 from .errors import CapExceededError, ConvergenceError, DimensionError
@@ -23,7 +26,6 @@ __all__ = [
     "dense_stationary",
     "is_irreducible",
     "is_primitive",
-    "strongly_connected_components",
     "teleportation_free_check",
 ]
 
@@ -35,106 +37,53 @@ STATIONARY_CAP = 2000
 class CheckReport:
     """Verdict on whether ranking without teleportation is well-defined.
 
-    ``primitive_guarantee`` mirrors ``irreducible``: an irreducible block
-    indicator matrix guarantees the full surfing operator is primitive, and
-    a reducible one guarantees it is not.  ``blocking_components`` lists the
-    block-graph SCCs when reducible (empty otherwise).
+    ``blocking_components`` lists the block-graph SCCs when reducible
+    (empty otherwise).
     """
 
     irreducible: bool
-    primitive_guarantee: bool
     scc_count: int
     blocking_components: tuple[tuple[int, ...], ...]
 
+    @property
+    def primitive_guarantee(self) -> bool:
+        """Always ``irreducible``: by the paper's theorem an irreducible block
+        indicator matrix makes the full surfing operator primitive, and a
+        reducible one makes it not, so the verdict needs no second field."""
+        return self.irreducible
 
-def _pattern_rows(m) -> list[np.ndarray]:
-    """Adjacency lists of the positivity-pattern digraph of ``m``."""
-    if sparse.issparse(m):
-        m = m.tocsr()
-        k = m.shape[0]
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError(f"matrix is {m.shape[0]} x {m.shape[1]}, not square")
-        if m.data.size and m.data.min() < 0:
-            raise ValueError("matrix must be non-negative")
-        return [
-            m.indices[m.indptr[i]:m.indptr[i + 1]][m.data[m.indptr[i]:m.indptr[i + 1]] > 0]
-            for i in range(k)
-        ]
-    dense = np.asarray(m)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise DimensionError(f"matrix of shape {dense.shape} is not square")
-    if dense.dtype != bool and dense.size and dense.min() < 0:
+
+def _positive_pattern(m) -> sparse.csr_array:
+    """The positivity pattern of a non-negative square matrix (dense, bool or
+    sparse) as a boolean CSR; stored zeros are dropped, since csgraph would
+    read them as edges."""
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionError(f"matrix of shape {shape} is not square")
+    m = sparse.csr_array(m)
+    if np.isnan(m.data).any():
+        raise ValueError("matrix must not contain NaN")
+    if (m.data < 0).any():
         raise ValueError("matrix must be non-negative")
-    return [np.flatnonzero(row > 0) for row in dense]
-
-
-def strongly_connected_components(adjacency: list[np.ndarray]) -> list[list[int]]:
-    """SCCs of a digraph given as adjacency lists (iterative Tarjan).
-
-    Linear in nodes plus edges.  Components are returned with members
-    sorted ascending, components ordered by their smallest member.
-    """
-    n = len(adjacency)
-    index = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work: list[tuple[int, object]] = [(root, iter(adjacency[root]))]
-        while work:
-            v, neighbors = work[-1]
-            descended = False
-            for w in neighbors:
-                w = int(w)
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adjacency[w])))
-                    descended = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                component.sort()
-                components.append(component)
-
-    components.sort(key=lambda comp: comp[0])
-    return components
+    return m > 0
 
 
 def is_irreducible(m) -> tuple[bool, list[list[int]]]:
     """Whether the pattern digraph of ``m`` is strongly connected.
 
-    Returns the verdict together with the condensation components.
-    A single vertex counts as strongly connected even without a self-loop,
+    Returns the verdict together with the condensation components, members
+    sorted ascending and components ordered by their smallest member.  A
+    single vertex counts as strongly connected even without a self-loop,
     matching the graph-theoretic reading of the pattern.
     """
-    components = strongly_connected_components(_pattern_rows(m))
+    _, labels = csgraph.connected_components(
+        _positive_pattern(m), directed=True, connection="strong")
+    # name each node's component by its smallest member
+    smallest = np.unique(labels, return_index=True)[1][labels]
+    order = np.argsort(smallest, kind="stable")  # by component, then by node id
+    members = order.tolist()
+    starts = np.flatnonzero(np.diff(smallest[order], prepend=-1)).tolist()
+    components = [members[a:b] for a, b in zip(starts, starts[1:] + [len(members)])]
     return len(components) == 1, components
 
 
@@ -163,27 +112,19 @@ def is_primitive(m, cap: int = PRIMITIVITY_CAP) -> bool:
     with period 1; also the ground truth the cheap irreducible-plus-positive-
     diagonal shortcut must agree with.
     """
-    if sparse.issparse(m):
-        m = m.toarray()
-    dense = np.asarray(m)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise DimensionError(f"matrix of shape {dense.shape} is not square")
-    k = dense.shape[0]
+    positive = _positive_pattern(m)
+    k = positive.shape[0]
     if k > cap:
         raise CapExceededError(f"primitivity oracle refused for order {k} (cap {cap})")
-    if dense.dtype != bool and dense.size and dense.min() < 0:
-        raise ValueError("matrix must be non-negative")
-    pattern = dense > 0 if dense.dtype != bool else dense
     exponent = k * k - 2 * k + 2
-    return bool(_bool_power(pattern, exponent).all())
+    return bool(_bool_power(positive.toarray(), exponent).all())
 
 
 def teleportation_free_check(w: IndicatorMatrix) -> CheckReport:
     """Decide admissibility of no-teleportation ranking from the indicator matrix."""
-    irreducible, components = is_irreducible(w.zero_pattern)
+    irreducible, components = is_irreducible(w.matrix)
     return CheckReport(
         irreducible=irreducible,
-        primitive_guarantee=irreducible,
         scc_count=len(components),
         blocking_components=()
         if irreducible

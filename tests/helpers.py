@@ -112,6 +112,27 @@ def direct_proximity(g: Graph, d: Decomposition) -> np.ndarray:
     return M
 
 
+def reference_strong_components(adjacency: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of a dense 0/1 digraph (oracle).
+
+    Nodes i and j share a component when each reaches the other in the
+    reflexive transitive closure (Warshall).  Members come sorted and
+    components ordered by their smallest member.
+    """
+    k = adjacency.shape[0]
+    reach = np.asarray(adjacency, dtype=bool) | np.eye(k, dtype=bool)
+    for via in range(k):
+        reach |= np.outer(reach[:, via], reach[via, :])
+    mutual = reach & reach.T
+    components, seen = [], set()
+    for i in range(k):
+        if i not in seen:
+            component = np.flatnonzero(mutual[i]).tolist()
+            seen.update(component)
+            components.append(component)
+    return components
+
+
 # Per-node reference builders: the loop constructions the vectorized
 # builders replaced, kept so the tests can demand bit-identical output.
 

@@ -166,6 +166,13 @@ class TestRank:
         with pytest.raises(ConfigurationError):
             rank(h, f, RankParams(eta=0.5, mu=0.3, personalization=bad))
 
+    def test_nan_personalization_rejected_with_teleport(self, g4, g4_decomp):
+        # nan <= 0 and |nan - 1| > tol are both False: only a finiteness test catches it
+        h, f = _model(g4, g4_decomp)
+        bad = np.array([np.nan, 0.5, 0.25, 0.25])
+        with pytest.raises(ConfigurationError):
+            rank(h, f, RankParams(eta=0.5, mu=0.3, personalization=bad))
+
 
 class TestPagerank:
     def test_alpha_zero_returns_personalization(self, g4, g4_decomp):
@@ -208,6 +215,11 @@ class TestPagerank:
             pagerank(h, v=np.array([0.7, 0.2, 0.2, 0.2]))
         with pytest.raises(DimensionError):
             pagerank(h, v=np.array([0.5, 0.5]))
+
+    def test_nan_personalization_rejected(self, g4, g4_decomp):
+        h, _ = _model(g4, g4_decomp)
+        with pytest.raises(ConfigurationError):
+            pagerank(h, v=np.array([np.nan, 0.5, 0.25, 0.25]))
 
 
 def _result(scores) -> RankResult:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from blockrank import (
     DanglingPolicy,
@@ -22,7 +28,26 @@ from blockrank import (
 )
 from blockrank.errors import CapExceededError, ConvergenceError, DimensionError
 
-from helpers import G4_W, random_instance
+from helpers import G4_W, random_instance, reference_strong_components
+
+
+@st.composite
+def weighted_patterns(draw) -> tuple[np.ndarray, np.ndarray]:
+    """A k x k 0/1 digraph (self-loops allowed) and positive weights on its edges."""
+    k = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    adjacency = np.array(cells, dtype=bool).reshape(k, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return adjacency, np.where(adjacency, rng.random((k, k)) + 0.01, 0.0)
+
+
+def with_stored_zeros(dense: np.ndarray) -> sparse.csr_array:
+    """CSR that stores every entry of ``dense``, zeros included."""
+    k = dense.shape[0]
+    m = sparse.csr_array((dense.ravel(), np.tile(np.arange(k), k), np.arange(0, k * k + 1, k)),
+                         shape=(k, k))
+    assert m.nnz == k * k
+    return m
 
 
 class TestIsIrreducible:
@@ -65,6 +90,27 @@ class TestIsIrreducible:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             is_irreducible(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    def test_nan_entries_rejected(self):
+        m = np.array([[0.0, np.nan], [1.0, 0.0]])
+        for check in (is_irreducible, is_primitive):
+            with pytest.raises(ValueError):
+                check(m)
+
+    def test_stored_zero_is_not_an_edge(self):
+        # row 1 stores a zero at column 0: read as an edge it would close the 2-cycle
+        m = sparse.csr_array((np.array([1.0, 0.0]), np.array([1, 0]), np.array([0, 1, 2])),
+                             shape=(2, 2))
+        assert m.nnz == 2
+        assert is_irreducible(m) == (False, [[0], [1]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_patterns())
+    def test_components_match_transitive_closure(self, case):
+        adjacency, weights = case
+        want = reference_strong_components(adjacency)
+        for m in (weights, adjacency, sparse.csr_array(weights), with_stored_zeros(weights)):
+            assert is_irreducible(m) == (len(want) == 1, want)
 
 
 class TestIsPrimitive:
@@ -122,6 +168,55 @@ class TestTeleportationFreeCheck:
         d = Decomposition.from_members([[0, 1]], n=2)
         report = teleportation_free_check(indicator(build_factors(d, g)))
         assert report.irreducible and report.scc_count == 1
+
+
+RING_K = 50_000
+
+
+def ring_factors(K: int, cuts: tuple[int, ...] = ()):
+    """Factors of a ring of K two-node blocks, each linking both neighbours,
+    with the links between blocks c - 1 and c removed for each c in ``cuts``."""
+    b = np.arange(K)
+    forward = np.column_stack([2 * b + 1, 2 * ((b + 1) % K)])
+    backward = np.column_stack([2 * b, 2 * ((b - 1) % K) + 1])
+    edges = np.vstack([forward[~np.isin((b + 1) % K, cuts)], backward[~np.isin(b, cuts)]])
+    g = Graph.from_edges([f"n{u}" for u in range(2 * K)], edges)
+    return build_factors(Decomposition.from_members(np.arange(2 * K).reshape(K, 2), n=2 * K), g)
+
+
+def stored_bytes(obj) -> int:
+    total = 0
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        arrays = (value.data, value.indices, value.indptr) if sparse.issparse(value) else (value,)
+        total += sum(np.asarray(a).nbytes for a in arrays)
+    return total
+
+
+def test_admissibility_at_50k_blocks_allocates_nothing_quadratic():
+    # a dense K x K float W alone would be 20 GB here
+    f = ring_factors(RING_K)
+    tracemalloc.start()
+    try:
+        w = indicator(f)
+        report = teleportation_free_check(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.matrix.nnz == 3 * RING_K
+    assert stored_bytes(w) <= 16 * (w.matrix.nnz + RING_K + 1)
+    assert peak <= 64 * 2**20
+    assert report.irreducible and report.scc_count == 1
+    assert report.blocking_components == ()
+    with pytest.raises(CapExceededError):
+        w.W
+    with pytest.raises(CapExceededError):
+        w.zero_pattern
+
+    half = RING_K // 2
+    report = teleportation_free_check(indicator(ring_factors(RING_K, cuts=(0, half))))
+    assert not report.irreducible and report.scc_count == 2
+    assert report.blocking_components == (tuple(range(half)), tuple(range(half, RING_K)))
 
 
 class TestDenseStationary:
