@@ -24,7 +24,7 @@ from .decomp import (
 )
 from .errors import BlockRankError, ConfigurationError, ReducibleModelError
 from .graph import DanglingPolicy, Graph, build_hyperlink, parse_edge_list
-from .ranker import RankParams, compare, order_by_score, pagerank, rank
+from .ranker import RankParams, RankResult, compare, order_by_score, pagerank, rank
 from .spectra import CheckReport, teleportation_free_check
 
 BASELINE_ALPHA = 0.85
@@ -132,6 +132,17 @@ def _strict_gate_refuses(args, params: RankParams, report: CheckReport, d: Decom
     return True
 
 
+def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
+    """Say how far a run got, at what rate, and how many more steps that
+    rate projects."""
+    more = result.steps_to(tol)
+    projection = ("the residual is not shrinking" if math.isinf(more)
+                  else f"about {more} more to reach tol {_fmt(tol)}")
+    print(f"warning: no convergence{subject} after {result.iterations} iterations "
+          f"(residual {_fmt(result.residual)}, observed rate {_fmt(result.rate)} per step; "
+          f"{projection})", file=sys.stderr)
+
+
 def cmd_check(args) -> int:
     g, d = _load(args)
     report = teleportation_free_check(indicator(build_factors(d, g)))
@@ -187,8 +198,7 @@ def cmd_rank(args) -> int:
     else:
         sys.stdout.write("".join(f"{labels[i]}\t{_fmt(scores[i])}\n" for i in order))
     if not result.converged:
-        print(f"warning: no convergence after {result.iterations} iterations "
-              f"(residual {_fmt(result.residual)})", file=sys.stderr)
+        _warn_no_convergence("", result, params.tol)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -230,6 +240,9 @@ def cmd_compare(args) -> int:
         print(f"clipped\t{_bool(cmp.clipped)}")
         print("top_model\t" + ",".join(cmp.top_a))
         print("top_baseline\t" + ",".join(cmp.top_b))
+    for subject, result in ((" of the model", model), (" of the baseline", baseline)):
+        if not result.converged:
+            _warn_no_convergence(subject, result, params.tol)
     if not (model.converged and baseline.converged):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

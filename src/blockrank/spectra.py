@@ -151,6 +151,8 @@ def dense_stationary(
     n = dense.shape[0]
     if n > cap:
         raise CapExceededError(f"dense stationary oracle refused for order {n} (cap {cap})")
+    if not np.isfinite(dense).all():
+        raise ValueError("matrix entries must be finite")
     if dense.size and dense.min() < 0:
         raise ValueError("matrix must be non-negative")
     row_err = np.abs(dense.sum(axis=1) - 1.0).max()

@@ -74,6 +74,36 @@ def random_instance(
     return random_graph(rng, n, edge_prob), random_partition(rng, n, k_max)
 
 
+def ncd_instance(
+    rng: np.random.Generator,
+    n: int,
+    k: int,
+    eps: float,
+    cover: bool = False,
+    dangling: float = 0.1,
+) -> tuple[Graph, Decomposition]:
+    """Weakly coupled instance: k blocks of near-equal size whose nodes send
+    three links each, each leaving the block with probability ``eps``, and one
+    ring link from each block to the next so the block graph is strongly
+    connected.  About a ``dangling`` share of the nodes sends no link; with
+    ``cover`` about one node in twenty also joins the next block."""
+    block = rng.permutation(np.arange(n) % k)
+    members = [np.flatnonzero(block == b) for b in range(k)]
+    edges = [(int(members[b][0]), int(members[(b + 1) % k][0])) for b in range(k)]
+    for u in range(n):
+        if rng.random() < dangling:
+            continue
+        for _ in range(3):
+            target = block[u] if rng.random() >= eps else int(rng.integers(k))
+            edges.append((u, int(rng.choice(members[target]))))
+    blocks = [list(m) for m in members]
+    if cover:
+        for u in np.flatnonzero(rng.random(n) < 0.05).tolist():
+            blocks[(block[u] + 1) % k].append(u)
+    g = Graph.from_edges([f"n{u}" for u in range(n)], edges)
+    return g, Decomposition.from_members(blocks, n=n)
+
+
 def dense_hyperlink(
     g: Graph,
     policy: DanglingPolicy = DanglingPolicy.OWN_BLOCK,
@@ -110,6 +140,65 @@ def direct_proximity(g: Graph, d: Decomposition) -> np.ndarray:
             for v in members[k].tolist():
                 M[u, v] += 1.0 / (n_u * size)
     return M
+
+
+def dense_surfing(g: Graph, d: Decomposition, policy: DanglingPolicy,
+                  eta: float, mu: float) -> np.ndarray:
+    """Dense teleport-free operator ``eta * H + mu * M`` by definition (oracle)."""
+    return eta * dense_hyperlink(g, policy, d) + mu * direct_proximity(g, d)
+
+
+def dense_aggregates(d: Decomposition) -> np.ndarray:
+    """Aggregate of each node: its lowest block, renumbered over the blocks
+    that are some node's lowest."""
+    lowest = [blocks[0] for blocks in d.node_blocks]
+    return np.unique(lowest, return_inverse=True)[1]
+
+
+def dense_leak(p: np.ndarray, agg: np.ndarray) -> float:
+    """Probability that one step of ``p`` from the uniform vector leaves the
+    walker's aggregate."""
+    same = agg[:, None] == agg[None, :]
+    return 1.0 - p[same].sum() / p.shape[0]
+
+
+def dense_corrected_iteration(p: np.ndarray, agg: np.ndarray, leak: float,
+                              tol: float, max_iter: int) -> list[np.ndarray]:
+    """Trajectory of the aggregation-disaggregation corrected power iteration
+    on a dense stochastic ``p`` (oracle).
+
+    Before each step the mass of each aggregate is set to the stationary
+    vector of ``C = Diag(1/xi) E^T Diag(x) p E`` (found as an eigenvector);
+    corrections stop for good when that vector is not positive or a
+    corrected step shrinks the residual by less than ``1 - leak``.
+    """
+    n, k = p.shape[0], int(agg.max()) + 1
+    E = np.eye(k)[agg]
+    x = np.full(n, 1.0 / n)
+    correcting, previous, trajectory = True, np.inf, []
+    for _ in range(max_iter):
+        if correcting:
+            xi = E.T @ x
+            coarse = (E.T @ (x[:, None] * p) @ E) / xi[:, None]
+            values, vectors = np.linalg.eig(coarse.T)
+            pi = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+            pi /= pi.sum()
+            if (pi > 0).all():
+                x = x * (pi / xi)[agg]
+                x /= x.sum()
+            else:
+                correcting = False
+        y = x @ p
+        y /= y.sum()
+        residual = np.abs(y - x).sum()
+        x = y
+        trajectory.append(x)
+        if residual <= tol:
+            break
+        if correcting and residual > (1.0 - leak) * previous:
+            correcting = False
+        previous = residual
+    return trajectory
 
 
 def reference_strong_components(adjacency: np.ndarray) -> list[list[int]]:

@@ -200,6 +200,22 @@ class TestRank:
         assert code == 3
         assert "warning" in captured.err
 
+    def test_non_convergence_warning_projects_the_remaining_steps(self, g4_files, capsys):
+        graph, blocks = g4_files
+        code = run(["rank", "--graph", graph, "--blocks", blocks, "--max-iter", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "observed rate" in captured.err and "more to reach tol 1e-09" in captured.err
+        assert "rate" not in captured.out
+
+    def test_compare_names_the_run_that_did_not_converge(self, g4_files, capsys):
+        graph, blocks = g4_files
+        code = run(["compare", "--graph", graph, "--blocks", blocks, "--max-iter", "3"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "no convergence of the model after 3 iterations" in err
+        assert "no convergence of the baseline after 3 iterations" in err
+
 
 class TestCompare:
     def test_identical_models_have_zero_distance(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from blockrank.errors import (
     DimensionError,
     ReducibleModelError,
 )
+from blockrank.ranker import power_iteration
 
 from helpers import random_graph, random_instance, random_partition
 
@@ -375,3 +378,34 @@ class TestRankerProperties:
                 continue  # near-tie: excluded from the corpus by construction
             assert int(np.argmax(coarse.scores)) == int(np.argmax(fine.scores))
             done += 1
+
+
+class TestConvergenceReport:
+    # two-state chain: every residual is exactly 0.7 times the one before
+    CHAIN = np.array([[0.9, 0.1], [0.2, 0.8]])
+
+    def step(self, x):
+        return x @ self.CHAIN
+
+    def test_rate_is_the_observed_contraction(self):
+        got = power_iteration(self.step, 2, tol=1e-12, max_iter=10)
+        assert not got.converged and got.corrections == 0
+        assert got.rate == pytest.approx(0.7, rel=1e-9)
+
+    def test_projected_steps_match_the_run(self):
+        more = power_iteration(self.step, 2, tol=1e-12, max_iter=10).steps_to(1e-12)
+        done = power_iteration(self.step, 2, tol=1e-12, max_iter=1000)
+        assert abs(done.iterations - 10 - more) <= 1
+        assert done.steps_to(1e-12) == 0
+
+    def test_rate_needs_two_steps(self):
+        got = power_iteration(self.step, 2, tol=1e-12, max_iter=1)
+        assert np.isnan(got.rate) and got.steps_to(1e-12) == math.inf
+
+    def test_oscillation_is_not_shrinking(self):
+        g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 0), (1, 2), (2, 1)])
+        d = Decomposition.from_members([[0, 1, 2]], n=3)
+        h, f = _model(g, d)
+        result = rank(h, f, RankParams(eta=1.0, mu=0.0, tol=1e-9, max_iter=40))
+        assert result.rate == pytest.approx(1.0)
+        assert result.steps_to(1e-9) == math.inf

@@ -265,6 +265,12 @@ class TestDenseStationary:
         with pytest.raises(CapExceededError):
             dense_stationary(np.eye(5), tol=1e-9, cap=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN slips past both the sign and the row-sum test
+        with pytest.raises(ValueError, match="finite"):
+            dense_stationary(np.array([[bad, 0.5], [0.5, 0.5]]), tol=1e-9)
+
 
 SEED_SPECTRA = 910203
 

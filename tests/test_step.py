@@ -3,7 +3,8 @@
 ``OWN_BLOCK`` dangling rows are applied through block signatures and the
 link, ``R`` and ``A`` matrices through transposed views; every property here
 demands bit-identical vectors and scores from the ``x @ M`` step built from
-the per-node references in ``helpers``.
+the per-node references in ``helpers`` (where aggregation-disaggregation
+corrections run, that step drives the same corrected kernel).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from blockrank import (
 )
 from blockrank.cli import main
 from blockrank.graph import distinct_rows
+from blockrank.ranker import block_aggregation, power_iteration
 
 from helpers import (
     random_cover,
@@ -103,7 +105,12 @@ def test_scores_are_bit_identical_to_explicit_step(instance, weights, alpha):
             return y
 
         got = rank(h, f, params, strict=False)
-        scores, iterations = reference_power_iteration(step, g.n, params.tol, params.max_iter)
+        coarse = block_aggregation(h, f, params)
+        if coarse is None:
+            scores, iterations = reference_power_iteration(step, g.n, params.tol, params.max_iter)
+        else:  # corrections run: the same kernel and corrector, driven by the explicit step
+            want = power_iteration(step, g.n, params.tol, params.max_iter, coarse)
+            scores, iterations = want.scores, want.iterations
         assert np.array_equal(got.scores, scores)
         assert got.iterations == iterations
 
