@@ -127,24 +127,26 @@ def parse_blocks(text: str | Iterable[str], g: Graph) -> Decomposition:
     are hard errors.
     """
     tokens, line_nos, error = tokenize_pairs(text, "node_label block_label")
-    node_labels = tokens[0::2]
-    nodes = np.fromiter(map(g.label_ids.get, node_labels, repeat(-1)),
+    node_labels, node_of = intern(tokens[0::2])
+    known = np.fromiter(map(g.label_ids.get, node_labels, repeat(-1)),
                         dtype=np.int64, count=len(node_labels))
+    nodes = known[node_of]
     unknown = np.flatnonzero(nodes < 0)
     if unknown.size:
         i = unknown[0]
-        raise CoverageError(f"line {line_nos[i]}: node label {node_labels[i]!r} not in the graph")
+        raise CoverageError(
+            f"line {line_nos[i]}: node label {node_labels[node_of[i]]!r} not in the graph")
     if error is not None:
         raise error
-    block_ids, blocks = intern(tokens[1::2])
-    if not block_ids:
+    block_labels, blocks = intern(tokens[1::2])
+    if not block_labels:
         raise ParseError("empty blocks file")
 
-    B = ones_at(nodes, blocks, (g.n, len(block_ids)))
+    B = ones_at(nodes, blocks, (g.n, len(block_labels)))
     missing = [g.labels[u] for u in np.flatnonzero(np.diff(B.indptr) == 0)]
     if missing:
         raise CoverageError(f"graph nodes missing from every block: {missing}")
-    return Decomposition(block_labels=tuple(block_ids), B=B)
+    return Decomposition(block_labels=tuple(block_labels), B=B)
 
 
 def proximal_set(d: Decomposition, g: Graph, u: int) -> set[int]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, count
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -48,7 +47,6 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     out_degree: np.ndarray
-    dangling: frozenset[int]
 
     @classmethod
     def from_edges(cls, labels: Sequence[str], edges: Iterable[tuple[int, int]]) -> Graph:
@@ -63,9 +61,8 @@ class Graph:
 
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                            dtype=np.int64).reshape(-1, 2)
-        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        if outside.any():
-            u, v = pairs[outside.argmax()]
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1).argmax()]
             raise DimensionError(f"edge ({u}, {v}) outside node range [0, {n})")
 
         adjacency = ones_at(pairs[:, 0], pairs[:, 1], (n, n))
@@ -77,7 +74,6 @@ class Graph:
             indptr=adjacency.indptr,
             indices=adjacency.indices,
             out_degree=out_degree,
-            dangling=frozenset(np.flatnonzero(out_degree == 0).tolist()),
         )
 
     def out_neighbors(self, u: int) -> np.ndarray:
@@ -136,9 +132,36 @@ _IS_SPACE[list(map(ord, WHITESPACE))] = True
 _IS_BREAK[list(map(ord, LINE_BREAKS))] = True
 
 
+@dataclass(frozen=True)
+class Tokens:
+    """Tokens as character offsets: token ``i`` is ``text[start[i]:end[i]]``.
+
+    ``code`` holds the character codes of the text and then 8 spaces, one
+    byte each when the text is ASCII and four otherwise, so that 8 bytes
+    can be read at any token's start.
+    """
+
+    code: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def __getitem__(self, which: slice | np.ndarray) -> Tokens:
+        return Tokens(self.code, self.start[which], self.end[which])
+
+    def strings(self) -> list[str]:
+        """The tokens as strings, gathered from the code array with a space
+        after each and decoded in one piece, which is faster than slicing."""
+        size = self.end - self.start + 1
+        stop = np.cumsum(size)
+        chars = self.code[np.repeat(self.start - (stop - size), size) + np.arange(size.sum())]
+        chars[stop - 1] = ord(" ")
+        encoding = "ascii" if self.code.itemsize == 1 else "utf-32-le"
+        return chars.tobytes().decode(encoding, "surrogatepass").split(" ")[:-1]
+
+
 def tokenize_pairs(
     text: str | Iterable[str], expected: str
-) -> tuple[list[str], np.ndarray, ParseError | None]:
+) -> tuple[Tokens, np.ndarray, ParseError | None]:
     """Tokens ``[left, right, left, right, ...]`` of the ``left right`` lines.
 
     Lines are those of ``str.splitlines``; blank lines and lines whose first
@@ -146,19 +169,49 @@ def tokenize_pairs(
     numbers, and the :class:`ParseError` for the first malformed line (or
     ``None``), whose later lines are dropped: the caller raises it unless
     it finds an error on an earlier line.
+
+    The whole text is classified as one array of character codes, so no
+    Python string is made per token: tokens are the runs of non-space codes
+    and come back as int32 character offsets (int64 past 2 GiB of codes).
     """
     if not isinstance(text, str):
         text = "\n".join(map(str.rstrip, text))
-    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    space = _IS_SPACE[code]
-    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))  # of each token
-    breaks = np.flatnonzero(_IS_BREAK[code])
-    breaks = breaks[(breaks == 0) | (code[breaks] != 0x0A) | (code[breaks - 1] != 0x0D)]
-    line = np.searchsorted(breaks, starts)  # 0-based line of each token
-    first = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
+    padded = text + " " * 8
+    if padded.isascii():
+        code = np.frombuffer(padded.encode("ascii"), dtype=np.uint8)
+    else:
+        code = np.frombuffer(padded.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    del padded
+    if code.dtype == np.uint8:  # every ASCII space is <= 32: look up only those
+        spaces = np.flatnonzero(code <= 32)
+        c = code[spaces]
+        space = _IS_SPACE[c]
+        if not space.all():
+            spaces, c = spaces[space], c[space]
+    else:
+        spaces = np.flatnonzero(_IS_SPACE[code])
+        c = code[spaces]
+    # With a virtual space before the text (coded as the padding's), a token
+    # lies between two spaces more than one character apart; the padding
+    # ends the last one.
+    index = np.int32 if code.nbytes < 2**31 else np.int64
+    spaces = np.concatenate(([-1], spaces), dtype=index)
+    c = np.concatenate((code[-1:], c))
+    step = np.diff(spaces)
+    gap = np.flatnonzero(step > 1)
+    starts, ends = spaces[:-1][gap], spaces[1:][gap]
+    starts += 1
+    breaks = _IS_BREAK[c]
+    breaks[1:] &= (c[1:] != 0x0A) | (c[:-1] != 0x0D) | (step != 1)  # "\r\n" ends one line
+    del spaces, c, step
+    line = np.cumsum(breaks, dtype=index)[gap]  # 0-based line of each token
+    del breaks, gap
+    opens = np.ones(line.size, dtype=bool)  # whether a token opens its line
+    np.not_equal(line[1:], line[:-1], out=opens[1:])
+    first = np.flatnonzero(opens)  # the first token of each line
+    del opens
     count = np.diff(first, append=line.size)
     keep = code[starts[first]] != ord("#")
-    del code, space  # free the per-character arrays before text.split()
     error = None
     malformed = np.flatnonzero(keep & (count != 2))
     if malformed.size:
@@ -167,14 +220,104 @@ def tokenize_pairs(
         error = ParseError(f"line {line_no}: expected '{expected}', "
                            f"got {count[bad]} token(s)", line=line_no)
         keep[bad:] = False
-    tokens = list(compress(text.split(), np.repeat(keep, count).tolist()))
-    return tokens, line[first[keep]] + 1, error
+    if not keep.all():
+        kept = np.repeat(keep, count)
+        starts, ends = starts[kept], ends[kept]
+    return Tokens(code, starts, ends), line[first[keep]] + 1, error
 
 
-def intern(tokens: list[str]) -> tuple[dict[str, int], np.ndarray]:
-    """Dense ids for ``tokens`` in first-appearance order, and each token's id."""
-    ids = dict(zip(dict.fromkeys(tokens), count()))
-    return ids, np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+def _word_tables(itemsize: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per number of characters left in a word (0 up to a whole word): the
+    mask that keeps them, and the terminator placed right after them."""
+    bits = 8 * itemsize
+    rests = range(8 // itemsize)
+    mask = [(1 << bits * r) - 1 for r in rests] + [2**64 - 1]
+    terminator = [1 << bits * r + bits - 1 for r in rests] + [0]
+    return np.array(mask, dtype=np.uint64), np.array(terminator, dtype=np.uint64)
+
+
+# The terminator is a code no character has (0x80 past ASCII, 2**31 past
+# Unicode), so a token's words also encode its length: "a" != "a\x00".
+_WORD_TABLES = {itemsize: _word_tables(itemsize) for itemsize in (1, 4)}
+_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Fold word ``w`` into hash ``h`` (in place)."""
+    h ^= w
+    h *= _MULTIPLIER
+    h ^= h >> np.uint64(29)
+    return h
+
+
+def intern(tokens: Tokens) -> tuple[list[str], np.ndarray]:
+    """Distinct token strings in first-appearance order, and each token's id.
+
+    Each token is packed straight from the code array into 64-bit words (8
+    ASCII characters or 2 code points each, read at unaligned offsets) and
+    a terminator, so equal words mean equal strings.  Tokens that fit one
+    word are sorted by it, longer ones by a hash of their words; equal
+    neighbours after the sort are then compared word by word, and should
+    two different tokens share a hash, the words themselves are sorted.
+    The only strings made are the distinct labels (:meth:`Tokens.strings`):
+    O(bytes + m log m) for ``m`` tokens.
+    """
+    start, size = tokens.start, tokens.end - tokens.start
+    if not size.size:
+        return [], np.empty(0, dtype=np.int64)
+    code = tokens.code
+    per_word = 8 // code.itemsize
+    view = np.ndarray((code.nbytes - 7,), dtype="<u8", buffer=code, strides=(1,))
+    mask, terminator = _WORD_TABLES[code.itemsize]
+    words = -(-int(size.max()) // per_word)
+
+    def word(j: int, pick) -> np.ndarray:
+        """Word ``j`` of the tokens ``pick``, each ``j * per_word`` or more long."""
+        rest = np.minimum(size[pick] - j * per_word, per_word, dtype=np.intp)
+        w = view[start[pick] * code.itemsize + 8 * j]
+        w &= mask[rest]
+        w |= terminator[rest]
+        return w
+
+    def equal(a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether tokens ``a[i]`` and ``b[i]`` are equal for every ``i``."""
+        if not np.array_equal(size[a], size[b]):
+            return False
+        for j in range(words):
+            longer = np.flatnonzero(size[a] >= j * per_word)
+            if not np.array_equal(word(j, a[longer]), word(j, b[longer])):
+                return False
+        return True
+
+    key = word(0, slice(None))
+    for j in range(1, words):
+        longer = np.flatnonzero(size >= j * per_word)
+        key[longer] = _mix(key[longer], word(j, longer))
+    order = np.argsort(key)
+    key = key[order]
+    new = np.concatenate(([True], key[1:] != key[:-1]))  # starts a group
+    del key
+    if words > 1:
+        same = np.flatnonzero(~new[1:])
+        if not equal(order[same], order[same + 1]):  # a hash collision
+            table = np.zeros((words, size.size), dtype=np.uint64)
+            for j in range(words):
+                longer = np.flatnonzero(size >= j * per_word)
+                table[j, longer] = word(j, longer)
+            order = np.lexsort(table[::-1])
+            table = table[:, order]
+            new = np.concatenate(([True], (table[:, 1:] != table[:, :-1]).any(axis=0)))
+            del table
+
+    bounds = np.flatnonzero(new)
+    del new
+    first = np.minimum.reduceat(order, bounds)  # each group's first token
+    appear = np.argsort(first)
+    rank = np.empty_like(appear)
+    rank[appear] = np.arange(appear.size)
+    ids = np.empty(size.size, dtype=np.int64)
+    ids[order] = np.repeat(rank, np.diff(bounds, append=size.size))
+    return tokens[first[appear]].strings(), ids
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
@@ -190,11 +333,11 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     tokens, _, error = tokenize_pairs(text, "src dst")
     if error is not None:
         raise error
-    label_ids, ids = intern(tokens)
-    del tokens  # free the token strings before the CSR build
-    if not label_ids:
+    labels, ids = intern(tokens)
+    del tokens  # free the code array before the CSR build
+    if not labels:
         raise ParseError("empty graph")
-    return Graph.from_edges(list(label_ids), ids.reshape(-1, 2))
+    return Graph.from_edges(labels, ids.reshape(-1, 2))
 
 
 @dataclass(frozen=True)

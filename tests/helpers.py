@@ -322,7 +322,7 @@ def reference_hyperlink(
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
-    for u in sorted(g.dangling):
+    for u in np.flatnonzero(g.out_degree == 0).tolist():
         support = sorted({v for b in node_blocks[u] for v in members[b].tolist()})
         rows.extend([u] * len(support))
         cols.extend(support)
@@ -372,7 +372,7 @@ def reference_factors(
 def reference_surfing_apply(g: Graph, policy: DanglingPolicy, d: Decomposition | None):
     """``x -> x @ H`` with ``H`` built row by row and applied as ``x @ M``."""
     base, dangling_rows = reference_hyperlink(g, policy, d)
-    dangling = np.array(sorted(g.dangling), dtype=np.int64)
+    dangling = np.flatnonzero(g.out_degree == 0)
 
     def apply(x: np.ndarray) -> np.ndarray:
         y = x @ base

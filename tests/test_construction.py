@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockrank.decomp
+import blockrank.graph
 from blockrank import (
     DanglingPolicy,
     Decomposition,
@@ -43,6 +44,7 @@ from helpers import (
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
+PARSE_SETTINGS = settings(max_examples=300, deadline=None)  # half of them ASCII-only
 
 
 def assert_same_csr(got, want) -> None:
@@ -76,7 +78,7 @@ def test_graph_matches_per_node_adjacency(case):
     indptr, indices = reference_adjacency(n, edges)
     assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
     assert np.array_equal(g.out_degree, np.diff(indptr))
-    assert g.dangling == frozenset(np.flatnonzero(np.diff(indptr) == 0).tolist())
+    assert np.array_equal(np.flatnonzero(g.out_degree == 0), np.flatnonzero(np.diff(indptr) == 0))
 
 
 @SETTINGS
@@ -129,7 +131,7 @@ def test_hyperlink_matches_per_node_reference(instance):
         assert_same_csr(h.base, base)
         if policy is DanglingPolicy.OWN_BLOCK:
             assert_same_csr(h.dangling_rows, dangling_rows)
-        assert h.dangling.tolist() == sorted(g.dangling)
+        assert h.dangling.tolist() == np.flatnonzero(g.out_degree == 0).tolist()
         assert np.array_equal(h.to_dense(), dense_hyperlink(g, policy, d))
 
 
@@ -156,21 +158,41 @@ def test_character_tables_match_str_methods():
     assert set(LINE_BREAKS) == {c for c in every if len(f"x{c}x".splitlines()) == 2}
 
 
+def test_ascii_prefilter_keeps_every_ascii_space():
+    # ASCII text looks up the space table only for codes <= 32
+    assert all(ord(c) <= 32 for c in WHITESPACE + LINE_BREAKS if c.isascii())
+
+
 # Edge-list and block text: labels from a small alphabet so that they
 # repeat, separators and line ends from every class str.split and
 # str.splitlines know, comments, blank lines and malformed lines.
 LABELS = st.sampled_from(["a", "b", "c", "d10", "d9", "\u00e9", "#x", "x#"])
 SEPARATORS = st.sampled_from([" ", "\t", "  ", "\x1f", "\xa0", "\u2003", "\u3000"])
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+LEADING = st.sampled_from(["", " "])
+
+# ASCII-only text, which is read one byte per character: every ASCII
+# separator and line break, NUL inside labels, and labels of 1 to 40
+# characters, across the 8- and 16-byte word edges of the interner.
+ASCII_CHARS = [chr(c) for c in range(128) if not chr(c).isspace()]
+ASCII_LABELS = st.sampled_from([
+    "a", "a\x00", "\x00", "\x00a", "b", "#a", "abcdefg", "abcdefgh", "abcdefgh\x00",
+    "abcdefghi", "abcdefghj", "abcdefghabcdefgh", "abcdefghabcdefg\x00", "abcdefghabcdefghi",
+    "x" * 40, "x" * 39 + "\x00",
+]) | st.text(st.sampled_from(ASCII_CHARS), min_size=1, max_size=40)
+ASCII_SEPARATORS = st.sampled_from([" ", "\t", "\x1f", " \t", "\x1f \x1f"])
+ASCII_ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+ASCII_LEADING = st.sampled_from(["", " ", "\t", "\x1f", " \x1f\t"])
 
 
 @st.composite
-def line_texts(draw, labels=LABELS, malformed: bool = True) -> str:
+def line_texts(draw, labels=LABELS, malformed: bool = True, separators=SEPARATORS,
+               endings=ENDINGS, leading=LEADING) -> str:
     kinds = ["pair"] * 6 + ["blank", "comment"] + (["short", "long"] if malformed else [])
     out = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(kinds))
-        sep = draw(SEPARATORS)
+        sep = draw(separators)
         if kind == "blank":
             body = draw(st.sampled_from(["", " ", "\t "]))
         elif kind == "comment":
@@ -178,9 +200,13 @@ def line_texts(draw, labels=LABELS, malformed: bool = True) -> str:
         else:
             size = {"pair": 2, "short": 1, "long": 3}[kind]
             body = sep.join(draw(labels) for _ in range(size))
-        out.append(draw(st.sampled_from(["", " "])) + body + draw(ENDINGS))
+        out.append(draw(leading) + body + draw(endings))
     text = "".join(out)
     return text[:-1] if text and draw(st.booleans()) else text
+
+
+def ascii_line_texts(labels=ASCII_LABELS, malformed: bool = True):
+    return line_texts(labels, malformed, ASCII_SEPARATORS, ASCII_ENDINGS, ASCII_LEADING)
 
 
 def outcome(fn, *args):
@@ -190,8 +216,8 @@ def outcome(fn, *args):
         return None, (type(exc), str(exc), getattr(exc, "line", None))
 
 
-@SETTINGS
-@given(line_texts())
+@PARSE_SETTINGS
+@given(line_texts() | ascii_line_texts())
 def test_edge_list_parse_matches_per_line_reference(text):
     got, got_error = outcome(parse_edge_list, text)
     pairs, want_error = outcome(reference_parse_pairs, text, "src dst")
@@ -205,9 +231,14 @@ def test_edge_list_parse_matches_per_line_reference(text):
         assert np.array_equal(got.indptr, indptr) and np.array_equal(got.indices, indices)
 
 
-@SETTINGS
-@given(line_texts(malformed=False), line_texts(labels=st.sampled_from(["a", "b", "c", "zz"])))
-def test_block_parse_matches_per_line_reference(edges, blocks):
+@PARSE_SETTINGS
+@given(st.one_of(
+    st.tuples(line_texts(malformed=False),
+              line_texts(labels=st.sampled_from(["a", "b", "c", "zz"]))),
+    st.tuples(ascii_line_texts(malformed=False), ascii_line_texts()),
+))
+def test_block_parse_matches_per_line_reference(texts):
+    edges, blocks = texts
     g, _ = outcome(parse_edge_list, edges)
     if g is None:
         return
@@ -224,8 +255,42 @@ def test_block_parse_matches_per_line_reference(edges, blocks):
     ("a b\u2028c\u2029d e", 2),
     ("a b\r\rc\n", 3),
     ("\x0ca b\x1cc", 3),
+    (" a\x00 b\x1d\x1e\ta\x1fb c", 3),
+    ("a b\x0b\rabcdefghi\x00\tb\x0c# x y z\x0c\x1fa b c", 5),
+    ("a b\r#c\nd e f\n", 3),
 ])
 def test_malformed_line_number_counts_every_line_break(text, line):
     with pytest.raises(BlockRankError) as info:
         parse_edge_list(text)
     assert info.value.line == line and str(info.value).startswith(f"line {line}:")
+
+
+@pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
+def test_interning_is_exact_when_every_hash_collides(alphabet, monkeypatch):
+    """Labels longer than one 64-bit word (8 ASCII characters, 2 otherwise)
+    are sorted by a hash of their words.  With that hash forced to one value
+    for every label, the exact sort over the words must still give each
+    distinct label its own id, in both parsers."""
+    monkeypatch.setattr(blockrank.graph, "_mix", lambda h, w: np.zeros_like(h))
+    rng = np.random.default_rng(3)
+    shortest = 9 if alphabet.isascii() else 3
+    labels = sorted({"".join(rng.choice(list(alphabet), size=rng.integers(shortest, 41)))
+                     for _ in range(30)})
+    labels += [labels[0] + "\x00", labels[0] + "\x00\x00",  # the same words, but longer
+               labels[0][:-1] + "\x00"]  # the same length and first word
+    edges = rng.choice(labels, size=(120, 2))
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    g = parse_edge_list(text)
+    pairs = reference_parse_pairs(text, "src dst")
+    ids = first_appearance(label for pair in pairs for label in pair)
+    assert g.labels == tuple(ids)
+    indptr, indices = reference_adjacency(len(ids), [(ids[u], ids[v]) for u, v in pairs])
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+
+    blocks = "".join(f"{u} {rng.choice(labels[:5])}\n" for u in g.labels)
+    got, got_error = outcome(parse_blocks, blocks, g)
+    want, want_error = outcome(reference_parse_blocks, blocks, g)
+    assert got_error == want_error
+    if want_error is None:
+        assert list(got.block_labels) == want[0]
+        assert [ids.tolist() for ids in got.members] == want[1]
