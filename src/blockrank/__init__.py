@@ -16,7 +16,6 @@ from .decomp import (
     indicator,
     materialize_m,
     parse_blocks,
-    proximal_set,
 )
 from .errors import (
     BlockRankError,
@@ -87,7 +86,6 @@ __all__ = [
     "pagerank",
     "parse_blocks",
     "parse_edge_list",
-    "proximal_set",
     "rank",
     "teleportation_free_check",
 ]

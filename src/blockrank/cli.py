@@ -17,13 +17,14 @@ import numpy as np
 
 from .decomp import (
     Decomposition,
+    ProximityFactors,
     build_factors,
     indicator,
     materialize_m,
     parse_blocks,
 )
 from .errors import BlockRankError, ConfigurationError, ReducibleModelError
-from .graph import DanglingPolicy, Graph, build_hyperlink, parse_edge_list
+from .graph import DanglingPolicy, Graph, HyperlinkOperator, build_hyperlink, parse_edge_list
 from .ranker import RankParams, RankResult, compare, order_by_score, pagerank, rank
 from .spectra import CheckReport, teleportation_free_check
 
@@ -32,7 +33,7 @@ DEFAULT_TOP_K = 10
 WEIGHT_FLAG_TOL = 1e-9
 
 EXIT_OK = 0
-EXIT_INADMISSIBLE = 1
+EXIT_INADMISSIBLE = 1  # also ReducibleModelError, raised by the strict gate
 EXIT_INPUT_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 
@@ -83,12 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _top_arg(args) -> int | None:
-    if args.top is not None and args.top < 1:
-        raise ConfigurationError(f"--top must be a positive integer, got {args.top}")
-    return args.top
-
-
 def _resolve_weights(args) -> tuple[float, float]:
     eta = 0.85 if args.eta is None else args.eta
     mu = 0.15 if args.mu is None else args.mu
@@ -105,31 +100,30 @@ def _resolve_weights(args) -> tuple[float, float]:
     return eta, mu
 
 
-def _load(args) -> tuple[Graph, Decomposition]:
+def _load(args) -> tuple[Graph, Decomposition, ProximityFactors, CheckReport]:
     g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
     d = parse_blocks(Path(args.blocks).read_text(encoding="utf-8"), g)
-    return g, d
+    f = build_factors(d, g)
+    return g, d, f, teleportation_free_check(indicator(f))
 
 
 def _policy(args) -> DanglingPolicy:
     return DanglingPolicy.OWN_BLOCK if args.dangling == "block" else DanglingPolicy.UNIFORM_ALL
 
 
-def _component_labels(report: CheckReport, d: Decomposition) -> list[list[str]]:
-    return [[d.block_labels[b] for b in comp] for comp in report.blocking_components]
-
-
-def _strict_gate_refuses(args, params: RankParams, report: CheckReport, d: Decomposition) -> bool:
-    """Strict mode refuses teleport-free ranking on a reducible indicator."""
-    if params.teleport != 0.0 or args.no_strict or report.irreducible:
-        return False
-    components = _component_labels(report, d)
-    print(
-        "error: indicator matrix is reducible; blocking components: "
-        + " ".join(",".join(comp) for comp in components),
-        file=sys.stderr,
-    )
-    return True
+def _prelude(args) -> tuple[Graph, ProximityFactors, CheckReport, HyperlinkOperator,
+                            RankParams, int | None]:
+    """Shared start of ``rank`` and ``compare``: load, check the flags, refuse
+    teleport-free ranking on a reducible indicator unless ``--no-strict``, and
+    only then build ``H``."""
+    g, d, f, report = _load(args)
+    eta, mu = _resolve_weights(args)
+    if args.top is not None and args.top < 1:
+        raise ConfigurationError(f"--top must be a positive integer, got {args.top}")
+    params = RankParams(eta=eta, mu=mu, tol=args.tol, max_iter=args.max_iter)
+    if params.teleport == 0.0 and not args.no_strict:
+        report.require_irreducible(d.block_labels)
+    return g, f, report, build_hyperlink(g, _policy(args), d), params, args.top
 
 
 def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
@@ -144,15 +138,14 @@ def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
 
 
 def cmd_check(args) -> int:
-    g, d = _load(args)
-    report = teleportation_free_check(indicator(build_factors(d, g)))
-    components = _component_labels(report, d)
+    _, d, _, report = _load(args)
+    components = [[d.block_labels[b] for b in comp] for comp in report.blocking_components]
     if args.output_format == "json":
         payload = {
             "blocks": d.K,
             "scc_count": report.scc_count,
             "irreducible": report.irreducible,
-            "admissible": report.primitive_guarantee,
+            "admissible": report.irreducible,
             "components": components,
         }
         print(json.dumps(payload))
@@ -160,23 +153,14 @@ def cmd_check(args) -> int:
         print(f"blocks\t{d.K}")
         print(f"scc_count\t{report.scc_count}")
         print(f"irreducible\t{_bool(report.irreducible)}")
-        print(f"admissible\t{_bool(report.primitive_guarantee)}")
+        print(f"admissible\t{_bool(report.irreducible)}")
         for comp in components:
             print("component\t" + ",".join(comp))
     return EXIT_OK if report.irreducible else EXIT_INADMISSIBLE
 
 
 def cmd_rank(args) -> int:
-    g, d = _load(args)
-    eta, mu = _resolve_weights(args)
-    top = _top_arg(args)
-    params = RankParams(eta=eta, mu=mu, tol=args.tol, max_iter=args.max_iter)
-    f = build_factors(d, g)
-    report = teleportation_free_check(indicator(f))
-    if _strict_gate_refuses(args, params, report, d):
-        return EXIT_INADMISSIBLE
-    h = build_hyperlink(g, _policy(args), d)
-
+    g, f, report, h, params, top = _prelude(args)
     result = rank(h, f, params, strict=False)
     order = order_by_score(result.scores, g.labels)[:top]
     labels, scores = g.labels, result.scores.tolist()
@@ -191,7 +175,7 @@ def cmd_rank(args) -> int:
                 "eta": params.eta,
                 "mu": params.mu,
                 "teleport": params.teleport,
-                "admissible": report.primitive_guarantee,
+                "admissible": report.irreducible,
             },
         }
         print(json.dumps(payload))
@@ -204,16 +188,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g, d = _load(args)
-    eta, mu = _resolve_weights(args)
-    top = _top_arg(args)
-    params = RankParams(eta=eta, mu=mu, tol=args.tol, max_iter=args.max_iter)
-    f = build_factors(d, g)
-    report = teleportation_free_check(indicator(f))
-    if _strict_gate_refuses(args, params, report, d):
-        return EXIT_INADMISSIBLE
-    h = build_hyperlink(g, _policy(args), d)
-
+    g, f, _, h, params, top = _prelude(args)
     model = rank(h, f, params, strict=False)
     baseline = pagerank(h, alpha=BASELINE_ALPHA, tol=args.tol, max_iter=args.max_iter)
     k = DEFAULT_TOP_K if top is None else top
@@ -255,9 +230,8 @@ def _print_block(name: str, matrix: np.ndarray, out: list[str]) -> None:
 
 
 def cmd_materialize(args) -> int:
-    g, d = _load(args)
+    g, d, f, _ = _load(args)
     h = build_hyperlink(g, _policy(args), d)
-    f = build_factors(d, g)
     m = materialize_m(f)  # raises CapExceededError above the cap
     dense = {
         "H": h.to_dense(),

@@ -5,8 +5,9 @@ the graph; it may be a partition or an overlapping cover.  From it we build
 two sparse factors R (n x K) and A (K x n) whose product is the block
 proximity matrix M: row u of M spreads mass evenly over the blocks adjacent
 to u (its own plus those of its out-neighbors), then uniformly inside each
-block.  The small K x K product W = A @ R records which blocks can reach
-which in one proximity step.
+block.  Those adjacent blocks, u's proximal set, are the pattern of row u
+of R.  The small K x K product W = A @ R records which blocks can reach
+which in one proximity step; the admissibility check reads ``W > 0``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "indicator",
     "materialize_m",
     "parse_blocks",
-    "proximal_set",
 ]
 
 MATERIALIZE_CAP = 2000
@@ -149,17 +149,11 @@ def parse_blocks(text: str | Iterable[str], g: Graph) -> Decomposition:
     return Decomposition(block_labels=tuple(block_labels), B=B)
 
 
-def proximal_set(d: Decomposition, g: Graph, u: int) -> set[int]:
-    """Blocks containing ``u`` or any node ``u`` links to."""
-    if not 0 <= u < g.n:
-        raise IndexError(f"node id {u} outside [0, {g.n})")
-    return set(d.B[np.append(g.out_neighbors(u), u)].indices.tolist())
-
-
 @dataclass(frozen=True)
 class ProximityFactors:
     """Sparse pair (R: n x K, A: K x n) whose product is the proximity matrix.
 
+    ``N_u = np.diff(R.indptr)[u]`` counts the proximal blocks of u.
     Partition form: ``[R]_{uJ} = 1/(N_u * |D_J|)`` on the proximal blocks of
     u and A has plain 0/1 block-indicator rows.  Cover form: R rows carry
     ``1/N_u`` and A rows ``1/|D_k|``, both individually row-stochastic.
@@ -168,7 +162,6 @@ class ProximityFactors:
 
     R: sparse.csr_array
     A: sparse.csr_array
-    N: np.ndarray
     form: FactorForm
 
     @property
@@ -196,11 +189,6 @@ class IndicatorMatrix:
             raise CapExceededError(
                 f"refusing to materialize {K} x {K} matrix (cap {MATERIALIZE_CAP})")
         return self.matrix.toarray()
-
-    @property
-    def zero_pattern(self) -> np.ndarray:
-        """Dense positivity pattern ``W > 0`` (same cap as :attr:`W`)."""
-        return self.W > 0
 
 
 def build_factors(
@@ -239,7 +227,7 @@ def build_factors(
     R = sparse.csr_array((r_data, gamma.indices, gamma.indptr), shape=(n, K))
     A = sparse.csr_array((a_data, by_block.indices, by_block.indptr), shape=(K, n))
 
-    return ProximityFactors(R=R, A=A, N=N, form=form)
+    return ProximityFactors(R=R, A=A, form=form)
 
 
 def materialize_m(f: ProximityFactors, cap: int = MATERIALIZE_CAP) -> np.ndarray:

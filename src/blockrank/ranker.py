@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .decomp import ProximityFactors, indicator
-from .errors import ConfigurationError, DimensionError, ReducibleModelError
+from .errors import ConfigurationError, DimensionError
 from .graph import DanglingPolicy, HyperlinkOperator, hyperlink_apply
 from .spectra import teleportation_free_check
 
@@ -124,9 +124,18 @@ class ComparisonReport:
 
 
 def order_by_score(scores: np.ndarray, labels) -> list[int]:
-    """Node ids by descending score, ties broken by ascending label."""
+    """Node ids by descending score as printed (12 significant digits), ties
+    broken by ascending label.
+
+    Only scores within ``1e-11`` (relative) of a neighbouring score can print
+    alike, so only those are keyed by their printed value.
+    """
+    keys, which = np.unique(-np.asarray(scores, dtype=np.float64), return_inverse=True)
+    near = np.diff(keys) <= 1e-11 * np.abs(keys[1:])
+    tied = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
+    keys[tied] = [float(format(x, ".12g")) for x in keys[tied].tolist()]
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    order.sort(key=(-np.asarray(scores)).tolist().__getitem__)  # stable: ties keep label order
+    order.sort(key=keys[which].tolist().__getitem__)  # stable: ties keep label order
     return order
 
 
@@ -319,6 +328,24 @@ def power_iteration(
                       corrections=corrections, rate=_rate(history))
 
 
+def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
+                  v: np.ndarray | None, f: ProximityFactors | None = None):
+    """The step ``x -> eta * (x @ H) + mu * ((x @ R) @ A) + teleport * v`` without
+    its zero terms; ``x @ R`` is applied as ``R.T @ x``, transposes built once."""
+    if mu != 0.0:
+        R_t, A_t = f.R.T, f.A.T
+
+    def step(x: np.ndarray) -> np.ndarray:
+        y = eta * hyperlink_apply(h, x)
+        if mu != 0.0:
+            y += mu * (A_t @ (R_t @ x))
+        if teleport != 0.0:
+            y += teleport * v
+        return y
+
+    return step
+
+
 def rank(
     h: HyperlinkOperator,
     f: ProximityFactors,
@@ -329,7 +356,7 @@ def rank(
 
     With ``teleport == 0`` and ``strict`` (the default) the admissibility
     check runs first and a reducible indicator matrix raises
-    :class:`ReducibleModelError` carrying the blocking block components;
+    :class:`ReducibleModelError` naming the blocking block components;
     pass ``strict=False`` to proceed anyway and get an honest convergence
     report.  Non-convergence is reported, not raised.  Weakly coupled
     blocks get aggregation-disaggregation corrections
@@ -344,25 +371,8 @@ def rank(
     if params.teleport > 0.0:
         v = _validate_personalization(params.personalization, n)
     elif strict:
-        report = teleportation_free_check(indicator(f))
-        if not report.irreducible:
-            raise ReducibleModelError(
-                "indicator matrix is reducible; ranking without teleportation "
-                f"is not well-defined ({report.scc_count} block components)",
-                components=report.blocking_components,
-            )
-
-    eta, mu, teleport = params.eta, params.mu, params.teleport
-    R_t, A_t = f.R.T, f.A.T  # built once: x @ R is R.T @ x, same kernel
-
-    def step(x: np.ndarray) -> np.ndarray:
-        y = eta * hyperlink_apply(h, x)
-        if mu != 0.0:
-            y += mu * (A_t @ (R_t @ x))
-        if teleport != 0.0:
-            y += teleport * v
-        return y
-
+        teleportation_free_check(indicator(f)).require_irreducible(range(f.K))
+    step = _surfing_step(h, params.eta, params.mu, params.teleport, v, f)
     return power_iteration(step, n, params.tol, params.max_iter,
                            block_aggregation(h, f, params))
 
@@ -376,9 +386,9 @@ def pagerank(
 ) -> RankResult:
     """PageRank baseline: stationary vector of ``alpha * H + (1 - alpha) * e v^T``.
 
-    Runs the same iteration scheme as :func:`rank`.  ``alpha = 0`` returns
-    the personalization vector itself; ``alpha = 1`` is rejected because
-    convergence is not guaranteed without teleportation.
+    Iterates :func:`rank`'s step with ``mu = 0`` and ``teleport = 1 - alpha``.
+    ``alpha = 0`` returns the personalization vector itself; ``alpha = 1`` is
+    rejected because convergence is not guaranteed without teleportation.
     """
     if not 0.0 <= alpha < 1.0:
         raise ConfigurationError(f"alpha must be in [0, 1), got {alpha}")
@@ -386,14 +396,8 @@ def pagerank(
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ConfigurationError("max_iter must be at least 1")
-    n = h.n
-    v = _validate_personalization(v, n)
-    one_minus_alpha = 1.0 - alpha
-
-    def step(x: np.ndarray) -> np.ndarray:
-        return alpha * hyperlink_apply(h, x) + one_minus_alpha * v
-
-    return power_iteration(step, n, tol, max_iter)
+    v = _validate_personalization(v, h.n)
+    return power_iteration(_surfing_step(h, alpha, 0.0, 1.0 - alpha, v), h.n, tol, max_iter)
 
 
 def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:

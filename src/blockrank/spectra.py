@@ -8,6 +8,9 @@ made dense.  Primitivity is decided by the dense Wielandt power test: a
 non-negative k x k matrix is primitive exactly when its pattern raised to
 k^2 - 2k + 2 is entrywise positive.  Magnitudes never enter, so repeated
 boolean squaring is exact and overflow-free.
+
+:meth:`CheckReport.require_irreducible` is the one admissibility gate; the
+CLI and :func:`blockrank.ranker.rank` both refuse through it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .decomp import IndicatorMatrix
-from .errors import CapExceededError, ConvergenceError, DimensionError
+from .errors import CapExceededError, ConvergenceError, DimensionError, ReducibleModelError
 
 __all__ = [
     "CheckReport",
@@ -37,20 +40,27 @@ STATIONARY_CAP = 2000
 class CheckReport:
     """Verdict on whether ranking without teleportation is well-defined.
 
-    ``blocking_components`` lists the block-graph SCCs when reducible
-    (empty otherwise).
+    By the paper's theorem an irreducible block indicator matrix makes the
+    full surfing operator primitive, and a reducible one makes it not, so
+    ``irreducible`` is the whole verdict.  ``blocking_components`` lists the
+    block-graph SCCs when reducible (empty otherwise).
     """
 
     irreducible: bool
     scc_count: int
     blocking_components: tuple[tuple[int, ...], ...]
 
-    @property
-    def primitive_guarantee(self) -> bool:
-        """Always ``irreducible``: by the paper's theorem an irreducible block
-        indicator matrix makes the full surfing operator primitive, and a
-        reducible one makes it not, so the verdict needs no second field."""
-        return self.irreducible
+    def require_irreducible(self, names) -> None:
+        """Raise :class:`ReducibleModelError` on a reducible indicator, naming
+        block ``b`` of each blocking component as ``names[b]``."""
+        if self.irreducible:
+            return
+        raise ReducibleModelError(
+            "indicator matrix is reducible; blocking components: "
+            + " ".join(",".join(str(names[b]) for b in comp)
+                       for comp in self.blocking_components),
+            components=self.blocking_components,
+        )
 
 
 def _positive_pattern(m) -> sparse.csr_array:

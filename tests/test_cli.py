@@ -163,6 +163,7 @@ class TestRank:
         assert code == 1
         assert captured.out == ""
         assert "B1" in captured.err and "B2" in captured.err
+        assert captured.err == "error: indicator matrix is reducible; blocking components: B1 B2\n"
 
     def test_no_strict_overrides_the_gate(self, split_files, capsys):
         graph, blocks = split_files

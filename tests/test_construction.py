@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import blockrank.decomp
 import blockrank.graph
 from blockrank import (
     DanglingPolicy,
@@ -24,7 +23,6 @@ from blockrank import (
     build_hyperlink,
     parse_blocks,
     parse_edge_list,
-    proximal_set,
 )
 from blockrank.errors import BlockRankError, ParseError
 from blockrank.graph import LINE_BREAKS, WHITESPACE
@@ -40,7 +38,6 @@ from helpers import (
     reference_hyperlink,
     reference_parse_blocks,
     reference_parse_pairs,
-    reference_proximal_sets,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -104,7 +101,8 @@ def test_factors_match_per_node_reference(instance):
         R, A, N = reference_factors(d, g, form)
         assert_same_csr(f.R, R)
         assert_same_csr(f.A, A)
-        assert np.array_equal(f.N, N) and f.N.dtype == N.dtype
+        proximal_counts = np.diff(f.R.indptr)
+        assert np.array_equal(proximal_counts, N) and proximal_counts.dtype == N.dtype
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -118,7 +116,7 @@ def test_factors_match_per_node_reference_on_larger_instances(seed):
         R, A, N = reference_factors(d, g, f.form)
         assert_same_csr(f.R, R)
         assert_same_csr(f.A, A)
-        assert np.array_equal(f.N, N)
+        assert np.array_equal(np.diff(f.R.indptr), N)
 
 
 @SETTINGS
@@ -133,23 +131,6 @@ def test_hyperlink_matches_per_node_reference(instance):
             assert_same_csr(h.dangling_rows, dangling_rows)
         assert h.dangling.tolist() == np.flatnonzero(g.out_degree == 0).tolist()
         assert np.array_equal(h.to_dense(), dense_hyperlink(g, policy, d))
-
-
-@SETTINGS
-@given(instances())
-def test_proximal_set_is_the_reference_row(instance):
-    g, d = instance
-    for u, blocks in enumerate(reference_proximal_sets(g, d)):
-        assert proximal_set(d, g, u) == blocks
-
-
-def test_builders_do_not_call_proximal_set(g4, g4_decomp, monkeypatch):
-    def refuse(*_):
-        raise AssertionError("per-node proximal_set called by a builder")
-
-    monkeypatch.setattr(blockrank.decomp, "proximal_set", refuse)
-    build_factors(g4_decomp, g4)
-    build_hyperlink(g4, DanglingPolicy.OWN_BLOCK, g4_decomp)
 
 
 def test_character_tables_match_str_methods():

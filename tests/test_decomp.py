@@ -17,7 +17,6 @@ from blockrank import (
     materialize_m,
     parse_blocks,
     parse_edge_list,
-    proximal_set,
 )
 from blockrank.errors import (
     CapExceededError,
@@ -78,21 +77,25 @@ class TestParseBlocks:
         assert d.block_labels == ("Z", "A")
 
 
+def proximal_rows(f) -> list[set[int]]:
+    """Row patterns of ``R``: the proximal blocks of each node."""
+    return [set(f.R.indices[lo:hi].tolist()) for lo, hi in zip(f.R.indptr, f.R.indptr[1:])]
+
+
 class TestProximalSet:
     def test_reference_values(self, g4, g4_decomp):
-        assert proximal_set(g4_decomp, g4, 0) == {0}
-        assert proximal_set(g4_decomp, g4, 1) == {0, 1}
-        assert proximal_set(g4_decomp, g4, 2) == {1}
-        assert proximal_set(g4_decomp, g4, 3) == {0, 1}
+        assert proximal_rows(build_factors(g4_decomp, g4)) == [{0}, {0, 1}, {1}, {0, 1}]
 
     def test_dangling_node_keeps_all_its_blocks(self):
         g = Graph.from_edges(["u", "v", "w"], [(1, 0), (2, 0)])
         d = Decomposition.from_members([[0, 1], [0, 2]], n=3)
-        assert proximal_set(d, g, 0) == {0, 1}
+        assert proximal_rows(build_factors(d, g))[0] == {0, 1}
 
-    def test_out_of_range_rejected(self, g4, g4_decomp):
-        with pytest.raises(IndexError):
-            proximal_set(g4_decomp, g4, 4)
+    def test_out_of_range_rejected(self, g4):
+        # a block naming node 4 of the 4-node graph gets no proximal row
+        d = Decomposition.from_members([[0, 1], [2, 3, 4]], n=5)
+        with pytest.raises(ConfigurationError):
+            build_factors(d, g4)
 
 
 class TestBuildFactors:
@@ -108,7 +111,7 @@ class TestBuildFactors:
         expected_a = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
         np.testing.assert_allclose(f.R.toarray(), expected_r, atol=1e-15)
         np.testing.assert_array_equal(f.A.toarray(), expected_a)
-        assert f.N.tolist() == [1, 2, 1, 2]
+        assert np.diff(f.R.indptr).tolist() == [1, 2, 1, 2]
 
     def test_single_block(self):
         g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
@@ -175,13 +178,13 @@ class TestIndicator:
     def test_reference_indicator_exact(self, g4, g4_decomp):
         w = indicator(build_factors(g4_decomp, g4))
         np.testing.assert_array_equal(w.W, G4_W)
-        assert w.zero_pattern.all()
+        assert (w.W > 0).all()
 
     def test_disjoint_cycles_give_diagonal_pattern(self):
         g = parse_edge_list("a b\nb a\nc d\nd c")
         d = parse_blocks("a B1\nb B1\nc B2\nd B2", g)
         w = indicator(build_factors(d, g))
-        np.testing.assert_array_equal(w.zero_pattern, np.eye(2, dtype=bool))
+        np.testing.assert_array_equal(w.W > 0, np.eye(2, dtype=bool))
 
     def test_single_block(self):
         g = Graph.from_edges(["a", "b"], [(0, 1), (1, 0)])
@@ -241,7 +244,7 @@ class TestFactorProperties:
             g, d = random_instance(rng, 2, 30)
             w_part = indicator(build_factors(d, g, form=FactorForm.PARTITION))
             w_cov = indicator(build_factors(d, g, form=FactorForm.COVER))
-            np.testing.assert_array_equal(w_part.zero_pattern, w_cov.zero_pattern)
+            np.testing.assert_array_equal(w_part.W > 0, w_cov.W > 0)
 
     def test_factor_shapes_never_degenerate(self):
         rng = np.random.default_rng(SEED_DECOMP + 4)

@@ -28,7 +28,7 @@ from blockrank.errors import (
     DimensionError,
     ReducibleModelError,
 )
-from blockrank.ranker import power_iteration
+from blockrank.ranker import order_by_score, power_iteration
 
 from helpers import random_graph, random_instance, random_partition
 
@@ -128,6 +128,7 @@ class TestRank:
         with pytest.raises(ReducibleModelError) as excinfo:
             rank(h, f, RankParams(eta=0.5, mu=0.5))
         assert excinfo.value.components == ((0,), (1,))
+        assert str(excinfo.value).endswith("blocking components: 0 1")
 
     def test_override_proceeds_and_reports_honestly(self):
         g = parse_edge_list("a b\nb a\nc d\nd c")
@@ -254,6 +255,14 @@ class TestCompare:
         a = _result([0.25, 0.25, 0.25, 0.25])
         report = compare(a, a, 2, ["d", "c", "b", "a"])
         assert report.top_a == ("a", "b")
+
+    def test_printed_ties_break_by_ascending_label(self):
+        # 0.123456789012 to 12 significant digits, both of them
+        scores = np.array([0.5, 0.1234567890121, 0.1234567890119, 0.1])
+        labels = ["w", "y", "x", "a"]
+        assert format(scores[1], ".12g") == format(scores[2], ".12g")
+        assert order_by_score(scores, labels) == [0, 2, 1, 3]
+        assert order_by_score(scores[[0, 2, 1, 3]], ["w", "x", "y", "a"]) == [0, 1, 2, 3]
 
     def test_k_must_be_positive(self):
         a = _result([1.0])

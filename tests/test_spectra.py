@@ -26,7 +26,12 @@ from blockrank import (
     parse_edge_list,
     teleportation_free_check,
 )
-from blockrank.errors import CapExceededError, ConvergenceError, DimensionError
+from blockrank.errors import (
+    CapExceededError,
+    ConvergenceError,
+    DimensionError,
+    ReducibleModelError,
+)
 
 from helpers import G4_W, random_instance, reference_strong_components
 
@@ -150,7 +155,6 @@ class TestTeleportationFreeCheck:
     def test_reference_is_admissible(self, g4, g4_decomp):
         report = teleportation_free_check(indicator(build_factors(g4_decomp, g4)))
         assert report.irreducible
-        assert report.primitive_guarantee
         assert report.scc_count == 1
         assert report.blocking_components == ()
 
@@ -159,7 +163,6 @@ class TestTeleportationFreeCheck:
         d = parse_blocks("a B1\nb B1\nc B2\nd B2", g)
         report = teleportation_free_check(indicator(build_factors(d, g)))
         assert not report.irreducible
-        assert not report.primitive_guarantee
         assert report.scc_count == 2
         assert report.blocking_components == ((0,), (1,))
 
@@ -168,6 +171,23 @@ class TestTeleportationFreeCheck:
         d = Decomposition.from_members([[0, 1]], n=2)
         report = teleportation_free_check(indicator(build_factors(d, g)))
         assert report.irreducible and report.scc_count == 1
+
+    def test_gate_names_the_blocking_components(self):
+        # B1 and B3 reach each other; B2 is cut off
+        g = parse_edge_list("a b\nb a\nc d\nd c\ne f\nf e\ne a\na e")
+        d = parse_blocks("a B1\nb B1\nc B2\nd B2\ne B3\nf B3", g)
+        report = teleportation_free_check(indicator(build_factors(d, g)))
+        with pytest.raises(ReducibleModelError) as excinfo:
+            report.require_irreducible(d.block_labels)
+        assert str(excinfo.value) == (
+            "indicator matrix is reducible; blocking components: B1,B3 B2")
+        assert excinfo.value.components == ((0, 2), (1,))
+        with pytest.raises(ReducibleModelError, match="components: 0,2 1$"):
+            report.require_irreducible(range(d.K))
+
+    def test_gate_passes_an_irreducible_indicator(self, g4, g4_decomp):
+        report = teleportation_free_check(indicator(build_factors(g4_decomp, g4)))
+        assert report.require_irreducible(g4_decomp.block_labels) is None
 
 
 RING_K = 50_000
@@ -211,7 +231,7 @@ def test_admissibility_at_50k_blocks_allocates_nothing_quadratic():
     with pytest.raises(CapExceededError):
         w.W
     with pytest.raises(CapExceededError):
-        w.zero_pattern
+        w.W > 0
 
     half = RING_K // 2
     report = teleportation_free_check(indicator(ring_factors(RING_K, cuts=(0, half))))

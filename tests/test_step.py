@@ -120,6 +120,12 @@ def test_scores_are_bit_identical_to_explicit_step(instance, weights, alpha):
         assert np.array_equal(got.scores, scores)
         assert got.iterations == iterations
 
+        # one step: PageRank is rank's step with mu = 0 and teleport = 1 - alpha
+        same = rank(h, f, RankParams(eta=alpha, mu=0.0, personalization=v, tol=params.tol,
+                                     max_iter=params.max_iter), strict=False)
+        assert np.array_equal(got.scores, same.scores)
+        assert got.iterations == same.iterations
+
 
 def stored_sparse_nnz(h: HyperlinkOperator) -> int:
     values = (getattr(h, field.name) for field in dataclasses.fields(h))
@@ -183,4 +189,6 @@ def test_gate_refusal_builds_no_operator(tmp_path, command, monkeypatch, capsys)
     monkeypatch.setattr("blockrank.cli.build_hyperlink", refuse)
     assert main([command, "--graph", str(graph), "--blocks", str(blocks),
                  "--eta", "0.85", "--mu", "0.15"]) == 1
-    assert "reducible" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "reducible" in err
+    assert err == "error: indicator matrix is reducible; blocking components: B1 B2\n"
