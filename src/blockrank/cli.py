@@ -25,12 +25,20 @@ from .decomp import (
 )
 from .errors import BlockRankError, ConfigurationError, ReducibleModelError
 from .graph import DanglingPolicy, Graph, HyperlinkOperator, build_hyperlink, parse_edge_list
-from .ranker import RankParams, RankResult, compare, order_by_score, pagerank, rank
+from .ranker import (
+    WEIGHT_TOL,
+    RankParams,
+    RankResult,
+    compare,
+    fmt,
+    order_by_score,
+    pagerank,
+    rank,
+)
 from .spectra import CheckReport, teleportation_free_check
 
 BASELINE_ALPHA = 0.85
 DEFAULT_TOP_K = 10
-WEIGHT_FLAG_TOL = 1e-9
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 1  # also ReducibleModelError, raised by the strict gate
@@ -38,14 +46,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _jnum(x: float) -> float:
     # Round-trip through the printed form so JSON carries the same 12
     # significant digits as the TSV output.
-    return float(_fmt(x))
+    return float(fmt(x))
 
 
 def _bool(b: bool) -> str:
@@ -56,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--graph", required=True, help="edge-list file (\"src dst\" per line)")
     common.add_argument("--blocks", required=True, help="block file (\"node block\" per line)")
-    common.add_argument("--eta", type=float, default=None, help="link-following weight (default 0.85)")
-    common.add_argument("--mu", type=float, default=None, help="block-proximity weight (default 0.15)")
+    common.add_argument("--eta", type=float, default=0.85, help="link-following weight (default 0.85)")
+    common.add_argument("--mu", type=float, default=0.15, help="block-proximity weight (default 0.15)")
     common.add_argument("--teleport", type=float, default=None,
                         help="teleportation weight (default 1 - eta - mu)")
     common.add_argument("--tol", type=float, default=1e-9, help="L1 convergence tolerance")
@@ -84,22 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_weights(args) -> tuple[float, float]:
-    eta = 0.85 if args.eta is None else args.eta
-    mu = 0.15 if args.mu is None else args.mu
-    for flag, value in (("--eta", eta), ("--mu", mu), ("--teleport", args.teleport)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigurationError(f"{flag} must be finite, got {value}")
-    if args.teleport is not None:
-        if abs(eta + mu + args.teleport - 1.0) > WEIGHT_FLAG_TOL:
-            raise ConfigurationError(
-                f"eta + mu + teleport must equal 1, got {eta + mu + args.teleport!r}"
-            )
-    elif eta + mu > 1.0 + WEIGHT_FLAG_TOL:
-        raise ConfigurationError(f"eta + mu exceeds 1 ({eta + mu!r}) and no teleport given")
-    return eta, mu
-
-
 def _load(args) -> tuple[Graph, Decomposition, ProximityFactors, CheckReport]:
     g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
     d = parse_blocks(Path(args.blocks).read_text(encoding="utf-8"), g)
@@ -117,10 +105,15 @@ def _prelude(args) -> tuple[Graph, ProximityFactors, CheckReport, HyperlinkOpera
     teleport-free ranking on a reducible indicator unless ``--no-strict``, and
     only then build ``H``."""
     g, d, f, report = _load(args)
-    eta, mu = _resolve_weights(args)
+    if args.teleport is not None:
+        if not math.isfinite(args.teleport):
+            raise ConfigurationError(f"--teleport must be finite, got {args.teleport}")
+        total = args.eta + args.mu + args.teleport
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ConfigurationError(f"eta + mu + teleport must equal 1, got {total!r}")
     if args.top is not None and args.top < 1:
         raise ConfigurationError(f"--top must be a positive integer, got {args.top}")
-    params = RankParams(eta=eta, mu=mu, tol=args.tol, max_iter=args.max_iter)
+    params = RankParams(eta=args.eta, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
     if params.teleport == 0.0 and not args.no_strict:
         report.require_irreducible(d.block_labels)
     return g, f, report, build_hyperlink(g, _policy(args), d), params, args.top
@@ -131,9 +124,9 @@ def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
     rate projects."""
     more = result.steps_to(tol)
     projection = ("the residual is not shrinking" if math.isinf(more)
-                  else f"about {more} more to reach tol {_fmt(tol)}")
+                  else f"about {more} more to reach tol {fmt(tol)}")
     print(f"warning: no convergence{subject} after {result.iterations} iterations "
-          f"(residual {_fmt(result.residual)}, observed rate {_fmt(result.rate)} per step; "
+          f"(residual {fmt(result.residual)}, observed rate {fmt(result.rate)} per step; "
           f"{projection})", file=sys.stderr)
 
 
@@ -180,7 +173,7 @@ def cmd_rank(args) -> int:
         }
         print(json.dumps(payload))
     else:
-        sys.stdout.write("".join(f"{labels[i]}\t{_fmt(scores[i])}\n" for i in order))
+        sys.stdout.write("".join(f"{labels[i]}\t{fmt(scores[i])}\n" for i in order))
     if not result.converged:
         _warn_no_convergence("", result, params.tol)
         return EXIT_NO_CONVERGENCE
@@ -209,8 +202,8 @@ def cmd_compare(args) -> int:
         }
         print(json.dumps(payload))
     else:
-        print(f"l1\t{_fmt(cmp.l1)}")
-        print(f"overlap\t{_fmt(cmp.overlap)}")
+        print(f"l1\t{fmt(cmp.l1)}")
+        print(f"overlap\t{fmt(cmp.overlap)}")
         print(f"k\t{cmp.k}")
         print(f"clipped\t{_bool(cmp.clipped)}")
         print("top_model\t" + ",".join(cmp.top_a))
@@ -226,7 +219,7 @@ def cmd_compare(args) -> int:
 def _print_block(name: str, matrix: np.ndarray, out: list[str]) -> None:
     out.append(f"# {name}")
     for row in np.atleast_2d(matrix):
-        out.append("\t".join(_fmt(x) for x in row))
+        out.append("\t".join(fmt(x) for x in row))
 
 
 def cmd_materialize(args) -> int:

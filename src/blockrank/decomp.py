@@ -58,13 +58,9 @@ class Decomposition:
     B: sparse.csr_array
 
     @classmethod
-    def from_members(
-        cls,
-        members: Sequence[Iterable[int]],
-        n: int,
-        block_labels: Sequence[str] | None = None,
-    ) -> Decomposition:
-        """Build a decomposition from per-block node-id collections."""
+    def from_members(cls, members: Sequence[Iterable[int]], n: int) -> Decomposition:
+        """Build a decomposition from per-block node-id collections; block
+        ``k`` is labelled ``B{k}``."""
         blocks = [np.fromiter(block, dtype=np.int64) for block in members]
         for k, ids in enumerate(blocks):
             if not ids.size:
@@ -75,19 +71,12 @@ class Decomposition:
         if K == 0:
             raise CoverageError("decomposition has no blocks")
 
-        if block_labels is None:
-            block_labels = tuple(f"B{k}" for k in range(K))
-        else:
-            block_labels = tuple(str(lab) for lab in block_labels)
-            if len(block_labels) != K or len(set(block_labels)) != K:
-                raise CoverageError("block labels must be unique, one per block")
-
         block_of = np.repeat(np.arange(K), [ids.size for ids in blocks])
         B = ones_at(np.concatenate(blocks), block_of, (n, K))
         uncovered = np.flatnonzero(np.diff(B.indptr) == 0)
         if uncovered.size:
             raise CoverageError(f"nodes not covered by any block: {uncovered.tolist()}")
-        return cls(block_labels=block_labels, B=B)
+        return cls(block_labels=tuple(f"B{k}" for k in range(K)), B=B)
 
     @property
     def n(self) -> int:
@@ -119,7 +108,7 @@ class Decomposition:
         return np.bincount(self.B.indices, minlength=self.K)
 
 
-def parse_blocks(text: str | Iterable[str], g: Graph) -> Decomposition:
+def parse_blocks(text: str, g: Graph) -> Decomposition:
     """Parse block-membership text ("node_label block_label" per line).
 
     A node may appear on several lines, which declares an overlapping
@@ -127,7 +116,9 @@ def parse_blocks(text: str | Iterable[str], g: Graph) -> Decomposition:
     are hard errors.
     """
     tokens, line_nos, error = tokenize_pairs(text, "node_label block_label")
-    node_labels, node_of = intern(tokens[0::2])
+    node_tokens, block_tokens = tokens[0::2], tokens[1::2]
+    first, node_of = intern(node_tokens)
+    node_labels = node_tokens[first].strings()
     known = np.fromiter(map(g.label_ids.get, node_labels, repeat(-1)),
                         dtype=np.int64, count=len(node_labels))
     nodes = known[node_of]
@@ -138,7 +129,8 @@ def parse_blocks(text: str | Iterable[str], g: Graph) -> Decomposition:
             f"line {line_nos[i]}: node label {node_labels[node_of[i]]!r} not in the graph")
     if error is not None:
         raise error
-    block_labels, blocks = intern(tokens[1::2])
+    first, blocks = intern(block_tokens)
+    block_labels = block_tokens[first].strings()
     if not block_labels:
         raise ParseError("empty blocks file")
 

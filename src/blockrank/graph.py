@@ -94,34 +94,6 @@ def pattern(m: sparse.csr_array) -> sparse.csr_array:
     return m
 
 
-def distinct_rows(m: sparse.csr_array) -> tuple[sparse.csr_array, np.ndarray]:
-    """The distinct rows of the canonical 0/1 CSR ``m``, whose rows are all
-    non-empty, as a 0/1 CSR, and the index of each row of ``m`` among them.
-
-    Rows of each length are sorted as column tuples (one ``np.lexsort``),
-    which is several times faster than ``np.unique(axis=0)``.
-    """
-    size = np.diff(m.indptr)
-    which = np.empty(size.size, dtype=np.int64)
-    sizes, columns = [], []
-    found = 0
-    for d in np.unique(size).tolist():
-        rows = np.flatnonzero(size == d)
-        cols = m.indices[m.indptr[rows, None] + np.arange(d)]
-        order = np.lexsort(cols.T[::-1])
-        cols = cols[order]
-        first = np.concatenate(([True], (cols[1:] != cols[:-1]).any(axis=1)))
-        which[rows[order]] = found + np.cumsum(first) - 1
-        cols = cols[first]
-        found += len(cols)
-        sizes.append(np.full(len(cols), d))
-        columns.append(cols.reshape(-1))
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    distinct = sparse.csr_array((np.ones(indptr[-1]), np.concatenate(columns), indptr),
-                                shape=(found, m.shape[1]))
-    return distinct, which
-
-
 # The characters str.split() splits on and those str.splitlines() ends a
 # line at ("\r\n" counts once), as lookup tables over all code points.
 WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
@@ -134,11 +106,12 @@ _IS_BREAK[list(map(ord, LINE_BREAKS))] = True
 
 @dataclass(frozen=True)
 class Tokens:
-    """Tokens as character offsets: token ``i`` is ``text[start[i]:end[i]]``.
+    """Tokens as code offsets: token ``i`` is ``code[start[i]:end[i]]``.
 
-    ``code`` holds the character codes of the text and then 8 spaces, one
-    byte each when the text is ASCII and four otherwise, so that 8 bytes
-    can be read at any token's start.
+    ``code`` holds the codes, one byte each or four, and then at least 8
+    bytes of padding, so that 8 bytes can be read at any token's end.  For
+    text the codes are its characters (one byte each when it is ASCII) and
+    the padding is 8 spaces; token ``i`` is then ``text[start[i]:end[i]]``.
     """
 
     code: np.ndarray
@@ -159,9 +132,7 @@ class Tokens:
         return chars.tobytes().decode(encoding, "surrogatepass").split(" ")[:-1]
 
 
-def tokenize_pairs(
-    text: str | Iterable[str], expected: str
-) -> tuple[Tokens, np.ndarray, ParseError | None]:
+def tokenize_pairs(text: str, expected: str) -> tuple[Tokens, np.ndarray, ParseError | None]:
     """Tokens ``[left, right, left, right, ...]`` of the ``left right`` lines.
 
     Lines are those of ``str.splitlines``; blank lines and lines whose first
@@ -174,8 +145,6 @@ def tokenize_pairs(
     Python string is made per token: tokens are the runs of non-space codes
     and come back as int32 character offsets (int64 past 2 GiB of codes).
     """
-    if not isinstance(text, str):
-        text = "\n".join(map(str.rstrip, text))
     padded = text + " " * 8
     if padded.isascii():
         code = np.frombuffer(padded.encode("ascii"), dtype=np.uint8)
@@ -227,8 +196,8 @@ def tokenize_pairs(
 
 
 def _word_tables(itemsize: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per number of characters left in a word (0 up to a whole word): the
-    mask that keeps them, and the terminator placed right after them."""
+    """Per number of codes left in a word (0 up to a whole word): the mask
+    that keeps them, and the terminator placed right after them."""
     bits = 8 * itemsize
     rests = range(8 // itemsize)
     mask = [(1 << bits * r) - 1 for r in rests] + [2**64 - 1]
@@ -236,8 +205,9 @@ def _word_tables(itemsize: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(mask, dtype=np.uint64), np.array(terminator, dtype=np.uint64)
 
 
-# The terminator is a code no character has (0x80 past ASCII, 2**31 past
-# Unicode), so a token's words also encode its length: "a" != "a\x00".
+# The terminator is a code no character or int32 block id has (0x80 past
+# ASCII, 2**31 past Unicode), so a token's words also encode its length:
+# "a" != "a\x00".
 _WORD_TABLES = {itemsize: _word_tables(itemsize) for itemsize in (1, 4)}
 _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
@@ -250,21 +220,22 @@ def _mix(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return h
 
 
-def intern(tokens: Tokens) -> tuple[list[str], np.ndarray]:
-    """Distinct token strings in first-appearance order, and each token's id.
+def intern(tokens: Tokens) -> tuple[np.ndarray, np.ndarray]:
+    """The first token of each distinct code sequence, in first-appearance
+    order, and each token's id (its sequence's place in that order).
 
     Each token is packed straight from the code array into 64-bit words (8
-    ASCII characters or 2 code points each, read at unaligned offsets) and
-    a terminator, so equal words mean equal strings.  Tokens that fit one
+    one-byte or 2 four-byte codes each, read at unaligned offsets) and a
+    terminator, so equal words mean equal sequences.  Tokens that fit one
     word are sorted by it, longer ones by a hash of their words; equal
     neighbours after the sort are then compared word by word, and should
     two different tokens share a hash, the words themselves are sorted.
-    The only strings made are the distinct labels (:meth:`Tokens.strings`):
+    No string is made (labels come from ``tokens[first].strings()``):
     O(bytes + m log m) for ``m`` tokens.
     """
     start, size = tokens.start, tokens.end - tokens.start
     if not size.size:
-        return [], np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
     code = tokens.code
     per_word = 8 // code.itemsize
     view = np.ndarray((code.nbytes - 7,), dtype="<u8", buffer=code, strides=(1,))
@@ -317,10 +288,10 @@ def intern(tokens: Tokens) -> tuple[list[str], np.ndarray]:
     rank[appear] = np.arange(appear.size)
     ids = np.empty(size.size, dtype=np.int64)
     ids[order] = np.repeat(rank, np.diff(bounds, append=size.size))
-    return tokens[first[appear]].strings(), ids
+    return first[appear], ids
 
 
-def parse_edge_list(text: str | Iterable[str]) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a :class:`Graph`.
 
     One edge per line, ``src dst`` separated by whitespace; blank lines and
@@ -333,7 +304,8 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     tokens, _, error = tokenize_pairs(text, "src dst")
     if error is not None:
         raise error
-    labels, ids = intern(tokens)
+    first, ids = intern(tokens)
+    labels = tokens[first].strings()
     del tokens  # free the code array before the CSR build
     if not labels:
         raise ParseError("empty graph")
@@ -351,8 +323,9 @@ class HyperlinkOperator:
     block signature, the set of blocks a node lies in: dangling node
     ``dangling[i]`` spreads ``share[i]`` (one over the size of the union of
     its blocks) to every node ``v`` with ``reach[signature[v], i] == 1``,
-    where ``reach`` is the 0/1 matrix with one row per distinct signature
-    and a one wherever that signature meets the dangling node's blocks.
+    where ``reach`` is the 0/1 matrix with one row per distinct signature,
+    in first-appearance order, and a one wherever that signature meets the
+    dangling node's blocks.
     ``dangling_rows`` rebuilds the explicit rows on demand, like
     ``to_dense``, for tests and debugging.
     """
@@ -419,10 +392,14 @@ def build_hyperlink(
         return HyperlinkOperator(n=n, policy=policy, base=base, dangling=dangling)
 
     # v lies in the union of dangling u's blocks when their block sets meet,
-    # which depends on v only through its signature.  The union's size is
-    # then the number of nodes over the signatures that meet u's blocks.
-    signatures, signature = distinct_rows(decomp.B)
-    reach = pattern(signatures @ decomp.B[dangling].T)
+    # which depends on v only through its signature, its row of B interned
+    # as a sequence of block ids.  The union's size is then the number of
+    # nodes over the signatures that meet u's blocks.
+    B = decomp.B
+    rows = Tokens(np.concatenate((B.indices, [0, 0]), dtype=np.uint32, casting="unsafe"),
+                  B.indptr[:-1].astype(np.intp), B.indptr[1:].astype(np.intp))
+    first, signature = intern(rows)
+    reach = pattern(B[first] @ B[dangling].T)
     size = reach.T @ np.bincount(signature)
     return HyperlinkOperator(n=n, policy=policy, base=base, dangling=dangling,
                              share=1.0 / size, reach=reach, signature=signature)

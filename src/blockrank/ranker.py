@@ -42,7 +42,9 @@ __all__ = [
     "rank",
 ]
 
-WEIGHT_TOL = 1e-12
+# The one weight tolerance: eta + mu may exceed 1 by this much, and a rest
+# 1 - eta - mu within it of 0 is exactly 0, so the run is teleport-free.
+WEIGHT_TOL = 1e-9
 # Largest block leak (probability that one step from the uniform vector
 # leaves the walker's aggregate) at which aggregation-disaggregation
 # corrections run.  On a coupling sweep (K = 8, n = 8000) corrected runs
@@ -57,8 +59,8 @@ class RankParams:
     """Weights and iteration controls for :func:`rank`.
 
     ``teleport`` is derived as ``1 - eta - mu`` (clamped to exactly 0 when
-    within 1e-12).  Whenever it is positive the personalization vector must
-    be strictly positive; ``None`` means uniform.
+    within :data:`WEIGHT_TOL`).  Whenever it is positive the personalization
+    vector must be strictly positive; ``None`` means uniform.
     """
 
     eta: float = 0.85
@@ -77,10 +79,14 @@ class RankParams:
         if rest < -WEIGHT_TOL:
             raise ConfigurationError(f"eta + mu exceeds 1 by {-rest:.3e}")
         object.__setattr__(self, "teleport", 0.0 if abs(rest) <= WEIGHT_TOL else rest)
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be at least 1")
+        _check_stop_rule(self.tol, self.max_iter)
+
+
+def _check_stop_rule(tol: float, max_iter: int) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ConfigurationError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,11 @@ class ComparisonReport:
     clipped: bool
 
 
+def fmt(x: float) -> str:
+    """``x`` as scores are printed: 12 significant digits."""
+    return format(float(x), ".12g")
+
+
 def order_by_score(scores: np.ndarray, labels) -> list[int]:
     """Node ids by descending score as printed (12 significant digits), ties
     broken by ascending label.
@@ -133,7 +144,7 @@ def order_by_score(scores: np.ndarray, labels) -> list[int]:
     keys, which = np.unique(-np.asarray(scores, dtype=np.float64), return_inverse=True)
     near = np.diff(keys) <= 1e-11 * np.abs(keys[1:])
     tied = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
-    keys[tied] = [float(format(x, ".12g")) for x in keys[tied].tolist()]
+    keys[tied] = [float(fmt(x)) for x in keys[tied].tolist()]
     order = sorted(range(len(labels)), key=labels.__getitem__)
     order.sort(key=keys[which].tolist().__getitem__)  # stable: ties keep label order
     return order
@@ -392,10 +403,7 @@ def pagerank(
     """
     if not 0.0 <= alpha < 1.0:
         raise ConfigurationError(f"alpha must be in [0, 1), got {alpha}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ConfigurationError("max_iter must be at least 1")
+    _check_stop_rule(tol, max_iter)
     v = _validate_personalization(v, h.n)
     return power_iteration(_surfing_step(h, alpha, 0.0, 1.0 - alpha, v), h.n, tol, max_iter)
 

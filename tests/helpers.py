@@ -282,6 +282,17 @@ def first_appearance(tokens) -> dict[str, int]:
     return ids
 
 
+def reference_signatures(d: Decomposition, dangling: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Per node: its block signature's id (distinct block sets numbered in
+    first-appearance order), and whether its blocks meet each dangling
+    node's (the explicit pattern of ``reach[signature]``)."""
+    node_blocks = d.node_blocks
+    ids = first_appearance(node_blocks)
+    meets = [[float(not set(blocks).isdisjoint(node_blocks[u])) for u in dangling.tolist()]
+             for blocks in node_blocks]
+    return [ids[blocks] for blocks in node_blocks], np.array(meets).reshape(d.n, dangling.size)
+
+
 def reference_adjacency(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of the deduplicated adjacency, one set per node."""
     adjacency: list[set[int]] = [set() for _ in range(n)]

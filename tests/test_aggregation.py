@@ -23,7 +23,7 @@ from blockrank import (
 )
 from blockrank.errors import ReducibleModelError
 from blockrank.graph import hyperlink_apply
-from blockrank.ranker import LEAK, block_aggregation
+from blockrank.ranker import LEAK, block_aggregation, power_iteration
 
 from helpers import (
     dense_aggregates,
@@ -156,6 +156,47 @@ def test_reducible_model_falls_back_to_plain_steps():
     assert np.array_equal(got.scores, scores)
     assert not got.converged and got.iterations == 50 and got.residual > params.tol
     assert got.steps_to(params.tol) > 0
+
+
+def leaking_model():
+    """Aggregate X = {a, b, c} leaks into the closed aggregate Y through the
+    link a -> d, weakly enough that the gate passes."""
+    g = parse_edge_list("a b\na c\na d\nb c\nc a\nd e\ne f\nf g\ng d\nd f")
+    d = parse_blocks("a X\nb X\nc X\nd Y\ne Y\nf Y\ng Y", g)
+    h, f = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d), build_factors(d, g)
+    params = RankParams(eta=0.99, mu=0.01, tol=1e-12, max_iter=50)
+    coarse = block_aggregation(h, f, params)
+    assert coarse is not None
+    return h, f, params, coarse
+
+
+def test_correction_refuses_an_aggregate_without_mass():
+    _, _, _, coarse = leaking_model()
+    x = np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.25])
+    assert coarse.correct(x) is None
+
+
+def test_correction_refuses_a_non_positive_coarse_solution():
+    # Y never returns mass to X, so the coupled chain's stationary vector is
+    # exactly 0 on X
+    h, _, _, coarse = leaking_model()
+    assert coarse.correct(np.full(h.n, 1.0 / h.n)) is None
+
+
+def test_failed_corrections_leave_the_plain_iteration():
+    class Failing:
+        leak = 0.0
+
+        def correct(self, x):
+            return None
+
+    h, f, params, _ = leaking_model()
+    step = plain_step(h, f, params)
+    got = power_iteration(step, h.n, params.tol, params.max_iter, Failing())
+    want = power_iteration(step, h.n, params.tol, params.max_iter)
+    assert got.corrections == 0
+    assert got.iterations == want.iterations and got.residual == want.residual
+    assert np.array_equal(got.scores, want.scores)
 
 
 GATE_OFF = {  # n, blocks, eps, eta, mu

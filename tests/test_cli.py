@@ -165,6 +165,23 @@ class TestRank:
         assert "B1" in captured.err and "B2" in captured.err
         assert captured.err == "error: indicator matrix is reducible; blocking components: B1 B2\n"
 
+    @pytest.mark.parametrize("weights, code", [
+        # eta + mu within 1e-9 of 1 leaves no teleportation, so the gate runs
+        (("0.6", "0.3999999999", "0"), 1),
+        (("0.6", "0.4000000001", "0"), 1),
+        (("0.3333333333", "0.3333333333", "0.3333333334"), 0),
+        (("0.9", "0.3"), 2),
+    ])
+    def test_one_weight_tolerance(self, split_files, capsys, weights, code):
+        graph, blocks = split_files
+        flags = [f"--{name}={value}" for name, value in zip(("eta", "mu", "teleport"), weights)]
+        assert run(["rank", "--graph", graph, "--blocks", blocks, *flags]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err == "error: indicator matrix is reducible; blocking components: B1 B2\n"
+        elif code == 2:
+            assert "eta + mu exceeds 1" in err
+
     def test_no_strict_overrides_the_gate(self, split_files, capsys):
         graph, blocks = split_files
         code = run(["rank", "--graph", graph, "--blocks", blocks,

@@ -38,6 +38,7 @@ from helpers import (
     reference_hyperlink,
     reference_parse_blocks,
     reference_parse_pairs,
+    reference_signatures,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -249,9 +250,10 @@ def test_malformed_line_number_counts_every_line_break(text, line):
 @pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
 def test_interning_is_exact_when_every_hash_collides(alphabet, monkeypatch):
     """Labels longer than one 64-bit word (8 ASCII characters, 2 otherwise)
-    are sorted by a hash of their words.  With that hash forced to one value
-    for every label, the exact sort over the words must still give each
-    distinct label its own id, in both parsers."""
+    are sorted by a hash of their words, and so are block signatures of 2
+    or more blocks.  With that hash forced to one value for every label and
+    signature, the exact sort over the words must still give each distinct
+    label its own id, in both parsers, and each distinct signature its own."""
     monkeypatch.setattr(blockrank.graph, "_mix", lambda h, w: np.zeros_like(h))
     rng = np.random.default_rng(3)
     shortest = 9 if alphabet.isascii() else 3
@@ -275,3 +277,15 @@ def test_interning_is_exact_when_every_hash_collides(alphabet, monkeypatch):
     if want_error is None:
         assert list(got.block_labels) == want[0]
         assert [ids.tolist() for ids in got.members] == want[1]
+
+    # every node in 3 or more of 8 blocks; some signatures share their
+    # length and first word (blocks 0 and 1)
+    pool = [(0, 1, 2), (0, 1, 3), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 7),
+            (2, 4, 6)]
+    node_blocks = [pool[i] for i in rng.permutation(np.arange(g.n) % len(pool))]
+    d = Decomposition.from_members(
+        [[u for u, blocks in enumerate(node_blocks) if k in blocks] for k in range(8)], n=g.n)
+    h = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d)
+    signature, reach = reference_signatures(d, h.dangling)
+    assert h.signature.tolist() == signature
+    assert np.array_equal(h.reach[h.signature].toarray(), reach)

@@ -82,6 +82,21 @@ class TestParseEdgeList:
             assert g.out_degree[u] == g.out_neighbors(u).size
 
 
+class TestFromEdges:
+    def test_no_labels_rejected(self):
+        with pytest.raises(ParseError, match="empty graph"):
+            Graph.from_edges([], [])
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ParseError, match="duplicate"):
+            Graph.from_edges(["a", "b", "a"], [(0, 1)])
+
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0)])
+    def test_edge_outside_node_range_rejected(self, edge):
+        with pytest.raises(DimensionError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+            Graph.from_edges(["a", "b"], [(0, 1), edge])
+
+
 class TestBuildHyperlink:
     def test_reference_rows(self, g4, g4_decomp):
         expected = np.array([

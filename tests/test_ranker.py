@@ -211,6 +211,11 @@ class TestPagerank:
         with pytest.raises(ConfigurationError):
             pagerank(h, **{field: value})
 
+    def test_max_iter_zero_rejected(self, g4, g4_decomp):
+        h, _ = _model(g4, g4_decomp)
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            pagerank(h, max_iter=0)
+
     def test_personalization_validated(self, g4, g4_decomp):
         h, _ = _model(g4, g4_decomp)
         with pytest.raises(ConfigurationError):

@@ -281,6 +281,15 @@ class TestDenseStationary:
         with pytest.raises(ValueError):
             dense_stationary(np.array([[0.5, 0.4], [0.5, 0.5]]), tol=1e-9)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            dense_stationary(np.full((2, 3), 1 / 3), tol=1e-9)
+
+    def test_negative_entries_rejected(self):
+        # rows that sum to 1, so only the sign test can refuse it
+        with pytest.raises(ValueError, match="non-negative"):
+            dense_stationary(np.array([[1.5, -0.5], [0.5, 0.5]]), tol=1e-9)
+
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError):
             dense_stationary(np.eye(5), tol=1e-9, cap=4)

@@ -30,7 +30,6 @@ from blockrank import (
     rank,
 )
 from blockrank.cli import main
-from blockrank.graph import distinct_rows
 from blockrank.ranker import block_aggregation, power_iteration
 
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     random_graph,
     random_partition,
     reference_power_iteration,
+    reference_signatures,
     reference_surfing_apply,
 )
 
@@ -64,12 +64,13 @@ def non_negative(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @SETTINGS
 @given(instances())
-def test_distinct_rows_index_every_row(instance):
-    _, d, _ = instance
-    distinct, which = distinct_rows(d.B)
-    rows = {tuple(row) for row in distinct.toarray().tolist()}
-    assert len(rows) == distinct.shape[0]
-    assert np.array_equal(distinct[which].toarray(), d.B.toarray())
+def test_signatures_index_every_row(instance):
+    g, d, _ = instance
+    h = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d)
+    signature, reach = reference_signatures(d, h.dangling)
+    assert h.signature.tolist() == signature
+    assert h.reach.shape[0] == len(set(signature))  # one row per distinct signature
+    assert np.array_equal(h.reach[h.signature].toarray(), reach)
 
 
 @SETTINGS
