@@ -37,7 +37,6 @@ from .ranker import (
 )
 from .spectra import CheckReport, teleportation_free_check
 
-BASELINE_ALPHA = 0.85
 DEFAULT_TOP_K = 10
 
 EXIT_OK = 0
@@ -57,54 +56,62 @@ def _bool(b: bool) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", required=True, help="edge-list file (\"src dst\" per line)")
-    common.add_argument("--blocks", required=True, help="block file (\"node block\" per line)")
-    common.add_argument("--eta", type=float, default=0.85, help="link-following weight (default 0.85)")
-    common.add_argument("--mu", type=float, default=0.15, help="block-proximity weight (default 0.15)")
-    common.add_argument("--teleport", type=float, default=None,
-                        help="teleportation weight (default 1 - eta - mu)")
-    common.add_argument("--tol", type=float, default=1e-9, help="L1 convergence tolerance")
-    common.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
-    common.add_argument("--dangling", choices=["block", "uniform"], default="block",
-                        help="dangling-row policy: uniform over own block(s) or over all nodes")
-    common.add_argument("--top", type=int, default=None, help="truncate output / overlap depth")
-    common.add_argument("--format", choices=["tsv", "json"], default="tsv", dest="output_format")
-    common.add_argument("--no-strict", action="store_true",
-                        help="rank even when the admissibility check fails")
+    # Each command takes only the flags it reads: check reads the files,
+    # materialize also the dangling policy, rank and compare the model too.
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--graph", required=True, help="edge-list file (\"src dst\" per line)")
+    files.add_argument("--blocks", required=True, help="block file (\"node block\" per line)")
+    files.add_argument("--format", choices=["tsv", "json"], default="tsv", dest="output_format")
+    dangling = argparse.ArgumentParser(add_help=False)
+    dangling.add_argument("--dangling", choices=[p.value for p in DanglingPolicy],
+                          default=DanglingPolicy.OWN_BLOCK.value,
+                          help="dangling-row policy: uniform over own block(s) or over all nodes")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--eta", type=float, default=RankParams.eta,
+                       help="link-following weight (default %(default)s)")
+    model.add_argument("--mu", type=float, default=RankParams.mu,
+                       help="block-proximity weight (default %(default)s)")
+    model.add_argument("--teleport", type=float, default=None,
+                       help="teleportation weight (default 1 - eta - mu)")
+    model.add_argument("--tol", type=float, default=RankParams.tol,
+                       help="L1 convergence tolerance (default %(default)s)")
+    model.add_argument("--max-iter", type=int, default=RankParams.max_iter,
+                       help="iteration cap (default %(default)s)")
+    model.add_argument("--top", type=int, default=None, help="truncate output / overlap depth")
+    model.add_argument("--no-strict", action="store_true",
+                       help="rank even when the admissibility check fails")
 
     parser = argparse.ArgumentParser(
         prog="blockrank",
         description="Block-aware graph ranking with a decidable no-teleportation mode.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", parents=[common],
-                   help="decide whether ranking without teleportation is well-defined")
-    sub.add_parser("rank", parents=[common], help="compute the ranking vector")
-    sub.add_parser("compare", parents=[common],
-                   help="compare the block-aware ranking against the PageRank baseline")
-    sub.add_parser("materialize", parents=[common],
-                   help="dump dense H, M, R, A, W (small graphs only)")
+    for name, parents, run, text in (
+        ("check", [files], cmd_check,
+         "decide whether ranking without teleportation is well-defined"),
+        ("rank", [files, dangling, model], cmd_rank, "compute the ranking vector"),
+        ("compare", [files, dangling, model], cmd_compare,
+         "compare the block-aware ranking against the PageRank baseline"),
+        ("materialize", [files, dangling], cmd_materialize,
+         "dump dense H, M, R, A, W (small graphs only)"),
+    ):
+        sub.add_parser(name, parents=parents, help=text).set_defaults(run=run)
     return parser
 
 
 def _load(args) -> tuple[Graph, Decomposition, ProximityFactors, CheckReport]:
-    g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
-    d = parse_blocks(Path(args.blocks).read_text(encoding="utf-8"), g)
+    # A leading byte-order mark is not part of the first label.
+    g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8").removeprefix("\ufeff"))
+    d = parse_blocks(Path(args.blocks).read_text(encoding="utf-8").removeprefix("\ufeff"), g)
     f = build_factors(d, g)
     return g, d, f, teleportation_free_check(indicator(f))
 
 
-def _policy(args) -> DanglingPolicy:
-    return DanglingPolicy.OWN_BLOCK if args.dangling == "block" else DanglingPolicy.UNIFORM_ALL
-
-
-def _prelude(args) -> tuple[Graph, ProximityFactors, CheckReport, HyperlinkOperator,
-                            RankParams, int | None]:
-    """Shared start of ``rank`` and ``compare``: load, check the flags, refuse
-    teleport-free ranking on a reducible indicator unless ``--no-strict``, and
-    only then build ``H``."""
-    g, d, f, report = _load(args)
+def _prelude(args) -> tuple[Graph, ProximityFactors, CheckReport, HyperlinkOperator, RankParams]:
+    """Shared start of ``rank`` and ``compare``: check the flags, load,
+    refuse teleport-free ranking on a reducible indicator unless
+    ``--no-strict``, and only then build ``H``."""
+    params = RankParams(eta=args.eta, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
     if args.teleport is not None:
         if not math.isfinite(args.teleport):
             raise ConfigurationError(f"--teleport must be finite, got {args.teleport}")
@@ -113,10 +120,10 @@ def _prelude(args) -> tuple[Graph, ProximityFactors, CheckReport, HyperlinkOpera
             raise ConfigurationError(f"eta + mu + teleport must equal 1, got {total!r}")
     if args.top is not None and args.top < 1:
         raise ConfigurationError(f"--top must be a positive integer, got {args.top}")
-    params = RankParams(eta=args.eta, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
+    g, d, f, report = _load(args)
     if params.teleport == 0.0 and not args.no_strict:
         report.require_irreducible(d.block_labels)
-    return g, f, report, build_hyperlink(g, _policy(args), d), params, args.top
+    return g, f, report, build_hyperlink(g, DanglingPolicy(args.dangling), d), params
 
 
 def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
@@ -153,9 +160,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    g, f, report, h, params, top = _prelude(args)
+    g, f, report, h, params = _prelude(args)
     result = rank(h, f, params, strict=False)
-    order = order_by_score(result.scores, g.labels)[:top]
+    order = order_by_score(result.scores, g.labels)[:args.top]
     labels, scores = g.labels, result.scores.tolist()
 
     if args.output_format == "json":
@@ -181,10 +188,10 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g, f, _, h, params, top = _prelude(args)
+    g, f, _, h, params = _prelude(args)
     model = rank(h, f, params, strict=False)
-    baseline = pagerank(h, alpha=BASELINE_ALPHA, tol=args.tol, max_iter=args.max_iter)
-    k = DEFAULT_TOP_K if top is None else top
+    baseline = pagerank(h, tol=params.tol, max_iter=params.max_iter)
+    k = DEFAULT_TOP_K if args.top is None else args.top
     cmp = compare(model, baseline, k, g.labels)
     if cmp.clipped:
         print(f"warning: top-k clipped to {cmp.k}", file=sys.stderr)
@@ -224,11 +231,9 @@ def _print_block(name: str, matrix: np.ndarray, out: list[str]) -> None:
 
 def cmd_materialize(args) -> int:
     g, d, f, _ = _load(args)
-    h = build_hyperlink(g, _policy(args), d)
-    m = materialize_m(f)  # raises CapExceededError above the cap
-    dense = {
-        "H": h.to_dense(),
-        "M": m,
+    dense = {  # H and M refuse (CapExceededError) above the cap
+        "H": build_hyperlink(g, DanglingPolicy(args.dangling), d).to_dense(),
+        "M": materialize_m(f),
         "R": f.R.toarray(),
         "A": f.A.toarray(),
         "W": indicator(f).W,
@@ -247,19 +252,10 @@ def cmd_materialize(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "rank": cmd_rank,
-    "compare": cmd_compare,
-    "materialize": cmd_materialize,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ReducibleModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

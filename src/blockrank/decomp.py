@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import CapExceededError, ConfigurationError, CoverageError, ParseError
-from .graph import Graph, intern, ones_at, pattern, tokenize_pairs
+from .errors import ConfigurationError, CoverageError, ParseError
+from .graph import MATERIALIZE_CAP, Graph, intern, ones_at, pattern, require_dense, tokenize_pairs
 
 __all__ = [
     "DecompKind",
@@ -34,8 +34,6 @@ __all__ = [
     "materialize_m",
     "parse_blocks",
 ]
-
-MATERIALIZE_CAP = 2000
 
 
 class DecompKind(Enum):
@@ -176,10 +174,7 @@ class IndicatorMatrix:
     def W(self) -> np.ndarray:
         """Dense copy of ``matrix`` (test/debug aid; refuses above
         ``MATERIALIZE_CAP`` blocks)."""
-        K = self.matrix.shape[0]
-        if K > MATERIALIZE_CAP:
-            raise CapExceededError(
-                f"refusing to materialize {K} x {K} matrix (cap {MATERIALIZE_CAP})")
+        require_dense(self.matrix.shape[0])
         return self.matrix.toarray()
 
 
@@ -224,8 +219,7 @@ def build_factors(
 
 def materialize_m(f: ProximityFactors, cap: int = MATERIALIZE_CAP) -> np.ndarray:
     """Dense product ``R @ A`` (test/debug aid; refuses above ``cap`` nodes)."""
-    if f.n > cap:
-        raise CapExceededError(f"refusing to materialize {f.n} x {f.n} matrix (cap {cap})")
+    require_dense(f.n, cap)
     return (f.R @ f.A).toarray()
 
 

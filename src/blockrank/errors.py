@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "BlockRankError",
+    "CapExceededError",
+    "ConfigurationError",
+    "ConvergenceError",
+    "CoverageError",
+    "DimensionError",
+    "ParseError",
+    "ReducibleModelError",
+]
+
 
 class BlockRankError(Exception):
     """Base class for all errors raised by this package."""

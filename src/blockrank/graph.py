@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigurationError, DimensionError, ParseError
+from .errors import CapExceededError, ConfigurationError, DimensionError, ParseError
 
 if TYPE_CHECKING:
     from .decomp import Decomposition
@@ -23,6 +23,15 @@ __all__ = [
     "hyperlink_apply",
     "parse_edge_list",
 ]
+
+MATERIALIZE_CAP = 2000  # largest order of a dense debug view or oracle input
+
+
+def require_dense(order: int, cap: int = MATERIALIZE_CAP) -> None:
+    """Refuse (:class:`CapExceededError`) to build an ``order x order`` dense
+    matrix above ``cap``."""
+    if order > cap:
+        raise CapExceededError(f"refusing to materialize {order} x {order} matrix (cap {cap})")
 
 
 class DanglingPolicy(Enum):
@@ -326,8 +335,6 @@ class HyperlinkOperator:
     where ``reach`` is the 0/1 matrix with one row per distinct signature,
     in first-appearance order, and a one wherever that signature meets the
     dangling node's blocks.
-    ``dangling_rows`` rebuilds the explicit rows on demand, like
-    ``to_dense``, for tests and debugging.
     """
 
     n: int
@@ -344,19 +351,10 @@ class HyperlinkOperator:
         shared arrays."""
         return self.base.T
 
-    @property
-    def dangling_rows(self) -> sparse.csr_array | None:
-        """The explicit ``OWN_BLOCK`` dangling rows (test/debug aid)."""
-        if self.policy is not DanglingPolicy.OWN_BLOCK:
-            return None
-        k = self.dangling.size
-        place = sparse.csr_array((self.share, (self.dangling, np.arange(k))), shape=(self.n, k))
-        rows = place @ self.reach[self.signature].T
-        rows.sum_duplicates()
-        return rows
-
     def to_dense(self) -> np.ndarray:
-        """Materialize the full stochastic matrix (test/debug aid)."""
+        """Materialize the full stochastic matrix (test/debug aid; refuses
+        above ``MATERIALIZE_CAP`` nodes)."""
+        require_dense(self.n)
         dense = self.base.toarray()
         if self.policy is DanglingPolicy.OWN_BLOCK:
             dense[self.dangling] = self.reach.toarray()[self.signature].T * self.share[:, None]

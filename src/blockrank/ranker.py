@@ -392,8 +392,8 @@ def pagerank(
     h: HyperlinkOperator,
     alpha: float = 0.85,
     v: np.ndarray | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
+    tol: float = RankParams.tol,
+    max_iter: int = RankParams.max_iter,
 ) -> RankResult:
     """PageRank baseline: stationary vector of ``alpha * H + (1 - alpha) * e v^T``.
 

@@ -23,6 +23,7 @@ from scipy.sparse import csgraph
 
 from .decomp import IndicatorMatrix
 from .errors import CapExceededError, ConvergenceError, DimensionError, ReducibleModelError
+from .graph import MATERIALIZE_CAP
 
 __all__ = [
     "CheckReport",
@@ -33,7 +34,6 @@ __all__ = [
 ]
 
 PRIMITIVITY_CAP = 512
-STATIONARY_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def dense_stationary(
     p: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    cap: int = STATIONARY_CAP,
+    cap: int = MATERIALIZE_CAP,
 ) -> np.ndarray:
     """Stationary vector of a dense row-stochastic matrix by power iteration.
 

@@ -345,6 +345,18 @@ def reference_hyperlink(
     return base, dangling_rows
 
 
+def explicit_dangling_rows(h) -> sparse.csr_array | None:
+    """The ``OWN_BLOCK`` dangling rows of a hyperlink operator made explicit
+    from its factored form (``None`` under ``UNIFORM_ALL``)."""
+    if h.policy is not DanglingPolicy.OWN_BLOCK:
+        return None
+    k = h.dangling.size
+    place = sparse.csr_array((h.share, (h.dangling, np.arange(k))), shape=(h.n, k))
+    rows = place @ h.reach[h.signature].T
+    rows.sum_duplicates()
+    return rows
+
+
 def reference_factors(
     d: Decomposition, g: Graph, form: FactorForm
 ) -> tuple[sparse.csr_array, sparse.csr_array, np.ndarray]:

@@ -9,7 +9,8 @@ import random
 import numpy as np
 import pytest
 
-from blockrank.cli import main
+from blockrank import DanglingPolicy, RankParams
+from blockrank.cli import _build_parser, main
 
 from helpers import G4_BLOCKS, G4_EDGES
 
@@ -84,6 +85,67 @@ class TestCheck:
         code = run(["check", "--graph", graph, "--blocks", str(partial)])
         assert code == 2
         assert "d" in capsys.readouterr().err
+
+
+FILES = ["--graph", "g", "--blocks", "b"]
+MODEL_FLAGS = [["--eta", "0.5"], ["--mu", "0.5"], ["--teleport", "0"], ["--tol", "1e-6"],
+               ["--max-iter", "5"], ["--top", "3"], ["--no-strict"]]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [
+        *(("check", flag) for flag in [["--dangling", "block"], *MODEL_FLAGS]),
+        *(("materialize", flag) for flag in MODEL_FLAGS),
+    ])
+    def test_flag_the_command_does_not_read_exits_two(self, g4_files, capsys, command, flag):
+        graph, blocks = g4_files
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--graph", graph, "--blocks", blocks, *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_flags_per_command(self):
+        parser = _build_parser()
+        settable = {command: set(vars(parser.parse_args([command, *FILES]))) - {"command", "run"}
+                    for command in ("check", "materialize", "rank", "compare")}
+        assert settable["check"] == {"graph", "blocks", "output_format"}
+        assert settable["materialize"] == settable["check"] | {"dangling"}
+        assert settable["rank"] == settable["compare"]
+        assert len(settable["rank"]) == 11
+
+    def test_rank_and_compare_defaults_are_the_library_defaults(self):
+        parser = _build_parser()
+        rank, compare = (vars(parser.parse_args([command, *FILES]))
+                         for command in ("rank", "compare"))
+        for args in (rank, compare):
+            del args["command"], args["run"]
+        assert rank == compare
+        assert (rank["eta"], rank["mu"], rank["tol"], rank["max_iter"]) == (
+            RankParams.eta, RankParams.mu, RankParams.tol, RankParams.max_iter)
+        assert DanglingPolicy(rank["dangling"]) is DanglingPolicy.OWN_BLOCK
+        assert parser.parse_args(["check", *FILES]).output_format == "tsv"
+
+    def test_flags_are_checked_before_the_files_are_read(self, g4_files, capsys, monkeypatch):
+        def refuse(text):
+            raise AssertionError("edge list parsed")
+
+        monkeypatch.setattr("blockrank.cli.parse_edge_list", refuse)
+        graph, blocks = g4_files
+        assert run(["rank", "--graph", graph, "--blocks", blocks, "--tol", "nan"]) == 2
+        assert capsys.readouterr().err == "error: tol must be positive and finite, got nan\n"
+
+    def test_byte_order_marks_are_ignored(self, tmp_path, capsys):
+        outputs = set()
+        for marks in ("", "g", "b", "gb"):
+            graph, blocks = tmp_path / f"{marks}.edges", tmp_path / f"{marks}.blocks"
+            graph.write_text(("\ufeff" if "g" in marks else "") + G4_EDGES, encoding="utf-8")
+            blocks.write_text(("\ufeff" if "b" in marks else "") + G4_BLOCKS, encoding="utf-8")
+            assert run(["rank", "--graph", str(graph), "--blocks", str(blocks)]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+        assert outputs.pop().startswith(("a\t", "b\t", "c\t", "d\t"))
 
 
 class TestRank:

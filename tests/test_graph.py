@@ -15,7 +15,7 @@ from blockrank import (
     hyperlink_apply,
     parse_edge_list,
 )
-from blockrank.errors import ConfigurationError, DimensionError, ParseError
+from blockrank.errors import CapExceededError, ConfigurationError, DimensionError, ParseError
 
 from helpers import dense_hyperlink, random_graph, random_partition
 
@@ -144,6 +144,12 @@ class TestBuildHyperlink:
         g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 0)])
         h = build_hyperlink(g, DanglingPolicy.UNIFORM_ALL)
         np.testing.assert_allclose(h.to_dense()[2], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+
+    def test_to_dense_refuses_above_the_cap(self):
+        n = 2001  # one past the 2000-node materialization cap
+        g = Graph.from_edges([f"n{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+        with pytest.raises(CapExceededError, match="cap 2000"):
+            build_hyperlink(g, DanglingPolicy.UNIFORM_ALL).to_dense()
 
 
 class TestHyperlinkApply:

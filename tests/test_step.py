@@ -156,28 +156,6 @@ def test_many_dangling_nodes_store_links_and_one_entry_each(n, K):
     np.testing.assert_allclose(hyperlink_apply(h, x), want, rtol=1e-12, atol=0)
 
 
-COVER_EDGES = "a b\nb c\nc a\nc d\nb e\n"
-COVER_BLOCKS = "a X\nb X\nc X\nc Y\nd Y\ne Y\ne X\n"
-
-
-@pytest.fixture
-def cover_files(tmp_path):
-    graph, blocks = tmp_path / "cover.edges", tmp_path / "cover.blocks"
-    graph.write_text(COVER_EDGES, encoding="utf-8")
-    blocks.write_text(COVER_BLOCKS, encoding="utf-8")
-    return ["--graph", str(graph), "--blocks", str(blocks)]
-
-
-@pytest.mark.parametrize("command", ["rank", "compare"])
-def test_cli_never_builds_explicit_dangling_rows(cover_files, command, monkeypatch, capsys):
-    def refuse(self):
-        raise AssertionError("explicit dangling rows built")
-
-    monkeypatch.setattr(HyperlinkOperator, "dangling_rows", property(refuse))
-    assert main([command, *cover_files]) == 0
-    assert capsys.readouterr().out
-
-
 @pytest.mark.parametrize("command", ["rank", "compare"])
 def test_gate_refusal_builds_no_operator(tmp_path, command, monkeypatch, capsys):
     graph, blocks = tmp_path / "split.edges", tmp_path / "split.blocks"
