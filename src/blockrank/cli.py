@@ -55,6 +55,16 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports the flags it does not read, under its usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # Each command takes only the flags it reads: check reads the files,
     # materialize also the dangling policy, rank and compare the model too.
@@ -85,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="blockrank",
         description="Block-aware graph ranking with a decidable no-teleportation mode.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, parents, run, text in (
         ("check", [files], cmd_check,
          "decide whether ranking without teleportation is well-defined"),
@@ -179,8 +189,10 @@ def cmd_rank(args) -> int:
             },
         }
         print(json.dumps(payload))
-    else:
-        sys.stdout.write("".join(f"{labels[i]}\t{fmt(scores[i])}\n" for i in order))
+    else:  # 1024 lines per write: one slice's line strings alive at a time, not all n
+        for lo in range(0, len(order), 1024):
+            lines = order[lo:lo + 1024]
+            sys.stdout.write("".join(f"{labels[i]}\t{fmt(scores[i])}\n" for i in lines))
     if not result.converged:
         _warn_no_convergence("", result, params.tol)
         return EXIT_NO_CONVERGENCE

@@ -1,11 +1,11 @@
 """Ranking vectors by sparse power iteration on the factored surfing operator.
 
 The iteration step is ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t * v``
-with ``t = 1 - eta - mu``; neither the dense proximity matrix nor the
-explicit ``OWN_BLOCK`` dangling rows are formed, and ``H``, ``R`` and ``A``
-are applied through transposed views built once, so a step costs
-O(nnz(G) + n + nnz(Q) + nnz(R) + nnz(A)) with ``Q`` the dangling operator's
-signature-by-dangling-node matrix (``HyperlinkOperator.reach``).
+with ``t = 1 - eta - mu``, without forming the dense proximity matrix or the
+explicit ``OWN_BLOCK`` dangling rows.  Every operand is read row-wise in CSR
+(``H^T``, ``R^T`` stored as CSR once): a row gather beats a column scatter and
+sums in the same order.  A step costs O(nnz(G) + n + nnz(Q) + nnz(R) +
+nnz(A)), ``Q`` being ``HyperlinkOperator.reach`` (signature by dangling node).
 
 Without teleportation the iteration contracts at ``|lambda_2(P)|``, which
 tends to 1 as the blocks decouple (the nearly completely decomposable
@@ -145,8 +145,11 @@ def order_by_score(scores: np.ndarray, labels) -> list[int]:
     near = np.diff(keys) <= 1e-11 * np.abs(keys[1:])
     tied = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
     keys[tied] = [float(fmt(x)) for x in keys[tied].tolist()]
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    order.sort(key=keys[which].tolist().__getitem__)  # stable: ties keep label order
+    order = np.argsort(keys[which], kind="stable")  # then labels, inside runs of equal keys
+    _, start, size = np.unique(keys[which[order]], return_index=True, return_counts=True)
+    order, runs = order.tolist(), size > 1
+    for lo, hi in zip(start[runs].tolist(), (start + size)[runs].tolist()):
+        order[lo:hi] = sorted(order[lo:hi], key=labels.__getitem__)
     return order
 
 
@@ -342,9 +345,9 @@ def power_iteration(
 def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
                   v: np.ndarray | None, f: ProximityFactors | None = None):
     """The step ``x -> eta * (x @ H) + mu * ((x @ R) @ A) + teleport * v`` without
-    its zero terms; ``x @ R`` is applied as ``R.T @ x``, transposes built once."""
+    its zero terms; ``x @ R`` is the row gather ``R_t @ x``, ``R^T`` as CSR built once."""
     if mu != 0.0:
-        R_t, A_t = f.R.T, f.A.T
+        R_t, A_t = f.R.T.tocsr(), f.A.T
 
     def step(x: np.ndarray) -> np.ndarray:
         y = eta * hyperlink_apply(h, x)

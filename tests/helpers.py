@@ -408,6 +408,19 @@ def reference_surfing_apply(g: Graph, policy: DanglingPolicy, d: Decomposition |
     return apply
 
 
+def reference_order_by_score(scores: np.ndarray, labels) -> list[int]:
+    """Node ids by descending printed score, ties by ascending label: all ids
+    sorted by label, then stably by key (the order ``order_by_score`` gives
+    by sorting labels only inside runs of equal keys)."""
+    keys, which = np.unique(-np.asarray(scores, dtype=np.float64), return_inverse=True)
+    near = np.diff(keys) <= 1e-11 * np.abs(keys[1:])
+    tied = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
+    keys[tied] = [float(format(x, ".12g")) for x in keys[tied].tolist()]
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    order.sort(key=keys[which].tolist().__getitem__)  # stable: ties keep label order
+    return order
+
+
 def reference_power_iteration(step, n: int, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
     """(scores, iterations) of the power iteration ``rank``/``pagerank`` run:
     uniform start, renormalized each step, stop at L1 change <= tol."""

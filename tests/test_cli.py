@@ -96,6 +96,7 @@ class TestFlags:
     @pytest.mark.parametrize("command, flag", [
         *(("check", flag) for flag in [["--dangling", "block"], *MODEL_FLAGS]),
         *(("materialize", flag) for flag in MODEL_FLAGS),
+        ("rank", ["--bogus"]),
     ])
     def test_flag_the_command_does_not_read_exits_two(self, g4_files, capsys, command, flag):
         graph, blocks = g4_files
@@ -104,7 +105,10 @@ class TestFlags:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments" in captured.err
+        # the command's own parser reports it, with the command's usage line
+        assert captured.err.startswith(f"usage: blockrank {command} [-h] --graph GRAPH")
+        assert captured.err.endswith(
+            f"blockrank {command}: error: unrecognized arguments: {' '.join(flag)}\n")
 
     def test_flags_per_command(self):
         parser = _build_parser()

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockrank import (
     DanglingPolicy,
@@ -30,7 +32,7 @@ from blockrank.errors import (
 )
 from blockrank.ranker import order_by_score, power_iteration
 
-from helpers import random_graph, random_instance, random_partition
+from helpers import random_graph, random_instance, random_partition, reference_order_by_score
 
 
 def _model(g, d, policy=DanglingPolicy.OWN_BLOCK):
@@ -268,6 +270,21 @@ class TestCompare:
         assert format(scores[1], ".12g") == format(scores[2], ".12g")
         assert order_by_score(scores, labels) == [0, 2, 1, 3]
         assert order_by_score(scores[[0, 2, 1, 3]], ["w", "x", "y", "a"]) == [0, 1, 2, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+           st.sampled_from(["exact", "printed", "none"]))
+    def test_order_matches_the_label_then_key_sort(self, seed, n, ties):
+        rng = np.random.default_rng(seed)
+        if ties == "none":
+            scores = rng.random(n)
+        else:  # a few values, each shared by many nodes
+            scores = rng.random(int(rng.integers(1, 5)))
+            scores = scores[rng.integers(0, scores.size, size=n)]
+            if ties == "printed":  # apart by less than 1e-11 (relative), alike to 12 digits
+                scores *= 1.0 + 1e-13 * rng.integers(-20, 21, size=n)
+        labels = [str(i) for i in rng.permutation(n)]  # "10" sorts before "9"
+        assert order_by_score(scores, labels) == reference_order_by_score(scores, labels)
 
     def test_k_must_be_positive(self):
         a = _result([1.0])

@@ -1,10 +1,13 @@
 """The factored surfing step against the explicit-row step it replaced.
 
-``OWN_BLOCK`` dangling rows are applied through block signatures and the
-link, ``R`` and ``A`` matrices through transposed views; every property here
-demands bit-identical vectors and scores from the ``x @ M`` step built from
-the per-node references in ``helpers`` (where aggregation-disaggregation
-corrections run, that step drives the same corrected kernel).
+``OWN_BLOCK`` dangling rows are applied through block signatures, and every
+operand is read row-wise in CSR (``H^T`` and ``R^T`` stored as CSR, ``A^T``
+the transpose of the CSR ``A``), because a row gather is faster than a
+column scatter and adds the same products in the same order.  Every
+property here demands bit-identical vectors and scores from the ``x @ M``
+step built from the per-node references in ``helpers`` (where
+aggregation-disaggregation corrections run, that step drives the same
+corrected kernel).
 """
 
 from __future__ import annotations
@@ -71,6 +74,18 @@ def test_signatures_index_every_row(instance):
     assert h.signature.tolist() == signature
     assert h.reach.shape[0] == len(set(signature))  # one row per distinct signature
     assert np.array_equal(h.reach[h.signature].toarray(), reach)
+
+
+@SETTINGS
+@given(instances())
+def test_links_are_stored_once_and_transposed_as_csr(instance):
+    g, d, _ = instance
+    for policy in DanglingPolicy:
+        h = build_hyperlink(g, policy, d)
+        assert np.shares_memory(h.base.indptr, g.indptr)
+        assert g.indices.size == 0 or np.shares_memory(h.base.indices, g.indices)
+        assert h.base_t.format == "csr" and h.base_t.has_sorted_indices
+        assert np.array_equal(h.base_t.toarray(), h.base.T.toarray())
 
 
 @SETTINGS
