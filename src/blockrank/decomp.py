@@ -21,10 +21,9 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, CoverageError, ParseError
-from .graph import MATERIALIZE_CAP, Graph, intern, ones_at, pattern, require_dense, tokenize_pairs
+from .graph import Graph, intern, ones_at, pattern, require_dense, tokenize_pairs
 
 __all__ = [
-    "DecompKind",
     "Decomposition",
     "FactorForm",
     "IndicatorMatrix",
@@ -36,12 +35,11 @@ __all__ = [
 ]
 
 
-class DecompKind(Enum):
+class FactorForm(Enum):
+    """The two shapes of a decomposition, and of its factors."""
+
     PARTITION = "partition"
     COVER = "cover"
-
-
-FactorForm = DecompKind  # build_factors' form names the same two shapes
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ class Decomposition:
     """Indexed family of non-empty node blocks covering all ``n`` nodes.
 
     ``B`` is the ``n x K`` 0/1 membership matrix in canonical CSR form;
-    ``members``, ``node_blocks`` and ``kind`` are derived from it on each access.
+    ``kind`` is derived from it on each access.
     """
 
     block_labels: tuple[str, ...]
@@ -59,10 +57,12 @@ class Decomposition:
     def from_members(cls, members: Sequence[Iterable[int]], n: int) -> Decomposition:
         """Build a decomposition from per-block node-id collections; block
         ``k`` is labelled ``B{k}``."""
-        blocks = [np.fromiter(block, dtype=np.int64) for block in members]
+        blocks = [np.asarray(list(block)) for block in members]
         for k, ids in enumerate(blocks):
             if not ids.size:
                 raise CoverageError(f"block {k} is empty")
+            if ids.dtype.kind not in "iu":
+                raise CoverageError(f"block {k} holds node ids that are not integers")
             if ids.min() < 0 or ids.max() >= n:
                 raise CoverageError(f"block {k} contains node ids outside [0, {n})")
         K = len(blocks)
@@ -85,25 +85,10 @@ class Decomposition:
         return self.B.shape[1]
 
     @property
-    def kind(self) -> DecompKind:
+    def kind(self) -> FactorForm:
         """PARTITION exactly when every node lies in one block."""
         single = (np.diff(self.B.indptr) == 1).all()
-        return DecompKind.PARTITION if single else DecompKind.COVER
-
-    @property
-    def members(self) -> tuple[np.ndarray, ...]:
-        """``members[k]``: block k's node ids, sorted ascending."""
-        by_block = self.B.T.tocsr()
-        return tuple(np.split(by_block.indices, by_block.indptr[1:-1]))
-
-    @property
-    def node_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """``node_blocks[u]``: the blocks containing node u, sorted."""
-        indices, indptr = self.B.indices.tolist(), self.B.indptr.tolist()
-        return tuple(tuple(indices[lo:hi]) for lo, hi in zip(indptr, indptr[1:]))
-
-    def block_sizes(self) -> np.ndarray:
-        return np.bincount(self.B.indices, minlength=self.K)
+        return FactorForm.PARTITION if single else FactorForm.COVER
 
 
 def parse_blocks(text: str, g: Graph) -> Decomposition:
@@ -152,7 +137,6 @@ class ProximityFactors:
 
     R: sparse.csr_array
     A: sparse.csr_array
-    form: FactorForm
 
     @property
     def n(self) -> int:
@@ -193,17 +177,17 @@ def build_factors(
         raise ConfigurationError(f"decomposition covers {d.n} nodes but the graph has {g.n}")
     if form is None:
         form = d.kind
-    elif form is FactorForm.PARTITION and d.kind is not DecompKind.PARTITION:
+    elif form is FactorForm.PARTITION and d.kind is not FactorForm.PARTITION:
         raise ConfigurationError("overlapping cover cannot use the partition factor form")
 
     n, K = g.n, d.K
-    sizes = d.block_sizes()
 
     # Gamma = pattern((I + G) @ B): row u marks u's proximal blocks.
     G = sparse.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
     gamma = pattern(G @ d.B + d.B)
     N = np.diff(gamma.indptr)
     by_block = d.B.T.tocsr()  # B^T: block k's row lists its members
+    sizes = np.diff(by_block.indptr)
     if form is FactorForm.PARTITION:
         # R = Gamma @ Diag(sizes)^-1: per-entry (1/N_u) * (1/|D_J|)
         r_data = (1.0 / np.repeat(N, N)) * (1.0 / sizes[gamma.indices])
@@ -214,12 +198,12 @@ def build_factors(
     R = sparse.csr_array((r_data, gamma.indices, gamma.indptr), shape=(n, K))
     A = sparse.csr_array((a_data, by_block.indices, by_block.indptr), shape=(K, n))
 
-    return ProximityFactors(R=R, A=A, form=form)
+    return ProximityFactors(R=R, A=A)
 
 
-def materialize_m(f: ProximityFactors, cap: int = MATERIALIZE_CAP) -> np.ndarray:
-    """Dense product ``R @ A`` (test/debug aid; refuses above ``cap`` nodes)."""
-    require_dense(f.n, cap)
+def materialize_m(f: ProximityFactors) -> np.ndarray:
+    """Dense product ``R @ A`` (test/debug aid; refuses above ``MATERIALIZE_CAP`` nodes)."""
+    require_dense(f.n)
     return (f.R @ f.A).toarray()
 
 

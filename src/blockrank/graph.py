@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -27,11 +26,12 @@ __all__ = [
 MATERIALIZE_CAP = 2000  # largest order of a dense debug view or oracle input
 
 
-def require_dense(order: int, cap: int = MATERIALIZE_CAP) -> None:
+def require_dense(order: int) -> None:
     """Refuse (:class:`CapExceededError`) to build an ``order x order`` dense
-    matrix above ``cap``."""
-    if order > cap:
-        raise CapExceededError(f"refusing to materialize {order} x {order} matrix (cap {cap})")
+    matrix above ``MATERIALIZE_CAP``."""
+    if order > MATERIALIZE_CAP:
+        raise CapExceededError(
+            f"refusing to materialize {order} x {order} matrix (cap {MATERIALIZE_CAP})")
 
 
 class DanglingPolicy(Enum):
@@ -68,8 +68,10 @@ class Graph:
         if len(label_ids) != n:
             raise ParseError("duplicate node labels")
 
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                           dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise DimensionError(f"edge endpoints must be integer node ids, got {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1).argmax()]
             raise DimensionError(f"edge ({u}, {v}) outside node range [0, {n})")
@@ -84,10 +86,6 @@ class Graph:
             indices=adjacency.indices,
             out_degree=out_degree,
         )
-
-    def out_neighbors(self, u: int) -> np.ndarray:
-        """Node ids reachable from ``u`` in one step (sorted)."""
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
 
 def ones_at(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_array:
@@ -325,10 +323,12 @@ def parse_edge_list(text: str) -> Graph:
 class HyperlinkOperator:
     """Row-stochastic surfing operator, applied as ``x -> x @ H``.
 
-    ``base`` holds the normalized link rows (``1/d_u`` entries; dangling
-    rows are zero).  The substituted dangling rows are kept apart.  Under
-    ``UNIFORM_ALL`` they are the stored dangling set plus an implicit
-    uniform rank-one correction.  Under ``OWN_BLOCK`` they are factored by
+    ``base_t``, the one copy of the links, holds the normalized link rows
+    (``1/d_u`` entries; dangling rows are zero) transposed, in CSR: their
+    part of ``x @ H`` is the row gather ``base_t @ x``, faster than a column
+    scatter and adding in the same order.  The substituted dangling rows
+    are kept apart.  Under ``UNIFORM_ALL`` they are the stored dangling set
+    plus an implicit uniform rank-one correction.  Under ``OWN_BLOCK`` they are factored by
     block signature, the set of blocks a node lies in: dangling node
     ``dangling[i]`` spreads ``share[i]`` (one over the size of the union of
     its blocks) to every node ``v`` with ``reach[signature[v], i] == 1``,
@@ -339,23 +339,17 @@ class HyperlinkOperator:
 
     n: int
     policy: DanglingPolicy
-    base: sparse.csr_array
+    base_t: sparse.csr_array
     dangling: np.ndarray
     share: np.ndarray | None = None
     reach: sparse.csr_array | None = None
     signature: np.ndarray | None = None
 
-    @cached_property
-    def base_t(self) -> sparse.csr_array:
-        """``base.T`` in CSR, built once: ``x @ base`` is ``base_t @ x``, a row
-        gather, faster than a column scatter and adding in the same order."""
-        return self.base.T.tocsr()
-
     def to_dense(self) -> np.ndarray:
         """Materialize the full stochastic matrix (test/debug aid; refuses
         above ``MATERIALIZE_CAP`` nodes)."""
         require_dense(self.n)
-        dense = self.base.toarray()
+        dense = self.base_t.T.toarray()
         if self.policy is DanglingPolicy.OWN_BLOCK:
             dense[self.dangling] = self.reach.toarray()[self.signature].T * self.share[:, None]
         elif self.dangling.size:
@@ -384,10 +378,10 @@ def build_hyperlink(
 
     n = g.n
     data = np.repeat(1.0 / np.maximum(g.out_degree, 1), g.out_degree)
-    base = sparse.csr_array((data, g.indices, g.indptr), shape=(n, n))  # shares g's arrays
+    base_t = sparse.csr_array((data, g.indices, g.indptr), shape=(n, n)).T.tocsr()
     dangling = np.flatnonzero(g.out_degree == 0)
     if policy is not DanglingPolicy.OWN_BLOCK:
-        return HyperlinkOperator(n=n, policy=policy, base=base, dangling=dangling)
+        return HyperlinkOperator(n=n, policy=policy, base_t=base_t, dangling=dangling)
 
     # v lies in the union of dangling u's blocks when their block sets meet,
     # which depends on v only through its signature, its row of B interned
@@ -399,7 +393,7 @@ def build_hyperlink(
     first, signature = intern(rows)
     reach = pattern(B[first] @ B[dangling].T)
     size = reach.T @ np.bincount(signature)
-    return HyperlinkOperator(n=n, policy=policy, base=base, dangling=dangling,
+    return HyperlinkOperator(n=n, policy=policy, base_t=base_t, dangling=dangling,
                              share=1.0 / size, reach=reach, signature=signature)
 
 

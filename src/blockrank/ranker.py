@@ -3,9 +3,10 @@
 The iteration step is ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t * v``
 with ``t = 1 - eta - mu``, without forming the dense proximity matrix or the
 explicit ``OWN_BLOCK`` dangling rows.  Every operand is read row-wise in CSR
-(``H^T``, ``R^T`` stored as CSR once): a row gather beats a column scatter and
-sums in the same order.  A step costs O(nnz(G) + n + nnz(Q) + nnz(R) +
-nnz(A)), ``Q`` being ``HyperlinkOperator.reach`` (signature by dangling node).
+(``H^T`` held once by the operator, ``R^T`` built once per run): a row gather
+beats a column scatter and sums in the same order.  A step costs
+O(nnz(G) + n + nnz(Q) + nnz(R) + nnz(A)), ``Q`` being
+``HyperlinkOperator.reach`` (signature by dangling node).
 
 Without teleportation the iteration contracts at ``|lambda_2(P)|``, which
 tends to 1 as the blocks decouple (the nearly completely decomposable
@@ -85,8 +86,8 @@ class RankParams:
 def _check_stop_rule(tol: float, max_iter: int) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ConfigurationError("max_iter must be at least 1")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ConfigurationError(f"max_iter must be a positive integer, got {max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -253,9 +254,9 @@ def block_aggregation(
     # leak = 1 - trace(E^T P E) / n, from the diagonal terms alone; the links
     # decide most refusals before the proximity term is formed
     eta, mu = params.eta, params.mu
-    base, dangling = h.base, h.dangling
+    base_t, dangling = h.base_t, h.dangling
     size = np.bincount(agg, minlength=k)
-    stay = base.data[agg[base.indices] == np.repeat(agg, np.diff(base.indptr))].sum()
+    stay = base_t.data[agg[base_t.indices] == np.repeat(agg, np.diff(base_t.indptr))].sum()
     if h.policy is DanglingPolicy.OWN_BLOCK:  # the union of u's blocks holds u's aggregate
         stay += (h.share * size[agg[dangling]]).sum()
     else:
@@ -277,7 +278,7 @@ def block_aggregation(
     # share their aggregate, so OWN_BLOCK dangling node i sends share[i] *
     # (nodes of signature s) to aggregate agg(s) for each signature s its row
     # reaches; UNIFORM_ALL dangling rows are all size / n.
-    he = base @ sparse.csr_array((np.ones(n), agg, np.arange(n + 1)), shape=(n, k))
+    he = (base_t.T @ sparse.csr_array((np.ones(n), agg, np.arange(n + 1)), shape=(n, k))).tocsr()
     if h.policy is DanglingPolicy.OWN_BLOCK:
         sig_agg = np.empty(h.reach.shape[0], dtype=np.int64)
         sig_agg[h.signature] = agg
@@ -422,13 +423,20 @@ def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:
     n = len(labels)
     if a.scores.shape != (n,) or b.scores.shape != (n,):
         raise DimensionError("rankings and labels must cover the same node universe")
-    if k < 1:
-        raise ConfigurationError(f"k must be a positive integer, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     clipped = k > n
     k_eff = min(k, n)
 
-    top_a, top_b = (tuple(labels[i] for i in order_by_score(scores, labels)[:k_eff])
-                    for scores in (a.scores, b.scores))
+    def top(scores: np.ndarray) -> tuple[str, ...]:
+        # only scores within the printed-tie margin of the k-th largest can
+        # place in the top k, so only those are ordered
+        kth = scores[np.argpartition(-scores, k_eff - 1)[k_eff - 1]]
+        pick = np.flatnonzero(scores >= kth - 1e-11 * abs(kth)).tolist()
+        order = order_by_score(scores[pick], [labels[i] for i in pick])
+        return tuple(labels[pick[i]] for i in order[:k_eff])
+
+    top_a, top_b = top(a.scores), top(b.scores)
     overlap = len(set(top_a) & set(top_b)) / k_eff
     l1 = float(np.abs(a.scores - b.scores).sum())
     return ComparisonReport(

@@ -115,17 +115,18 @@ def _bool_power(pattern: np.ndarray, exponent: int) -> np.ndarray:
     return result
 
 
-def is_primitive(m, cap: int = PRIMITIVITY_CAP) -> bool:
+def is_primitive(m) -> bool:
     """Wielandt power test for primitivity of a non-negative square matrix.
 
-    Dense oracle: refuses orders above ``cap``.  Equivalent to irreducible
-    with period 1; also the ground truth the cheap irreducible-plus-positive-
-    diagonal shortcut must agree with.
+    Dense oracle: refuses orders above ``PRIMITIVITY_CAP``.  Equivalent to
+    irreducible with period 1; also the ground truth the cheap
+    irreducible-plus-positive-diagonal shortcut must agree with.
     """
     positive = _positive_pattern(m)
     k = positive.shape[0]
-    if k > cap:
-        raise CapExceededError(f"primitivity oracle refused for order {k} (cap {cap})")
+    if k > PRIMITIVITY_CAP:
+        raise CapExceededError(
+            f"primitivity oracle refused for order {k} (cap {PRIMITIVITY_CAP})")
     exponent = k * k - 2 * k + 2
     return bool(_bool_power(positive.toarray(), exponent).all())
 
@@ -142,13 +143,9 @@ def teleportation_free_check(w: IndicatorMatrix) -> CheckReport:
     )
 
 
-def dense_stationary(
-    p: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-    cap: int = MATERIALIZE_CAP,
-) -> np.ndarray:
-    """Stationary vector of a dense row-stochastic matrix by power iteration.
+def dense_stationary(p: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
+    """Stationary vector of a dense row-stochastic matrix by power iteration
+    (dense oracle: refuses orders above ``MATERIALIZE_CAP``).
 
     Starts from the uniform vector and renormalizes each step; returns a
     probability vector whose residual ``||x @ p - x||_1`` is at most ``tol``.
@@ -159,8 +156,9 @@ def dense_stationary(
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise DimensionError(f"matrix of shape {dense.shape} is not square")
     n = dense.shape[0]
-    if n > cap:
-        raise CapExceededError(f"dense stationary oracle refused for order {n} (cap {cap})")
+    if n > MATERIALIZE_CAP:
+        raise CapExceededError(
+            f"dense stationary oracle refused for order {n} (cap {MATERIALIZE_CAP})")
     if not np.isfinite(dense).all():
         raise ValueError("matrix entries must be finite")
     if dense.size and dense.min() < 0:

@@ -30,6 +30,28 @@ G4_M = np.array([
 G4_W = np.array([[0.75, 0.25], [0.25, 0.75]])
 
 
+def members(d: Decomposition) -> tuple[np.ndarray, ...]:
+    """``members(d)[k]``: block k's node ids, sorted ascending."""
+    by_block = d.B.T.tocsr()
+    return tuple(np.split(by_block.indices, by_block.indptr[1:-1]))
+
+
+def node_blocks(d: Decomposition) -> tuple[tuple[int, ...], ...]:
+    """``node_blocks(d)[u]``: the blocks containing node u, sorted."""
+    indices, indptr = d.B.indices.tolist(), d.B.indptr.tolist()
+    return tuple(tuple(indices[lo:hi]) for lo, hi in zip(indptr, indptr[1:]))
+
+
+def block_sizes(d: Decomposition) -> np.ndarray:
+    """Number of nodes in each block."""
+    return np.bincount(d.B.indices, minlength=d.K)
+
+
+def out_neighbors(g: Graph, u: int) -> np.ndarray:
+    """Node ids reachable from ``u`` in one step (sorted)."""
+    return g.indices[g.indptr[u]:g.indptr[u + 1]]
+
+
 def random_graph(rng: np.random.Generator, n: int, edge_prob: float = 0.3) -> Graph:
     """Graph on n nodes; each ordered pair (u, v), u != v, is an edge w.p. edge_prob."""
     labels = [f"n{i}" for i in range(n)]
@@ -46,8 +68,8 @@ def random_partition(rng: np.random.Generator, n: int, k_max: int = 4) -> Decomp
     """Partition assigning each node a uniform random block; empty blocks dropped."""
     k = int(rng.integers(1, k_max + 1))
     assign = rng.integers(0, k, size=n)
-    members = [np.flatnonzero(assign == b) for b in range(k)]
-    return Decomposition.from_members([m for m in members if m.size], n=n)
+    blocks = [np.flatnonzero(assign == b) for b in range(k)]
+    return Decomposition.from_members([m for m in blocks if m.size], n=n)
 
 
 def random_cover(
@@ -59,8 +81,8 @@ def random_cover(
     for u in range(n):
         if not picks[u].any():
             picks[u, int(rng.integers(0, k))] = True
-    members = [np.flatnonzero(picks[:, b]) for b in range(k)]
-    return Decomposition.from_members([m for m in members if m.size], n=n)
+    blocks = [np.flatnonzero(picks[:, b]) for b in range(k)]
+    return Decomposition.from_members([m for m in blocks if m.size], n=n)
 
 
 def random_instance(
@@ -88,15 +110,15 @@ def ncd_instance(
     connected.  About a ``dangling`` share of the nodes sends no link; with
     ``cover`` about one node in twenty also joins the next block."""
     block = rng.permutation(np.arange(n) % k)
-    members = [np.flatnonzero(block == b) for b in range(k)]
-    edges = [(int(members[b][0]), int(members[(b + 1) % k][0])) for b in range(k)]
+    homes = [np.flatnonzero(block == b) for b in range(k)]
+    edges = [(int(homes[b][0]), int(homes[(b + 1) % k][0])) for b in range(k)]
     for u in range(n):
         if rng.random() < dangling:
             continue
         for _ in range(3):
             target = block[u] if rng.random() >= eps else int(rng.integers(k))
-            edges.append((u, int(rng.choice(members[target]))))
-    blocks = [list(m) for m in members]
+            edges.append((u, int(rng.choice(homes[target]))))
+    blocks = [list(m) for m in homes]
     if cover:
         for u in np.flatnonzero(rng.random(n) < 0.05).tolist():
             blocks[(block[u] + 1) % k].append(u)
@@ -111,15 +133,15 @@ def dense_hyperlink(
 ) -> np.ndarray:
     """Dense stochastic H by direct definition (oracle)."""
     H = np.zeros((g.n, g.n))
-    members, node_blocks = (decomp.members, decomp.node_blocks) if decomp else ((), ())
+    ids, blocks_of = (members(decomp), node_blocks(decomp)) if decomp else ((), ())
     for u in range(g.n):
-        nbrs = g.out_neighbors(u)
+        nbrs = out_neighbors(g, u)
         if nbrs.size:
             H[u, nbrs] = 1.0 / nbrs.size
         elif policy is DanglingPolicy.UNIFORM_ALL:
             H[u, :] = 1.0 / g.n
         else:
-            support = sorted({v for b in node_blocks[u] for v in members[b].tolist()})
+            support = sorted({v for b in blocks_of[u] for v in ids[b].tolist()})
             H[u, support] = 1.0 / len(support)
     return H
 
@@ -132,12 +154,12 @@ def direct_proximity(g: Graph, d: Decomposition) -> np.ndarray:
     when blocks overlap.
     """
     M = np.zeros((g.n, g.n))
-    members = d.members
+    ids = members(d)
     for u, blocks in enumerate(reference_proximal_sets(g, d)):
         n_u = len(blocks)
         for k in blocks:
-            size = int(members[k].size)
-            for v in members[k].tolist():
+            size = int(ids[k].size)
+            for v in ids[k].tolist():
                 M[u, v] += 1.0 / (n_u * size)
     return M
 
@@ -151,7 +173,7 @@ def dense_surfing(g: Graph, d: Decomposition, policy: DanglingPolicy,
 def dense_aggregates(d: Decomposition) -> np.ndarray:
     """Aggregate of each node: its lowest block, renumbered over the blocks
     that are some node's lowest."""
-    lowest = [blocks[0] for blocks in d.node_blocks]
+    lowest = [blocks[0] for blocks in node_blocks(d)]
     return np.unique(lowest, return_inverse=True)[1]
 
 
@@ -286,11 +308,11 @@ def reference_signatures(d: Decomposition, dangling: np.ndarray) -> tuple[list[i
     """Per node: its block signature's id (distinct block sets numbered in
     first-appearance order), and whether its blocks meet each dangling
     node's (the explicit pattern of ``reach[signature]``)."""
-    node_blocks = d.node_blocks
-    ids = first_appearance(node_blocks)
-    meets = [[float(not set(blocks).isdisjoint(node_blocks[u])) for u in dangling.tolist()]
-             for blocks in node_blocks]
-    return [ids[blocks] for blocks in node_blocks], np.array(meets).reshape(d.n, dangling.size)
+    blocks_of = node_blocks(d)
+    ids = first_appearance(blocks_of)
+    meets = [[float(not set(blocks).isdisjoint(blocks_of[u])) for u in dangling.tolist()]
+             for blocks in blocks_of]
+    return [ids[blocks] for blocks in blocks_of], np.array(meets).reshape(d.n, dangling.size)
 
 
 def reference_adjacency(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -306,12 +328,12 @@ def reference_adjacency(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_proximal_sets(g: Graph, d: Decomposition) -> list[set[int]]:
     """Per node u: the blocks containing u or one of its out-neighbors."""
-    node_blocks = d.node_blocks
+    blocks_of = node_blocks(d)
     sets = []
     for u in range(g.n):
-        blocks = set(node_blocks[u])
-        for w in g.out_neighbors(u):
-            blocks.update(node_blocks[int(w)])
+        blocks = set(blocks_of[u])
+        for w in out_neighbors(g, u):
+            blocks.update(blocks_of[int(w)])
         sets.append(blocks)
     return sets
 
@@ -329,12 +351,12 @@ def reference_hyperlink(
     base = sparse.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
     if policy is not DanglingPolicy.OWN_BLOCK:
         return base, None
-    members, node_blocks = d.members, d.node_blocks
+    ids, blocks_of = members(d), node_blocks(d)
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     for u in np.flatnonzero(g.out_degree == 0).tolist():
-        support = sorted({v for b in node_blocks[u] for v in members[b].tolist()})
+        support = sorted({v for b in blocks_of[u] for v in ids[b].tolist()})
         rows.extend([u] * len(support))
         cols.extend(support)
         vals.extend([1.0 / len(support)] * len(support))
@@ -362,8 +384,8 @@ def reference_factors(
 ) -> tuple[sparse.csr_array, sparse.csr_array, np.ndarray]:
     """(R, A, N) built node by node from the proximal sets."""
     n, K = g.n, d.K
-    members = d.members
-    sizes = np.array([ids.size for ids in members], dtype=np.int64)
+    block_ids = members(d)
+    sizes = np.array([ids.size for ids in block_ids], dtype=np.int64)
     prox = [sorted(blocks) for blocks in reference_proximal_sets(g, d)]
     N = np.array([len(blocks) for blocks in prox], dtype=np.int64)
     r_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -380,11 +402,11 @@ def reference_factors(
     R = sparse.csr_array((r_data, r_indices, r_indptr), shape=(n, K))
     a_indptr = np.zeros(K + 1, dtype=np.int64)
     np.cumsum(sizes, out=a_indptr[1:])
-    a_indices = np.concatenate(members)
+    a_indices = np.concatenate(block_ids)
     if form is FactorForm.PARTITION:
         a_data = np.ones(a_indices.size, dtype=np.float64)
     else:
-        a_data = np.concatenate([np.full(ids.size, 1.0 / ids.size) for ids in members])
+        a_data = np.concatenate([np.full(ids.size, 1.0 / ids.size) for ids in block_ids])
     A = sparse.csr_array((a_data, a_indices, a_indptr), shape=(K, n))
     return R, A, N
 

@@ -9,8 +9,17 @@ import random
 import numpy as np
 import pytest
 
-from blockrank import DanglingPolicy, RankParams
+from blockrank import (
+    DanglingPolicy,
+    FactorForm,
+    RankParams,
+    build_factors,
+    build_hyperlink,
+    parse_blocks,
+    parse_edge_list,
+)
 from blockrank.cli import _build_parser, main
+from blockrank.ranker import block_aggregation
 
 from helpers import G4_BLOCKS, G4_EDGES
 
@@ -437,11 +446,13 @@ class TestDeterminism:
             assert first == capsys.readouterr().out
 
 
-def _corpus(seed: int, n: int, k: int, overlap: float) -> tuple[bytes, bytes]:
+def _corpus(seed: int, n: int, k: int, overlap: float,
+            in_block: float = 0.8) -> tuple[bytes, bytes]:
     """Seeded edge and block files exercising every input-format corner.
 
     Node ``p<i>`` sits in block ``i % k``; a share ``overlap`` of the nodes
-    joins a second block.  About 10% of the nodes are dangling.  The text
+    joins a second block.  Each link stays in its source's block with
+    probability ``in_block`` or more.  About 10% of the nodes are dangling.  The text
     mixes duplicate edges, self-loops, ``#`` comments, blank lines, ragged
     whitespace and CRLF line endings.  A ring of links through every block
     keeps the teleport-free model admissible.
@@ -456,7 +467,7 @@ def _corpus(seed: int, n: int, k: int, overlap: float) -> tuple[bytes, bytes]:
         if u in dangling:
             continue
         for _ in range(rnd.randint(1, 6)):
-            pool = home[u % k] if rnd.random() < 0.8 else range(n)
+            pool = home[u % k] if rnd.random() < in_block else range(n)
             edges.append((u, rnd.choice(pool)))
         if rnd.random() < 0.05:
             edges.append((u, u))
@@ -520,13 +531,57 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
-def test_golden_stdout(corpus, command, tmp_path, capsys):
-    edges, blocks = CORPORA[corpus]()
+def _run_digest(args, corpus, tmp_path, capsys) -> tuple[int, str]:
+    """(exit code, sha256 of stdout) of ``args`` on the corpus's files."""
+    edges, blocks = corpus
     graph_path, blocks_path = tmp_path / "c.edges", tmp_path / "c.blocks"
     graph_path.write_bytes(edges)
     blocks_path.write_bytes(blocks)
-    code = run(GOLDEN_ARGS[command] + ["--graph", str(graph_path), "--blocks", str(blocks_path)])
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == GOLDEN[f"{corpus}/{command}"]
+    code = run(args + ["--graph", str(graph_path), "--blocks", str(blocks_path)])
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
+def test_golden_stdout(corpus, command, tmp_path, capsys):
+    got = _run_digest(GOLDEN_ARGS[command], CORPORA[corpus](), tmp_path, capsys)
+    assert got == GOLDEN[f"{corpus}/{command}"]
+
+
+def _ncd_corpus() -> tuple[bytes, bytes]:
+    """A cover whose links leave their block with probability 0.01: the
+    default teleport-free model takes aggregation-disaggregation corrections
+    under both dangling policies."""
+    return _corpus(14, 300, 7, 0.01, in_block=0.99)
+
+
+CORRECTED_ARGS = {
+    "rank": ["rank"],
+    "rank-uniform": ["rank", "--dangling", "uniform"],
+    "compare-json": ["compare", "--format", "json"],
+    "compare-json-uniform": ["compare", "--format", "json", "--dangling", "uniform"],
+}
+
+# (exit code, sha256 of stdout) recorded before H's links were stored once.
+CORRECTED_GOLDEN = {
+    "compare-json": (0, "e9334e30691533ea4f406d38a53caafff5b7eb7d30e7b2f4b580313ae2e28d47"),
+    "compare-json-uniform": (0, "15174206b5acc2c4afb7e428ae757cd688a267b5cc2fe831a9a50ffd41164195"),
+    "rank": (0, "4f6e39585c7e0478740f49336981e67f772658540838e162b15941794525a116"),
+    "rank-uniform": (0, "48b5e056f70db4119b943fca75963c82ba7c9a6434c418079b598b80d56b43d5"),
+}
+
+
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_ncd_corpus_takes_corrections(policy):
+    edges, blocks = _ncd_corpus()
+    g = parse_edge_list(edges.decode())
+    d = parse_blocks(blocks.decode(), g)
+    assert d.kind is FactorForm.COVER
+    h, f = build_hyperlink(g, policy, d), build_factors(d, g)
+    assert block_aggregation(h, f, RankParams()) is not None
+
+
+@pytest.mark.parametrize("command", sorted(CORRECTED_ARGS))
+def test_corrected_golden_stdout(command, tmp_path, capsys):
+    got = _run_digest(CORRECTED_ARGS[command], _ncd_corpus(), tmp_path, capsys)
+    assert got == CORRECTED_GOLDEN[command]

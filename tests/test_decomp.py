@@ -7,7 +7,6 @@ import pytest
 
 from blockrank import (
     DanglingPolicy,
-    DecompKind,
     Decomposition,
     FactorForm,
     Graph,
@@ -24,12 +23,15 @@ from blockrank.errors import (
     CoverageError,
     ParseError,
 )
+from blockrank.graph import MATERIALIZE_CAP
 
 from helpers import (
     G4_M,
     G4_W,
     dense_hyperlink,
     direct_proximity,
+    members,
+    node_blocks,
     random_cover,
     random_graph,
     random_instance,
@@ -40,16 +42,16 @@ from helpers import (
 class TestParseBlocks:
     def test_reference_partition(self, g4, g4_decomp):
         assert g4_decomp.K == 2
-        assert g4_decomp.kind is DecompKind.PARTITION
+        assert g4_decomp.kind is FactorForm.PARTITION
         assert g4_decomp.block_labels == ("B1", "B2")
-        assert [m.tolist() for m in g4_decomp.members] == [[0, 1], [2, 3]]
+        assert [m.tolist() for m in members(g4_decomp)] == [[0, 1], [2, 3]]
 
     def test_overlap_makes_a_cover(self):
         g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
         d = parse_blocks("a B1\na B2\nb B1\nc B2", g)
         assert d.K == 2
-        assert d.kind is DecompKind.COVER
-        assert d.node_blocks[0] == (0, 1)
+        assert d.kind is FactorForm.COVER
+        assert node_blocks(d)[0] == (0, 1)
 
     def test_uncovered_node_rejected(self, g4):
         with pytest.raises(CoverageError, match="d"):
@@ -65,8 +67,8 @@ class TestParseBlocks:
 
     def test_comments_skipped_and_duplicates_collapse(self, g4):
         d = parse_blocks("# cover\na B1\na B1\nb B1\nc B2\nd B2", g4)
-        assert d.kind is DecompKind.PARTITION
-        assert d.members[0].tolist() == [0, 1]
+        assert d.kind is FactorForm.PARTITION
+        assert members(d)[0].tolist() == [0, 1]
 
     def test_empty_blocks_file_rejected(self, g4):
         with pytest.raises(ParseError):
@@ -100,8 +102,7 @@ class TestProximalSet:
 
 class TestBuildFactors:
     def test_reference_factors(self, g4, g4_decomp):
-        f = build_factors(g4_decomp, g4)
-        assert f.form is FactorForm.PARTITION
+        f = build_factors(g4_decomp, g4)  # the partition form, 0/1 rows of A
         expected_r = np.array([
             [0.50, 0.00],
             [0.25, 0.25],
@@ -123,7 +124,7 @@ class TestBuildFactors:
     def test_partition_through_cover_form_gives_same_product(self, g4, g4_decomp):
         part = build_factors(g4_decomp, g4)
         cov = build_factors(g4_decomp, g4, form=FactorForm.COVER)
-        assert cov.form is FactorForm.COVER
+        np.testing.assert_allclose(cov.A.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(
             materialize_m(cov), materialize_m(part), rtol=0, atol=1e-14
         )
@@ -169,9 +170,11 @@ class TestMaterialize:
         m = materialize_m(build_factors(d, g))
         np.testing.assert_allclose(m[0], [0.5, 0.25, 0.25], atol=1e-15)
 
-    def test_cap_refusal(self, g4, g4_decomp):
+    def test_cap_refusal(self):
+        n = MATERIALIZE_CAP + 1
+        g = Graph.from_edges([f"n{i}" for i in range(n)], [])
         with pytest.raises(CapExceededError):
-            materialize_m(build_factors(g4_decomp, g4), cap=3)
+            materialize_m(build_factors(Decomposition.from_members([range(n)], n=n), g))
 
 
 class TestIndicator:
@@ -205,8 +208,8 @@ class TestDecompositionConstruction:
     def test_kind_derivation(self):
         part = Decomposition.from_members([[0], [1]], n=2)
         cover = Decomposition.from_members([[0, 1], [1]], n=2)
-        assert part.kind is DecompKind.PARTITION
-        assert cover.kind is DecompKind.COVER
+        assert part.kind is FactorForm.PARTITION
+        assert cover.kind is FactorForm.COVER
 
 
 SEED_DECOMP = 47023

@@ -27,6 +27,7 @@ from blockrank import (
 )
 from blockrank.errors import (
     ConfigurationError,
+    CoverageError,
     DimensionError,
     ReducibleModelError,
 )
@@ -238,6 +239,22 @@ def _result(scores) -> RankResult:
     return RankResult(scores=scores, iterations=1, residual=0.0, converged=True)
 
 
+def _tied_scores(rng: np.random.Generator, n: int, ties: str) -> np.ndarray:
+    """``n`` scores: distinct ("none"), a few values each shared by many nodes
+    ("exact"), those values apart by less than 1e-11 (relative) and alike to
+    12 digits ("printed"), or apart by up to 3e-11, so that some print alike
+    and some only fall near the tie margin ("near")."""
+    if ties == "none":
+        return rng.random(n)
+    scores = rng.random(int(rng.integers(1, 5)))
+    scores = scores[rng.integers(0, scores.size, size=n)]
+    if ties == "printed":
+        scores *= 1.0 + 1e-13 * rng.integers(-20, 21, size=n)
+    elif ties == "near":
+        scores *= 1.0 + 1e-12 * rng.integers(-15, 16, size=n)
+    return scores
+
+
 class TestCompare:
     def test_identical_rankings(self):
         a = _result([0.4, 0.3, 0.2, 0.1])
@@ -276,15 +293,22 @@ class TestCompare:
            st.sampled_from(["exact", "printed", "none"]))
     def test_order_matches_the_label_then_key_sort(self, seed, n, ties):
         rng = np.random.default_rng(seed)
-        if ties == "none":
-            scores = rng.random(n)
-        else:  # a few values, each shared by many nodes
-            scores = rng.random(int(rng.integers(1, 5)))
-            scores = scores[rng.integers(0, scores.size, size=n)]
-            if ties == "printed":  # apart by less than 1e-11 (relative), alike to 12 digits
-                scores *= 1.0 + 1e-13 * rng.integers(-20, 21, size=n)
+        scores = _tied_scores(rng, n, ties)
         labels = [str(i) for i in rng.permutation(n)]  # "10" sorts before "9"
         assert order_by_score(scores, labels) == reference_order_by_score(scores, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 70),
+           st.sampled_from(["exact", "printed", "near", "none"]))
+    def test_top_k_is_the_head_of_the_full_order(self, seed, n, k, ties):
+        # the top k are ordered from a partial selection; tie groups, in
+        # printed key and then in label, often straddle the k-th place
+        rng = np.random.default_rng(seed)
+        a, b = _tied_scores(rng, n, ties), _tied_scores(rng, n, ties)
+        labels = [str(i) for i in rng.permutation(n)]
+        report = compare(_result(a), _result(b), k, labels)
+        for scores, top in ((a, report.top_a), (b, report.top_b)):
+            assert top == tuple(labels[i] for i in reference_order_by_score(scores, labels)[:k])
 
     def test_k_must_be_positive(self):
         a = _result([1.0])
@@ -309,6 +333,17 @@ class TestCompare:
 
 
 SEED_RANKER = 624007
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: Graph.from_edges(["a", "b"], [(0.7, 1.2)]), DimensionError),
+    (lambda: Decomposition.from_members([[0, 1.5], [2, 3]], n=4), CoverageError),
+    (lambda: RankParams(max_iter=2.5), ConfigurationError),
+    (lambda: compare(_result([0.5, 0.5]), _result([0.5, 0.5]), 2.5, "ab"), ConfigurationError),
+], ids=["edge", "member", "max_iter", "k"])
+def test_non_integral_ids_and_counts_are_rejected_where_they_enter(make, error):
+    with pytest.raises(error, match="integer"):
+        make()
 
 
 class TestRankerProperties:

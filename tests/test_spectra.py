@@ -32,6 +32,8 @@ from blockrank.errors import (
     DimensionError,
     ReducibleModelError,
 )
+from blockrank.graph import MATERIALIZE_CAP
+from blockrank.spectra import PRIMITIVITY_CAP
 
 from helpers import G4_W, random_instance, reference_strong_components
 
@@ -142,7 +144,7 @@ class TestIsPrimitive:
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError):
-            is_primitive(np.ones((4, 4)), cap=3)
+            is_primitive(np.eye(PRIMITIVITY_CAP + 1))
 
     def test_cyclic_permutation_is_not_primitive(self):
         p = np.roll(np.eye(5), 1, axis=1)
@@ -292,7 +294,7 @@ class TestDenseStationary:
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError):
-            dense_stationary(np.eye(5), tol=1e-9, cap=4)
+            dense_stationary(np.eye(MATERIALIZE_CAP + 1), tol=1e-9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
