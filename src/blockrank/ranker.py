@@ -9,15 +9,19 @@ O(nnz(G) + n + nnz(Q) + nnz(R) + nnz(A)), ``Q`` being
 ``HyperlinkOperator.reach`` (signature by dangling node).
 
 Without teleportation the iteration contracts at ``|lambda_2(P)|``, which
-tends to 1 as the blocks decouple (the nearly completely decomposable
-regime).  There, :func:`rank` rescales ``x`` before each step so that the
-mass of each aggregate (the nodes whose lowest block is the same) matches
-the stationary vector of the small coupled chain between aggregates
-(iterative aggregation-disaggregation, Koury, McAllister & Stewart 1984).
-The stop rule and the returned vector are those of the plain step that
-follows, so ``|x @ P - x|_1 <= tol`` holds as without corrections.  Whether
-corrections run is decided once from the input (:func:`block_aggregation`).
-A PageRank baseline and a small comparison report round out the module.
+tends to 1 as a block decouples from the rest (the nearly completely
+decomposable regime).  There, :func:`rank` rescales ``x`` before each step
+so that the mass of each aggregate (the nodes whose lowest block is the
+same) matches the stationary vector of the small coupled chain between
+aggregates (iterative aggregation-disaggregation, Koury, McAllister &
+Stewart 1984).  Up to ``K^2 <= n`` blocks that chain is dense and solved
+exactly; above, it is kept on its sparse pattern and solved inexactly by a
+few power steps that start from the previous correction (De Sterck et al.,
+SIAM J. Sci. Comput. 2008).  The stop rule and the returned vector are
+those of the plain step that follows, so ``|x @ P - x|_1 <= tol`` holds as
+without corrections.  Whether corrections run is decided once from the
+input (:func:`block_aggregation`).  A PageRank baseline and a small
+comparison report round out the module.
 """
 
 from __future__ import annotations
@@ -46,12 +50,22 @@ __all__ = [
 # The one weight tolerance: eta + mu may exceed 1 by this much, and a rest
 # 1 - eta - mu within it of 0 is exactly 0, so the run is teleport-free.
 WEIGHT_TOL = 1e-9
-# Largest block leak (probability that one step from the uniform vector
-# leaves the walker's aggregate) at which aggregation-disaggregation
+# Largest leak of the weakest aggregate (the probability that one step from
+# the uniform vector on it leaves it) at which aggregation-disaggregation
 # corrections run.  On a coupling sweep (K = 8, n = 8000) corrected runs
 # cost as much wall time as plain ones near a leak of 0.22; half of that
 # leaves room for blocks that mix more slowly inside.
 LEAK = 0.1
+# A sparse coarse solve stops once a power step on the coupled chain changes
+# it by at most COARSE_STOP times the fine residual, or after COARSE_STEPS
+# steps.  On hosts-cover (K = 800) fractions 1.0 / 0.3 / 0.1 took 255 / 55 /
+# 50 fine steps, and 0.3 takes about 9 coarse steps per correction.  The cap
+# binds only where the coupled chain itself mixes slowly: on a generator
+# instance with n = 20000, K = 200 and 1% of links leaving their block,
+# caps of 20 / 100 / 200 / 500 / 1000 took 3000+ / 768 / 396 / 172 / 112
+# fine steps (76,085 plain), and a cap of 1500 let corrections stall.
+COARSE_STOP = 0.3
+COARSE_STEPS = 200
 RATE_WINDOW = 5  # residual ratios averaged into RankResult.rate
 
 
@@ -175,48 +189,49 @@ class BlockAggregation:
     ``P = eta * H + mu * R @ A``.
 
     Node ``u`` belongs to aggregate ``agg[u]``, the renumbered lowest block
-    containing it; ``E`` is the matching ``n x k`` 0/1 matrix.  ``rows``,
-    ``slot`` and ``data`` list the entries ``(u, j)`` of ``eta * H E`` at
-    slot ``agg[u] * k + j``, then the entries ``(u, b)`` of ``R`` at slot
-    ``k * k + agg[u] * K + b``, so one ``bincount`` gives both
-    ``E^T Diag(x) eta H E`` and ``E^T Diag(x) R``.  The proximity term stays
-    factored, since for a cover ``R @ A E`` can hold ``n x k`` entries:
-    ``ae`` is the dense ``K x k`` matrix ``mu * A E``.  Under ``UNIFORM_ALL``
-    the dangling rows of ``eta * H E`` are all ``spread`` and enter as an
-    outer product.  ``leak`` is the probability that one step from the
-    uniform vector leaves the walker's aggregate.
+    containing it; ``E`` is the matching ``n x k`` 0/1 matrix.  The coupled
+    chain ``C = E^T Diag(x) P E`` lives on a fixed pattern, ``c_t`` being
+    ``C^T`` in CSR with its entries rewritten by each correction:
+    ``links @ x`` lists the entries of ``E^T Diag(x) eta H E`` on that
+    pattern and ``proximity @ x`` those of ``Z = E^T Diag(x) R`` on its
+    own, and ``pairs`` adds ``Z``'s entry ``(i, b)`` times the entry
+    ``(b, j)`` of ``mu * A E`` to ``C``'s entry ``(i, j)``.  The proximity
+    term stays factored, since for a cover ``R @ A E`` can hold ``n x k``
+    entries.  Under ``UNIFORM_ALL`` the dangling rows of ``eta * H E`` are
+    all ``spread`` and enter as a rank-one term.  ``leak`` is the weakest
+    aggregate's: the probability that one step from the uniform vector on
+    it leaves it.  With ``exact`` (``K^2 <= n`` blocks) ``C`` is solved
+    densely; otherwise by power steps, and ``state`` keeps the vector ``y``
+    that the last correction returned, so a corrector serves one run (as
+    :func:`rank` builds it).  A correction costs
+    O(nnz(H E) + nnz(R) + nnz(pairs)) plus ``K^3`` for the dense solve or
+    ``steps * nnz(C)`` for the power steps.
     """
 
     agg: np.ndarray
-    rows: np.ndarray
-    slot: np.ndarray
-    data: np.ndarray
-    ae: np.ndarray
     leak: float
-    dangling: np.ndarray | None = None
-    spread: np.ndarray | None = None
+    dangling: np.ndarray | None
+    spread: np.ndarray | None
+    links: sparse.csr_array
+    proximity: sparse.csr_array
+    pairs: sparse.csr_array
+    c_t: sparse.csr_array
+    exact: bool
+    state: dict = field(default_factory=dict)
 
     def correct(self, x: np.ndarray) -> np.ndarray | None:
         """``x`` with each aggregate's mass set to the stationary vector of the
-        coupled ``k x k`` chain ``C = Diag(1/xi) E^T Diag(x) P E``, ``xi = E^T x``;
-        ``None`` when the coarse solve fails or gives a non-positive vector."""
-        K, k = self.ae.shape
-        xi = np.bincount(self.agg, weights=x, minlength=k)
+        coupled ``k x k`` chain ``Diag(1/xi) C``, ``xi = E^T x``; ``None``
+        when the coarse solve fails or gives a non-positive vector."""
+        xi = np.bincount(self.agg, weights=x)
         if not (xi > 0.0).all():
             return None
-        flat = np.bincount(self.slot, weights=x[self.rows] * self.data, minlength=k * (k + K))
-        coupled = flat[:k * k].reshape(k, k) + flat[k * k:].reshape(k, K) @ self.ae
+        mass = None
         if self.dangling is not None:
-            mass = np.bincount(self.agg[self.dangling], weights=x[self.dangling], minlength=k)
-            coupled += np.outer(mass, self.spread)
-        # pi (C - I) = 0 with the last equation replaced by sum(pi) = 1
-        system = coupled.T / xi - np.eye(k)
-        system[-1] = 1.0
-        rhs = np.zeros(k)
-        rhs[-1] = 1.0
-        try:
-            pi = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
+            mass = np.bincount(self.agg[self.dangling], weights=x[self.dangling], minlength=xi.size)
+        self.coupled(x)
+        pi = self._solve(xi, mass) if self.exact else self._power_steps(x, xi, mass)
+        if pi is None:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             scale = pi / xi
@@ -224,7 +239,77 @@ class BlockAggregation:
             return None
         y = x * scale[self.agg]
         y /= y.sum()
+        self.state["y"] = y
         return y
+
+    def coupled(self, x: np.ndarray) -> sparse.csr_array:
+        """``C^T`` without the ``UNIFORM_ALL`` rank-one term."""
+        np.add(self.links @ x, self.pairs @ (self.proximity @ x), out=self.c_t.data)
+        return self.c_t
+
+    def _solve(self, xi, mass):
+        system = self.c_t.toarray()
+        if mass is not None:
+            system += np.outer(self.spread, mass)
+        # pi (Diag(1/xi) C - I) = 0 with the last equation replaced by sum(pi) = 1
+        system = system / xi - np.eye(xi.size)
+        system[-1] = 1.0
+        rhs = np.zeros(xi.size)
+        rhs[-1] = 1.0
+        try:
+            return np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return None
+
+    def _power_steps(self, x, xi, mass):
+        """Power steps on ``Diag(1/xi) C``, which is stochastic, from ``xi``
+        (the last correction's ``pi`` carried through one step) until one
+        changes ``pi`` by at most :data:`COARSE_STOP` times the fine
+        residual (the L1 change of that step), or :data:`COARSE_STEPS` of
+        them; the first correction, with no residual yet, takes one."""
+        pi, y = xi, self.state.get("y")
+        stop = COARSE_STOP * np.abs(x - y).sum() if y is not None else np.inf
+        for _ in range(COARSE_STEPS):
+            q = pi / xi
+            new = self.c_t @ q
+            if mass is not None:
+                new += (mass @ q) * self.spread
+            change = np.abs(new - pi).sum()
+            pi = new
+            if change <= stop:
+                break
+        return pi / pi.sum()
+
+
+def _link_leaks(h: HyperlinkOperator, agg: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Each aggregate's leak under ``H``; ``eta`` times it is a lower bound
+    on the leak under ``P`` that needs only the links."""
+    base_t, dangling = h.base_t, h.dangling
+    to = np.repeat(agg, np.diff(base_t.indptr))
+    inside = agg[base_t.indices] == to
+    if h.policy is DanglingPolicy.OWN_BLOCK:  # the union of u's blocks holds u's aggregate
+        back = h.share * size[agg[dangling]]
+    else:
+        back = size[agg[dangling]] / h.n
+    stay = (np.bincount(to[inside], weights=base_t.data[inside], minlength=size.size)
+            + np.bincount(agg[dangling], weights=back, minlength=size.size))
+    return 1.0 - stay / size
+
+
+def _aggregated_links(h: HyperlinkOperator, agg: np.ndarray, k: int) -> sparse.csr_array:
+    """``H E`` through one sparse product.  Nodes with one signature share
+    their aggregate, so ``OWN_BLOCK`` dangling node i sends ``share[i] *
+    (nodes of signature s)`` to aggregate ``agg(s)`` for each signature s
+    its row reaches; ``UNIFORM_ALL`` dangling rows are left out."""
+    n = h.n
+    he = (h.base_t.T @ sparse.csr_array((np.ones(n), agg, np.arange(n + 1)), shape=(n, k))).tocsr()
+    if h.policy is not DanglingPolicy.OWN_BLOCK:
+        return he
+    sig_agg = np.empty(h.reach.shape[0], dtype=np.int64)
+    sig_agg[h.signature] = agg
+    reach = h.reach.tocoo()
+    return he + sparse.csr_array((h.share[reach.col] * np.bincount(h.signature)[reach.row],
+                                  (h.dangling[reach.col], sig_agg[reach.row])), shape=(n, k))
 
 
 def block_aggregation(
@@ -234,14 +319,21 @@ def block_aggregation(
     not pay.
 
     Corrections run only for the teleport-free operator with ``mu > 0``, at
-    least two aggregates, ``K^2 <= n`` blocks (no dense coarse matrix is
-    larger than a score vector), and a block leak of at most :data:`LEAK`:
-    with strong coupling the plain iteration is fast already and a
-    correction costs more than it saves.  The decision costs
-    O(nnz(G) + nnz(R) + n) and keeps nothing when it says no.
+    least two aggregates, and some aggregate that leaks at most
+    :data:`LEAK` (the probability that one step from the uniform vector on
+    it leaves it): a nearly closed aggregate makes the slow mode that a
+    coarse solve removes, and where every aggregate leaks more the plain
+    iteration is fast already.  The links' share of the leaks is a lower
+    bound that decides most refusals before the proximity term is formed.
+    The decision costs O(nnz(G) + nnz(R) + nnz(A) + n) and keeps nothing
+    when it says no.  The corrector holds
+    O(nnz(G) + nnz(Q) + nnz(R) + nnz(pairs) + n) entries, the pairs being
+    no more than ``nnz(E^T R)`` times the most aggregates one block meets
+    (one, for a partition).  At ``K^2 <= n`` blocks it solves the coupled
+    chain exactly, as a dense ``k x k`` system; above, by power steps.
     """
     n, K = h.n, f.K
-    if params.teleport != 0.0 or params.mu == 0.0 or K * K > n:
+    if params.teleport != 0.0 or params.mu == 0.0:
         return None
     lowest = f.A.T.tocsr()  # row u: the blocks containing u, ascending
     first = lowest.indices[lowest.indptr[:-1]]
@@ -251,51 +343,53 @@ def block_aggregation(
         return None
     agg = (np.cumsum(used) - 1)[first]  # aggregates numbered in block order
 
-    # leak = 1 - trace(E^T P E) / n, from the diagonal terms alone; the links
-    # decide most refusals before the proximity term is formed
     eta, mu = params.eta, params.mu
-    base_t, dangling = h.base_t, h.dangling
-    size = np.bincount(agg, minlength=k)
-    stay = base_t.data[agg[base_t.indices] == np.repeat(agg, np.diff(base_t.indptr))].sum()
-    if h.policy is DanglingPolicy.OWN_BLOCK:  # the union of u's blocks holds u's aggregate
-        stay += (h.share * size[agg[dangling]]).sum()
-    else:
-        stay += size[agg[dangling]].sum() / n
-    leak = eta * (1.0 - stay / n)
-    if leak > LEAK:
+    size = np.bincount(agg)
+    leaks = eta * _link_leaks(h, agg, size)
+    if leaks.min() > LEAK:
         return None
+    # A E and Z = E^T R on their patterns, both keyed b * k + aggregate;
+    # where both hold (b, j), that share of block b returns to aggregate j
     R, A = f.R, f.A
     r_rows = np.repeat(np.arange(n), np.diff(R.indptr))
-    r_slot = agg[r_rows] * K + R.indices
-    a_rows = np.repeat(np.arange(K), np.diff(A.indptr))
-    ae = np.bincount(a_rows * k + agg[A.indices], weights=A.data, minlength=K * k).reshape(K, k)
-    reached = np.bincount(r_slot, weights=R.data, minlength=k * K).reshape(k, K)
-    leak += mu * (1.0 - (reached * ae.T).sum() / n)
-    if leak > LEAK:
+    ae_key, ae_slot = np.unique(np.repeat(np.arange(K), np.diff(A.indptr)) * k + agg[A.indices],
+                                return_inverse=True)
+    ae = np.bincount(ae_slot, weights=A.data)
+    z_key, z_slot = np.unique(R.indices.astype(np.int64) * k + agg[r_rows], return_inverse=True)
+    at = np.minimum(np.searchsorted(z_key, ae_key), z_key.size - 1)
+    hit = z_key[at] == ae_key
+    stay = np.bincount(ae_key[hit] % k, weights=ae[hit] * np.bincount(z_slot, R.data)[at[hit]],
+                       minlength=k)
+    leaks += mu * (1.0 - stay / size)
+    if leaks.min() > LEAK:
         return None
 
-    # H E: the links through one sparse product.  Nodes with one signature
-    # share their aggregate, so OWN_BLOCK dangling node i sends share[i] *
-    # (nodes of signature s) to aggregate agg(s) for each signature s its row
-    # reaches; UNIFORM_ALL dangling rows are all size / n.
-    he = (base_t.T @ sparse.csr_array((np.ones(n), agg, np.arange(n + 1)), shape=(n, k))).tocsr()
-    if h.policy is DanglingPolicy.OWN_BLOCK:
-        sig_agg = np.empty(h.reach.shape[0], dtype=np.int64)
-        sig_agg[h.signature] = agg
-        reach = h.reach.tocoo()
-        he = he + sparse.csr_array((h.share[reach.col] * np.bincount(h.signature)[reach.row],
-                                    (dangling[reach.col], sig_agg[reach.row])), shape=(n, k))
-    uniform = h.policy is DanglingPolicy.UNIFORM_ALL and dangling.size > 0
+    he = _aggregated_links(h, agg, k)
     he_rows = np.repeat(np.arange(n), np.diff(he.indptr))
+    # pairs: each entry (b, i) of Z with each entry (b, j) of A E, as the
+    # entry (j, i) of C^T
+    a_start = np.searchsorted(ae_key, np.arange(K + 1) * k)
+    count = a_start[z_key // k + 1] - a_start[z_key // k]
+    pair_z = np.repeat(np.arange(z_key.size), count)
+    shift = np.repeat(a_start[z_key // k] - np.cumsum(count) + count, count)
+    pair_a = np.arange(pair_z.size) + shift  # the A E entries of each Z entry's block
+    c_key, c_slot = np.unique(np.concatenate([he.indices.astype(np.int64) * k + agg[he_rows],
+                                              ae_key[pair_a] % k * k + z_key[pair_z] % k]),
+                              return_inverse=True)
+    nc = c_key.size
+    uniform = h.policy is DanglingPolicy.UNIFORM_ALL and h.dangling.size > 0
     return BlockAggregation(
         agg=agg,
-        rows=np.concatenate([he_rows, r_rows]),
-        slot=np.concatenate([agg[he_rows] * k + he.indices, k * k + r_slot]),
-        data=np.concatenate([eta * he.data, R.data]),
-        ae=mu * ae,
-        leak=leak,
-        dangling=dangling if uniform else None,
+        leak=float(leaks.min()),
+        dangling=h.dangling if uniform else None,
         spread=eta * size / n if uniform else None,
+        links=sparse.csr_array((eta * he.data, (c_slot[:he.nnz], he_rows)), shape=(nc, n)),
+        proximity=sparse.csr_array((R.data, (z_slot, r_rows)), shape=(z_key.size, n)),
+        pairs=sparse.csr_array((mu * ae[pair_a], (c_slot[he.nnz:], pair_z)),
+                               shape=(nc, z_key.size)),
+        c_t=sparse.csr_array((np.zeros(nc), c_key % k,
+                              np.searchsorted(c_key, np.arange(k + 1) * k)), shape=(k, k)),
+        exact=K * K <= n,
     )
 
 

@@ -100,15 +100,17 @@ def ncd_instance(
     rng: np.random.Generator,
     n: int,
     k: int,
-    eps: float,
+    eps,
     cover: bool = False,
     dangling: float = 0.1,
 ) -> tuple[Graph, Decomposition]:
     """Weakly coupled instance: k blocks of near-equal size whose nodes send
-    three links each, each leaving the block with probability ``eps``, and one
-    ring link from each block to the next so the block graph is strongly
-    connected.  About a ``dangling`` share of the nodes sends no link; with
-    ``cover`` about one node in twenty also joins the next block."""
+    three links each, each leaving the block with probability ``eps`` (one
+    value, or one per block), and one ring link from each block to the next
+    so the block graph is strongly connected.  About a ``dangling`` share of
+    the nodes sends no link; with ``cover`` about one node in twenty also
+    joins the next block."""
+    eps = np.broadcast_to(eps, (k,))
     block = rng.permutation(np.arange(n) % k)
     homes = [np.flatnonzero(block == b) for b in range(k)]
     edges = [(int(homes[b][0]), int(homes[(b + 1) % k][0])) for b in range(k)]
@@ -116,7 +118,7 @@ def ncd_instance(
         if rng.random() < dangling:
             continue
         for _ in range(3):
-            target = block[u] if rng.random() >= eps else int(rng.integers(k))
+            target = block[u] if rng.random() >= eps[block[u]] else int(rng.integers(k))
             edges.append((u, int(rng.choice(homes[target]))))
     blocks = [list(m) for m in homes]
     if cover:
@@ -182,6 +184,16 @@ def dense_leak(p: np.ndarray, agg: np.ndarray) -> float:
     walker's aggregate."""
     same = agg[:, None] == agg[None, :]
     return 1.0 - p[same].sum() / p.shape[0]
+
+
+def dense_aggregate_leaks(p: np.ndarray, agg: np.ndarray) -> np.ndarray:
+    """Per aggregate: the probability that one step of ``p`` from the uniform
+    vector on the aggregate leaves it."""
+    leaks = []
+    for a in range(int(agg.max()) + 1):
+        inside = np.flatnonzero(agg == a)
+        leaks.append(1.0 - p[np.ix_(inside, inside)].sum() / inside.size)
+    return np.array(leaks)
 
 
 def dense_corrected_iteration(p: np.ndarray, agg: np.ndarray, leak: float,

@@ -7,8 +7,11 @@ against each of its conditions; plain runs stay bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from blockrank import (
     DanglingPolicy,
@@ -17,6 +20,7 @@ from blockrank import (
     RankParams,
     build_factors,
     build_hyperlink,
+    dense_stationary,
     parse_blocks,
     parse_edge_list,
     rank,
@@ -26,6 +30,7 @@ from blockrank.graph import hyperlink_apply
 from blockrank.ranker import LEAK, block_aggregation, power_iteration
 
 from helpers import (
+    dense_aggregate_leaks,
     dense_aggregates,
     dense_corrected_iteration,
     dense_leak,
@@ -72,7 +77,7 @@ def test_corrected_trajectory_matches_dense_oracle(seed, policy):
     h = build_hyperlink(g, policy, d)
     p = dense_surfing(g, d, policy, ETA, MU)
     agg = dense_aggregates(d)
-    leak = dense_leak(p, agg)
+    leak = dense_aggregate_leaks(p, agg).min()
 
     coarse = block_aggregation(h, f, RankParams(eta=ETA, mu=MU))
     if coarse is None:
@@ -202,7 +207,6 @@ def test_failed_corrections_leave_the_plain_iteration():
 GATE_OFF = {  # n, blocks, eps, eta, mu
     "teleport": (120, 4, 0.005, 0.8, 0.15),
     "mu-zero": (120, 4, 0.005, 1.0, 0.0),
-    "blocks-squared-above-n": (60, 8, 0.005, ETA, MU),
     "leak-above-LEAK": (120, 4, 0.5, ETA, MU),
 }
 
@@ -214,9 +218,8 @@ def test_gate_off_runs_are_bit_identical_to_the_plain_kernel(case, policy):
     g, d = ncd_instance(np.random.default_rng(77), n, k, eps, dangling=0.05)
     h, f = build_hyperlink(g, policy, d), build_factors(d, g)
     # each case fails exactly the condition it is named after
-    leak = dense_leak(dense_surfing(g, d, policy, ETA, MU), dense_aggregates(d))
-    assert (leak > LEAK) == (case == "leak-above-LEAK")
-    assert (k * k > n) == (case == "blocks-squared-above-n")
+    leaks = dense_aggregate_leaks(dense_surfing(g, d, policy, ETA, MU), dense_aggregates(d))
+    assert (leaks.min() > LEAK) == (case == "leak-above-LEAK")
 
     params = RankParams(eta=eta, mu=mu, tol=1e-12, max_iter=3000)
     assert block_aggregation(h, f, params) is None
@@ -226,3 +229,120 @@ def test_gate_off_runs_are_bit_identical_to_the_plain_kernel(case, policy):
     assert got.corrections == 0
     assert got.iterations == iterations
     assert np.array_equal(got.scores, scores)
+
+
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_one_nearly_closed_aggregate_admits_a_leaky_mean(policy):
+    # block 0 keeps its links, the seven others send 60% of theirs away, and
+    # 8^2 > 60 blocks: the coupled chain is the sparse one
+    g, d = ncd_instance(np.random.default_rng(74), 60, 8, [0.005] + [0.6] * 7, dangling=0.05)
+    h, f = build_hyperlink(g, policy, d), build_factors(d, g)
+    p = dense_surfing(g, d, policy, ETA, MU)
+    agg = dense_aggregates(d)
+    assert dense_leak(p, agg) > LEAK >= dense_aggregate_leaks(p, agg).min()
+
+    params = RankParams(eta=ETA, mu=MU, tol=1e-12, max_iter=3000)
+    assert not block_aggregation(h, f, params).exact
+    got = rank(h, f, params)
+    assert got.converged and got.corrections > 0
+    assert np.abs(got.scores @ p - got.scores).sum() <= params.tol + 1e-14
+
+
+def gate_decision(rng: np.random.Generator):
+    """A random instance and model, and whether the gate should admit it."""
+    n = int(rng.integers(6, 51))
+    k = int(rng.integers(1, min(n, 8) + 1))
+    eps = float(rng.choice([0.0, 0.01, 0.05, 0.2, 0.6]))
+    g, d = ncd_instance(rng, n, k, eps, cover=bool(rng.integers(2)))
+    policy = list(DanglingPolicy)[int(rng.integers(2))]
+    eta, mu = [(ETA, MU), (0.99, 0.01), (0.5, 0.5), (1.0, 0.0), (0.8, 0.15)][int(rng.integers(5))]
+    params = RankParams(eta=eta, mu=mu)
+    agg = dense_aggregates(d)
+    leaks = dense_aggregate_leaks(dense_surfing(g, d, policy, eta, mu), agg)
+    admit = (params.teleport == 0.0 and mu > 0.0 and agg.max() >= 1 and leaks.min() <= LEAK)
+    return build_hyperlink(g, policy, d), build_factors(d, g), params, leaks, admit
+
+
+def test_gate_admits_exactly_when_an_aggregate_leaks_at_most_LEAK():
+    outcomes = {True: 0, False: 0}
+    for seed in range(300):
+        h, f, params, leaks, admit = gate_decision(np.random.default_rng(9000 + seed))
+        if abs(leaks.min() - LEAK) < 1e-9:
+            continue  # a tie that rounding may decide either way
+        coarse = block_aggregation(h, f, params)
+        assert (coarse is not None) == admit
+        if coarse is not None:
+            assert coarse.leak == pytest.approx(leaks.min(), abs=1e-12)
+            assert coarse.exact == (f.K * f.K <= h.n)
+        outcomes[admit] += 1
+    assert min(outcomes.values()) >= 50
+
+
+def coarse_instance(seed: int, policy: DanglingPolicy, cover: bool):
+    """Weakly coupled, n <= 50 and K^2 > n: the corrector is the sparse one."""
+    rng = np.random.default_rng(5100 + seed)
+    n, k = int(rng.integers(30, 51)), int(rng.integers(7, 10))
+    g, d = ncd_instance(rng, n, k, 0.01, cover=cover)
+    h, f = build_hyperlink(g, policy, d), build_factors(d, g)
+    coarse = block_aggregation(h, f, RankParams(eta=ETA, mu=MU))
+    assert not coarse.exact
+    return g, d, h, f, coarse, rng
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["partition", "cover"])
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_coupled_chain_matches_dense_oracle(seed, policy, cover):
+    g, d, h, f, coarse, rng = coarse_instance(seed, policy, cover)
+    p = dense_surfing(g, d, policy, ETA, MU)
+    E = np.eye(int(coarse.agg.max()) + 1)[dense_aggregates(d)]
+    x = rng.random(g.n) + 0.01
+    x /= x.sum()
+    got = coarse.coupled(x).toarray().T
+    if coarse.dangling is not None:
+        mass = np.bincount(coarse.agg[coarse.dangling], weights=x[coarse.dangling],
+                           minlength=E.shape[1])
+        got += np.outer(mass, coarse.spread)
+    np.testing.assert_allclose(got, E.T @ (x[:, None] * p) @ E, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["partition", "cover"])
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_corrections_reach_the_dense_stationary_vector(seed, policy, cover):
+    g, d, h, f, _, _ = coarse_instance(seed, policy, cover)
+    p = dense_surfing(g, d, policy, ETA, MU)
+    tol = 1e-10
+    got = rank(h, f, RankParams(eta=ETA, mu=MU, tol=tol, max_iter=100_000))
+    assert got.converged and got.corrections > 0
+    # 1e-14: rounding of the dense product against the factored one
+    assert np.abs(got.scores @ p - got.scores).sum() <= tol + 1e-14
+    second = np.sort(np.abs(np.linalg.eigvals(p)))[-2]
+    want = dense_stationary(p, tol=1e-15, max_iter=1_000_000)
+    assert np.abs(got.scores - want).sum() <= tol / (1.0 - second)
+
+
+def stored_entries(coarse) -> int:
+    """Array entries a corrector holds: every array, and every sparse
+    matrix's data, indices and indptr."""
+    total = 0
+    for value in (getattr(coarse, field.name) for field in dataclasses.fields(coarse)):
+        if sparse.issparse(value):
+            total += value.nnz * 2 + value.indptr.size
+        elif isinstance(value, np.ndarray):
+            total += value.size
+    return total
+
+
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_sparse_corrector_stores_the_links_not_blocks_squared(policy):
+    # 400 blocks of 10 nodes, about 5% of the nodes in a second block: a dense
+    # coupled chain would hold k * K = 160,000 entries
+    n, K = 4000, 400
+    g, d = ncd_instance(np.random.default_rng(4), n, K, 0.01, cover=True)
+    h, f = build_hyperlink(g, policy, d), build_factors(d, g)
+    coarse = block_aggregation(h, f, RankParams(eta=ETA, mu=MU))
+    assert not coarse.exact
+    reach = h.reach.nnz if h.reach is not None else 0
+    budget = g.indices.size + reach + f.R.nnz + f.A.nnz + n
+    assert stored_entries(coarse) <= 2 * budget < K * K

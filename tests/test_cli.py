@@ -585,3 +585,38 @@ def test_ncd_corpus_takes_corrections(policy):
 def test_corrected_golden_stdout(command, tmp_path, capsys):
     got = _run_digest(CORRECTED_ARGS[command], _ncd_corpus(), tmp_path, capsys)
     assert got == CORRECTED_GOLDEN[command]
+
+
+def _sparse_corpus() -> tuple[bytes, bytes]:
+    """A cover of 20 blocks over 300 nodes (K^2 > n) whose links stay in
+    their block with probability 0.99: the default teleport-free model takes
+    corrections on the sparse coupled chain under both dangling policies."""
+    return _corpus(15, 300, 20, 0.05, in_block=0.99)
+
+
+SPARSE_ARGS = {
+    "rank": ["rank"],
+    "compare-json": ["compare", "--format", "json"],
+}
+
+# (exit code, sha256 of stdout) recorded when corrections first ran at K^2 > n.
+SPARSE_GOLDEN = {
+    "compare-json": (0, "d3cc612b5f7ced19a3bcc1bfa4f81d50885b7ca298ffd1136806bc1db2467b09"),
+    "rank": (0, "4671e99867c840365935726caf046f83f3ea08a5fff905d6f7d0e3ed9945edc6"),
+}
+
+
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_sparse_corpus_takes_corrections(policy):
+    edges, blocks = _sparse_corpus()
+    g = parse_edge_list(edges.decode())
+    d = parse_blocks(blocks.decode(), g)
+    assert d.K * d.K > g.n
+    h, f = build_hyperlink(g, policy, d), build_factors(d, g)
+    assert not block_aggregation(h, f, RankParams()).exact
+
+
+@pytest.mark.parametrize("command", sorted(SPARSE_ARGS))
+def test_sparse_corrected_golden_stdout(command, tmp_path, capsys):
+    got = _run_digest(SPARSE_ARGS[command], _sparse_corpus(), tmp_path, capsys)
+    assert got == SPARSE_GOLDEN[command]
