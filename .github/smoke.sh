@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# Console-script smoke test: every subcommand of the installed `blockrank`
+# on a 5-node graph with a non-ASCII label and a blocks file with CRLF line
+# ends.  Needs `pip install -e .`; runs in a scratch directory.
+set -euo pipefail
+cd "$(mktemp -d)"
+printf 'a b\nb c\nc d\nd a\nd é\né a\n' > smoke.edges
+printf 'a X\r\nb X\r\nc Y\r\nd Y\r\né Y\r\n' > smoke.blocks
+blockrank check --graph smoke.edges --blocks smoke.blocks
+blockrank rank --graph smoke.edges --blocks smoke.blocks | tee rank.tsv
+test "$(wc -l < rank.tsv)" -eq 5
+grep -q '^é	' rank.tsv
+blockrank rank --graph smoke.edges --blocks smoke.blocks --dangling uniform --eta 0.5 --mu 0.5
+blockrank compare --graph smoke.edges --blocks smoke.blocks
+blockrank compare --graph smoke.edges --blocks smoke.blocks --format json
+blockrank materialize --graph smoke.edges --blocks smoke.blocks
+# a flag the command does not read is an input error, reported under the
+# command's own usage line
+status=0
+blockrank check --graph smoke.edges --blocks smoke.blocks --eta 0.5 2> flag.err || status=$?
+test "$status" -eq 2
+grep -q 'usage: blockrank check' flag.err

@@ -189,10 +189,13 @@ def cmd_rank(args) -> int:
             },
         }
         print(json.dumps(payload))
-    else:  # 1024 lines per write: one slice's line strings alive at a time, not all n
+    else:  # 1024 lines per write, each chunk in one format call ("%.12g" is fmt)
         for lo in range(0, len(order), 1024):
-            lines = order[lo:lo + 1024]
-            sys.stdout.write("".join(f"{labels[i]}\t{fmt(scores[i])}\n" for i in lines))
+            chunk = order[lo:lo + 1024]
+            values = [None] * (2 * len(chunk))
+            values[0::2] = map(labels.__getitem__, chunk)
+            values[1::2] = map(scores.__getitem__, chunk)
+            sys.stdout.write(("%s\t%.12g\n" * len(chunk)) % tuple(values))
     if not result.converged:
         _warn_no_convergence("", result, params.tol)
         return EXIT_NO_CONVERGENCE

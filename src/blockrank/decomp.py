@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,16 +99,14 @@ def parse_blocks(text: str, g: Graph) -> Decomposition:
     """
     tokens, line_nos, error = tokenize_pairs(text, "node_label block_label")
     node_tokens, block_tokens = tokens[0::2], tokens[1::2]
-    first, node_of = intern(node_tokens)
-    node_labels = node_tokens[first].strings()
-    known = np.fromiter(map(g.label_ids.get, node_labels, repeat(-1)),
-                        dtype=np.int64, count=len(node_labels))
-    nodes = known[node_of]
-    unknown = np.flatnonzero(nodes < 0)
+    # The graph's labels go first and are distinct, so they get ids 0..n-1:
+    # a node token's id is its node's, or n and above for an unknown label.
+    nodes = intern(node_tokens.after(g.labels))[1][g.n:]
+    unknown = np.flatnonzero(nodes >= g.n)
     if unknown.size:
         i = unknown[0]
-        raise CoverageError(
-            f"line {line_nos[i]}: node label {node_labels[node_of[i]]!r} not in the graph")
+        label = node_tokens[i:i + 1].strings()[0]
+        raise CoverageError(f"line {line_nos[i]}: node label {label!r} not in the graph")
     if error is not None:
         raise error
     first, blocks = intern(block_tokens)

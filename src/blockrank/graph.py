@@ -46,13 +46,12 @@ class Graph:
     """Immutable directed graph in compressed sparse row form.
 
     Node ids are dense integers in ``[0, n)`` assigned at construction;
-    ``labels[i]`` is the original label of node ``i`` and ``label_ids``
-    the inverse mapping.  Duplicate edges are collapsed, self-loops kept.
+    ``labels[i]`` is the original label of node ``i``.  Duplicate edges are
+    collapsed, self-loops kept.
     """
 
     n: int
     labels: tuple[str, ...]
-    label_ids: dict[str, int]
     indptr: np.ndarray
     indices: np.ndarray
     out_degree: np.ndarray
@@ -64,8 +63,7 @@ class Graph:
         n = len(labels)
         if n == 0:
             raise ParseError("empty graph")
-        label_ids = dict(zip(labels, range(n)))
-        if len(label_ids) != n:
+        if len(set(labels)) != n:
             raise ParseError("duplicate node labels")
 
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
@@ -81,16 +79,31 @@ class Graph:
         return cls(
             n=n,
             labels=labels,
-            label_ids=label_ids,
             indptr=adjacency.indptr,
             indices=adjacency.indices,
             out_degree=out_degree,
         )
 
+    @property
+    def label_ids(self) -> dict[str, int]:
+        """The inverse of ``labels``, built on each access for callers that
+        look labels up one at a time; the parsers do not use it."""
+        return dict(zip(self.labels, range(self.n)))
+
 
 def ones_at(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_array:
-    """The 0/1 CSR matrix with a one at each (row, col) pair."""
-    return pattern(sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=shape).tocsr())
+    """The 0/1 CSR matrix with a one at each (row, col) pair, in canonical
+    form: one sort of the packed keys ``row * ncols + col`` orders the
+    pairs, equal neighbours are dropped, and a bincount of the rows gives
+    ``indptr``."""
+    nrows, ncols = shape
+    key = np.sort(np.asarray(rows, dtype=np.int64) * ncols + cols)
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    row, col = np.divmod(key[new], ncols)
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=nrows), out=indptr[1:])
+    return sparse.csr_array((np.ones(col.size), col, indptr), shape=shape)
 
 
 def pattern(m: sparse.csr_array) -> sparse.csr_array:
@@ -127,6 +140,19 @@ class Tokens:
 
     def __getitem__(self, which: slice | np.ndarray) -> Tokens:
         return Tokens(self.code, self.start[which], self.end[which])
+
+    def after(self, labels: Sequence[str]) -> Tokens:
+        """``labels`` as tokens, then these, over one code array of the wider
+        code width (labels may hold any character, whitespace included)."""
+        text = " ".join(labels) + " "
+        wide = self.code.itemsize == 4 or not text.isascii()
+        head = np.frombuffer(text.encode("utf-32-le" if wide else "ascii", "surrogatepass"),
+                             dtype=np.uint32 if wide else np.uint8)
+        size = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+        end = np.cumsum(size + 1) - 1
+        return Tokens(np.concatenate((head, self.code), dtype=head.dtype),
+                      np.concatenate((end - size, np.add(self.start, head.size, dtype=np.int64))),
+                      np.concatenate((end, np.add(self.end, head.size, dtype=np.int64))))
 
     def strings(self) -> list[str]:
         """The tokens as strings, gathered from the code array with a space

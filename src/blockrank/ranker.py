@@ -201,9 +201,7 @@ class BlockAggregation:
     all ``spread`` and enter as a rank-one term.  ``leak`` is the weakest
     aggregate's: the probability that one step from the uniform vector on
     it leaves it.  With ``exact`` (``K^2 <= n`` blocks) ``C`` is solved
-    densely; otherwise by power steps, and ``state`` keeps the vector ``y``
-    that the last correction returned, so a corrector serves one run (as
-    :func:`rank` builds it).  A correction costs
+    densely; otherwise by power steps.  A correction costs
     O(nnz(H E) + nnz(R) + nnz(pairs)) plus ``K^3`` for the dense solve or
     ``steps * nnz(C)`` for the power steps.
     """
@@ -217,12 +215,13 @@ class BlockAggregation:
     pairs: sparse.csr_array
     c_t: sparse.csr_array
     exact: bool
-    state: dict = field(default_factory=dict)
 
-    def correct(self, x: np.ndarray) -> np.ndarray | None:
+    def correct(self, x: np.ndarray, residual: float) -> np.ndarray | None:
         """``x`` with each aggregate's mass set to the stationary vector of the
         coupled ``k x k`` chain ``Diag(1/xi) C``, ``xi = E^T x``; ``None``
-        when the coarse solve fails or gives a non-positive vector."""
+        when the coarse solve fails or gives a non-positive vector.
+        ``residual`` is the L1 change of the step that gave ``x`` (``inf``
+        before the first), which sets how far power steps resolve ``C``."""
         xi = np.bincount(self.agg, weights=x)
         if not (xi > 0.0).all():
             return None
@@ -230,7 +229,7 @@ class BlockAggregation:
         if self.dangling is not None:
             mass = np.bincount(self.agg[self.dangling], weights=x[self.dangling], minlength=xi.size)
         self.coupled(x)
-        pi = self._solve(xi, mass) if self.exact else self._power_steps(x, xi, mass)
+        pi = self._solve(xi, mass) if self.exact else self._power_steps(xi, mass, residual)
         if pi is None:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -239,7 +238,6 @@ class BlockAggregation:
             return None
         y = x * scale[self.agg]
         y /= y.sum()
-        self.state["y"] = y
         return y
 
     def coupled(self, x: np.ndarray) -> sparse.csr_array:
@@ -261,14 +259,13 @@ class BlockAggregation:
         except np.linalg.LinAlgError:
             return None
 
-    def _power_steps(self, x, xi, mass):
+    def _power_steps(self, xi, mass, residual):
         """Power steps on ``Diag(1/xi) C``, which is stochastic, from ``xi``
         (the last correction's ``pi`` carried through one step) until one
         changes ``pi`` by at most :data:`COARSE_STOP` times the fine
-        residual (the L1 change of that step), or :data:`COARSE_STEPS` of
-        them; the first correction, with no residual yet, takes one."""
-        pi, y = xi, self.state.get("y")
-        stop = COARSE_STOP * np.abs(x - y).sum() if y is not None else np.inf
+        residual, or :data:`COARSE_STEPS` of them; the first correction,
+        with no residual yet, takes one."""
+        pi, stop = xi, COARSE_STOP * residual
         for _ in range(COARSE_STEPS):
             q = pi / xi
             new = self.c_t @ q
@@ -417,7 +414,7 @@ def power_iteration(
     corrections = 0
     for it in range(1, max_iter + 1):
         if coarse is not None:
-            corrected = coarse.correct(x)
+            corrected = coarse.correct(x, residual)
             if corrected is None:
                 coarse = None
             else:
@@ -443,13 +440,15 @@ def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
     its zero terms; ``x @ R`` is the row gather ``R_t @ x``, ``R^T`` as CSR built once."""
     if mu != 0.0:
         R_t, A_t = f.R.T.tocsr(), f.A.T
+    if teleport != 0.0:
+        jump = teleport * v
 
     def step(x: np.ndarray) -> np.ndarray:
         y = eta * hyperlink_apply(h, x)
         if mu != 0.0:
             y += mu * (A_t @ (R_t @ x))
         if teleport != 0.0:
-            y += teleport * v
+            y += jump
         return y
 
     return step

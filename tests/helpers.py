@@ -47,6 +47,11 @@ def block_sizes(d: Decomposition) -> np.ndarray:
     return np.bincount(d.B.indices, minlength=d.K)
 
 
+def label_ids(g: Graph) -> dict[str, int]:
+    """Each node label's node id."""
+    return {label: u for u, label in enumerate(g.labels)}
+
+
 def out_neighbors(g: Graph, u: int) -> np.ndarray:
     """Node ids reachable from ``u`` in one step (sorted)."""
     return g.indices[g.indptr[u]:g.indptr[u + 1]]
@@ -282,6 +287,7 @@ def reference_parse_pairs(text: str, expected: str) -> list[tuple[str, str]]:
 def reference_parse_blocks(text: str, g: Graph) -> tuple[list[str], list[list[int]]]:
     """(block labels, sorted members) parsed line by line, with the errors
     of :func:`blockrank.parse_blocks` raised in line order."""
+    ids = label_ids(g)
     block_ids: dict[str, int] = {}
     members: list[set[int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -295,12 +301,12 @@ def reference_parse_blocks(text: str, g: Graph) -> tuple[list[str], list[list[in
                 line=line_no,
             )
         node_label, block_label = tokens
-        if node_label not in g.label_ids:
+        if node_label not in ids:
             raise CoverageError(f"line {line_no}: node label {node_label!r} not in the graph")
         if block_label not in block_ids:
             block_ids[block_label] = len(members)
             members.append(set())
-        members[block_ids[block_label]].add(g.label_ids[node_label])
+        members[block_ids[block_label]].add(ids[node_label])
     if not members:
         raise ParseError("empty blocks file")
     missing = [g.labels[u] for u in range(g.n) if not any(u in m for m in members)]

@@ -178,21 +178,21 @@ def leaking_model():
 def test_correction_refuses_an_aggregate_without_mass():
     _, _, _, coarse = leaking_model()
     x = np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.25])
-    assert coarse.correct(x) is None
+    assert coarse.correct(x, np.inf) is None
 
 
 def test_correction_refuses_a_non_positive_coarse_solution():
     # Y never returns mass to X, so the coupled chain's stationary vector is
     # exactly 0 on X
     h, _, _, coarse = leaking_model()
-    assert coarse.correct(np.full(h.n, 1.0 / h.n)) is None
+    assert coarse.correct(np.full(h.n, 1.0 / h.n), np.inf) is None
 
 
 def test_failed_corrections_leave_the_plain_iteration():
     class Failing:
         leak = 0.0
 
-        def correct(self, x):
+        def correct(self, x, residual):
             return None
 
     h, f, params, _ = leaking_model()

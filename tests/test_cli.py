@@ -5,9 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from math import inf, nan
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blockrank import (
     DanglingPolicy,
@@ -19,7 +22,7 @@ from blockrank import (
     parse_edge_list,
 )
 from blockrank.cli import _build_parser, main
-from blockrank.ranker import block_aggregation
+from blockrank.ranker import block_aggregation, fmt
 
 from helpers import G4_BLOCKS, G4_EDGES
 
@@ -159,6 +162,14 @@ class TestFlags:
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
         assert outputs.pop().startswith(("a\t", "b\t", "c\t", "d\t"))
+
+
+@given(st.floats() | st.floats(min_value=-1e-300, max_value=1e-300))
+def test_rank_tsv_format_matches_fmt(x):
+    """cmd_rank formats whole chunks of lines with "%.12g", which must print
+    every float as fmt does: subnormals, signed zeros, inf and nan too."""
+    for y in (x, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, inf, -inf, nan):
+        assert "%.12g" % y == fmt(y)
 
 
 class TestRank:

@@ -202,6 +202,15 @@ def outcome(fn, *args):
         return None, (type(exc), str(exc), getattr(exc, "line", None))
 
 
+def assert_block_parse_matches_reference(blocks: str, g: Graph) -> None:
+    got, got_error = outcome(parse_blocks, blocks, g)
+    want, want_error = outcome(reference_parse_blocks, blocks, g)
+    assert got_error == want_error
+    if want_error is None:
+        assert list(got.block_labels) == want[0]
+        assert [ids.tolist() for ids in members(got)] == want[1]
+
+
 @PARSE_SETTINGS
 @given(line_texts() | ascii_line_texts())
 def test_edge_list_parse_matches_per_line_reference(text):
@@ -228,12 +237,46 @@ def test_block_parse_matches_per_line_reference(texts):
     g, _ = outcome(parse_edge_list, edges)
     if g is None:
         return
-    got, got_error = outcome(parse_blocks, blocks, g)
-    want, want_error = outcome(reference_parse_blocks, blocks, g)
-    assert got_error == want_error
-    if want_error is None:
-        assert list(got.block_labels) == want[0]
-        assert [ids.tolist() for ids in members(got)] == want[1]
+    assert_block_parse_matches_reference(blocks, g)
+
+
+W8, W9, W16, W17 = "abcdefgh", "abcdefghi", "abcdefgh" * 2, "abcdefgh" * 2 + "i"
+E2, E3, E4, E5 = "\u00e9" * 2, "\u00e9" * 3, "\u00e9" * 4, "\u00e9" * 5
+
+
+@pytest.mark.parametrize("graph, blocks", [
+    # labels that prefix each other
+    ("v1 v10\nv10 v100\nv100 v1", "v10 X\nv1 X\nv100 Y"),
+    ("v1 v10\nv10 v100\nv100 v1", "v10 X\nv1 X\nv1000 Y"),
+    # around the 64-bit word ends: 8 ASCII characters or 2 code points a word
+    (f"{W8} {W9}\n{W16} {W17}\n{W17} {W8}", f"{W17} X\n{W9} Y\n{W16} X\n{W8} Y"),
+    (f"{W8} {W9}\n{W16} {W17}", f"{W17} X\n{W9} Y\n{W16}i X\n{W8} Y"),
+    (f"{E2} {E3}\n{E4} {E5}", f"{E5} X\n{E3} Y\n{E4} X\n{E2} Y"),
+    (f"{E2} {E3}\n{E4} {E5}", f"{E5} X\n{E3} Y\n{E4}\u00e9 X\n{E2} Y"),
+    # a non-ASCII blocks file against ASCII graph labels, and the reverse
+    ("a b\nb c", "a \u00c9\nb \u00c9\nc X"),
+    ("a b\nb c", "a X\n\u00e9 X\nb X\nc X"),
+    ("\u00e9 a\na b", "a X\nb X"),
+    ("\u00e9 a\na b", "a X\nb X\ne X"),
+    # a byte order mark kept on, or stripped from, either file's first label
+    ("\ufeffa b\nb \ufeffa", "\ufeffa X\nb X"),
+    ("\ufeffa b\nb \ufeffa", "a X\nb X"),
+    ("a b\nb a", "\ufeffa X\nb X"),
+    # an unknown label on an earlier line wins over a malformed later line,
+    # and a malformed line wins over a later unknown label
+    ("a b\nb a", "a X\nzz X\nb\nb X"),
+    ("a b\nb a", "a X\nb\nzz X\nb X"),
+])
+def test_block_parse_matches_reference_on_label_edge_cases(graph, blocks):
+    g = parse_edge_list(graph)
+    assert_block_parse_matches_reference(blocks, g)
+
+
+@pytest.mark.parametrize("labels", [["a b", "a", ""], ["a\tb", "\u00e9 a", "a"]])
+def test_graph_labels_with_whitespace_match_no_blocks_token(labels):
+    """``Graph.from_edges`` takes any distinct strings as labels; a blocks
+    file's token, which holds no whitespace, names only an equal label."""
+    assert_block_parse_matches_reference("a X\n", Graph.from_edges(labels, []))
 
 
 @pytest.mark.parametrize("text, line", [
@@ -275,12 +318,7 @@ def test_interning_is_exact_when_every_hash_collides(alphabet, monkeypatch):
     assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
 
     blocks = "".join(f"{u} {rng.choice(labels[:5])}\n" for u in g.labels)
-    got, got_error = outcome(parse_blocks, blocks, g)
-    want, want_error = outcome(reference_parse_blocks, blocks, g)
-    assert got_error == want_error
-    if want_error is None:
-        assert list(got.block_labels) == want[0]
-        assert [ids.tolist() for ids in members(got)] == want[1]
+    assert_block_parse_matches_reference(blocks, g)
 
     # every node in 3 or more of 8 blocks; some signatures share their
     # length and first word (blocks 0 and 1)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from blockrank import (
     DanglingPolicy,
@@ -16,8 +17,9 @@ from blockrank import (
     parse_edge_list,
 )
 from blockrank.errors import CapExceededError, ConfigurationError, DimensionError, ParseError
+from blockrank.graph import ones_at
 
-from helpers import dense_hyperlink, out_neighbors, random_graph, random_partition
+from helpers import dense_hyperlink, label_ids, out_neighbors, random_graph, random_partition
 
 
 class TestParseEdgeList:
@@ -42,7 +44,7 @@ class TestParseEdgeList:
     def test_ids_follow_first_appearance(self):
         g = parse_edge_list("x y\nz x")
         assert g.labels == ("x", "y", "z")
-        assert g.label_ids == {"x": 0, "y": 1, "z": 2}
+        assert label_ids(g) == {"x": 0, "y": 1, "z": 2}
 
     def test_comments_and_blank_lines_skipped(self):
         g = parse_edge_list("# heading\n\na b\n  # indented comment\nb a\n")
@@ -91,10 +93,48 @@ class TestFromEdges:
         with pytest.raises(ParseError, match="duplicate"):
             Graph.from_edges(["a", "b", "a"], [(0, 1)])
 
+    @pytest.mark.parametrize("labels", [["\u00e9", "b", "\u00e9"], ["a b", "", "a b"],
+                                        ["abcdefghi", "abcdefgh", "abcdefghi"]])
+    def test_duplicate_labels_of_any_characters_rejected(self, labels):
+        with pytest.raises(ParseError, match="duplicate"):
+            Graph.from_edges(labels, [(0, 1)])
+
     @pytest.mark.parametrize("edge", [(0, 2), (-1, 0)])
     def test_edge_outside_node_range_rejected(self, edge):
         with pytest.raises(DimensionError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
             Graph.from_edges(["a", "b"], [(0, 1), edge])
+
+
+class TestOnesAt:
+    @pytest.mark.parametrize("shape, pairs", [
+        ((1, 1), []),
+        ((1, 1), [(0, 0), (0, 0)]),
+        ((4, 4), []),
+        ((4, 4), [(2, 1), (0, 3), (2, 1), (0, 0), (2, 1), (3, 3)]),  # rows 1, columns 2 empty
+        ((6, 3), [(5, 2), (0, 0), (5, 2), (3, 0), (0, 0), (0, 2)]),  # n x K
+        ((3, 6), [(2, 5), (2, 0), (2, 5), (0, 4)]),
+    ])
+    def test_matches_scipy_canonical_csr(self, shape, pairs):
+        rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        want = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=shape).tocsr()
+        want.sum_duplicates()
+        want.data[:] = 1.0
+        got = ones_at(rows, cols, shape)
+        assert got.shape == shape and got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("shape", [(50, 50), (200, 7)])
+    def test_random_pairs_with_repeats(self, shape):
+        rng = np.random.default_rng(SEED_STOCHASTIC + 11)
+        rows, cols = rng.integers(0, shape[0], 600), rng.integers(0, shape[1], 600)
+        dense = np.zeros(shape)
+        dense[rows, cols] = 1.0
+        got = ones_at(rows, cols, shape)
+        assert np.array_equal(got.toarray(), dense) and got.has_canonical_format
+        assert all(np.all(np.diff(got.indices[lo:hi]) > 0)
+                   for lo, hi in zip(got.indptr, got.indptr[1:]))
 
 
 class TestBuildHyperlink:
@@ -230,7 +270,8 @@ class TestOperatorProperties:
             rng.shuffle(shuffled)
             g = parse_edge_list("\n".join(shuffled))
             assert set(g.labels) == set(g_ref.labels)
+            ref_ids, ids = label_ids(g_ref), label_ids(g)
             for label in g_ref.labels:
-                ref_out = {g_ref.labels[v] for v in out_neighbors(g_ref, g_ref.label_ids[label])}
-                out = {g.labels[v] for v in out_neighbors(g, g.label_ids[label])}
+                ref_out = {g_ref.labels[v] for v in out_neighbors(g_ref, ref_ids[label])}
+                out = {g.labels[v] for v in out_neighbors(g, ids[label])}
                 assert out == ref_out
