@@ -23,7 +23,7 @@ from .decomp import (
     materialize_m,
     parse_blocks,
 )
-from .errors import BlockRankError, ConfigurationError, ReducibleModelError
+from .errors import BlockRankError, ConfigurationError, ParseError, ReducibleModelError
 from .graph import DanglingPolicy, Graph, HyperlinkOperator, build_hyperlink, parse_edge_list
 from .ranker import (
     WEIGHT_TOL,
@@ -109,10 +109,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; a leading byte-order mark is not part of
+    the first label."""
+    try:
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
 def _load(args) -> tuple[Graph, Decomposition, ProximityFactors, CheckReport]:
-    # A leading byte-order mark is not part of the first label.
-    g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8").removeprefix("\ufeff"))
-    d = parse_blocks(Path(args.blocks).read_text(encoding="utf-8").removeprefix("\ufeff"), g)
+    g = parse_edge_list(_read(args.graph))
+    d = parse_blocks(_read(args.blocks), g)
     f = build_factors(d, g)
     return g, d, f, teleportation_free_check(indicator(f))
 

@@ -2,12 +2,17 @@
 
 Everything here works on the positivity pattern of a non-negative matrix.
 Irreducibility is strong connectivity of the pattern digraph, decided on
-the sparse pattern by one linear-time strongly-connected-components pass
-(``scipy.sparse.csgraph``), so the K x K block indicator matrix is never
-made dense.  Primitivity is decided by the dense Wielandt power test: a
-non-negative k x k matrix is primitive exactly when its pattern raised to
-k^2 - 2k + 2 is entrywise positive.  Magnitudes never enter, so repeated
-boolean squaring is exact and overflow-free.
+the sparse pattern, so the K x K block indicator matrix is never made
+dense.  The verdict "irreducible" comes from reachability: node 0 reaches
+every node and every node reaches node 0, found by two sweeps of sparse
+matvecs on a boolean vector.  When a sweep stops short, the components
+come from one linear-time strongly-connected-components pass
+(``scipy.sparse.csgraph``), imported only then, since its import pulls in
+``scipy.sparse.linalg`` and ``scipy.linalg``.  Primitivity is decided by
+the dense Wielandt power test: a non-negative k x k matrix is primitive
+exactly when its pattern raised to k^2 - 2k + 2 is entrywise positive.
+Magnitudes never enter, so repeated boolean squaring is exact and
+overflow-free.
 
 :meth:`CheckReport.require_irreducible` is the one admissibility gate; the
 CLI and :func:`blockrank.ranker.rank` both refuse through it.
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .decomp import IndicatorMatrix
 from .errors import CapExceededError, ConvergenceError, DimensionError, ReducibleModelError
@@ -34,6 +38,11 @@ __all__ = [
 ]
 
 PRIMITIVITY_CAP = 512
+
+# Levels each reachability sweep may take before the components pass
+# decides.  The benchmark workloads' W need at most 6 (seeds 1, 5 and 4242:
+# hosts-cover 3-4 forward and 6 backward, web-partition and ncd-compare 1).
+REACH_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,22 @@ def _positive_pattern(m) -> sparse.csr_array:
     return m > 0
 
 
+def _reaches_all(pattern) -> bool:
+    """Whether node 0 reaches every node within ``REACH_LEVELS`` levels,
+    where a boolean ``pattern[j, i]`` is an edge from ``i`` to ``j``."""
+    k = pattern.shape[0]
+    reached = np.arange(k) == 0
+    count = 1
+    for _ in range(REACH_LEVELS):
+        if count >= k:
+            break
+        reached |= pattern @ reached
+        count, last = np.count_nonzero(reached), count
+        if count == last:
+            break
+    return count == k
+
+
 def is_irreducible(m) -> tuple[bool, list[list[int]]]:
     """Whether the pattern digraph of ``m`` is strongly connected.
 
@@ -86,8 +111,12 @@ def is_irreducible(m) -> tuple[bool, list[list[int]]]:
     single vertex counts as strongly connected even without a self-loop,
     matching the graph-theoretic reading of the pattern.
     """
-    _, labels = csgraph.connected_components(
-        _positive_pattern(m), directed=True, connection="strong")
+    pattern = _positive_pattern(m)
+    if _reaches_all(pattern.T) and _reaches_all(pattern):
+        return True, [list(range(pattern.shape[0]))]
+    from scipy.sparse import csgraph  # imports scipy.linalg
+
+    _, labels = csgraph.connected_components(pattern, directed=True, connection="strong")
     # name each node's component by its smallest member
     smallest = np.unique(labels, return_index=True)[1][labels]
     order = np.argsort(smallest, kind="stable")  # by component, then by node id

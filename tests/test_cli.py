@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from math import inf, nan
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import blockrank
 from blockrank import (
     DanglingPolicy,
     FactorForm,
@@ -97,6 +101,63 @@ class TestCheck:
         code = run(["check", "--graph", graph, "--blocks", str(partial)])
         assert code == 2
         assert "d" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["graph", "blocks"])
+    def test_undecodable_file_exits_two(self, tmp_path, g4_files, capsys, which):
+        files = dict(zip(("graph", "blocks"), g4_files))
+        bad = tmp_path / f"bad.{which}"
+        bad.write_bytes(b"a b\n\xff b\n")
+        files[which] = str(bad)
+        code = run(["check", "--graph", files["graph"], "--blocks", files["blocks"]])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 at byte 4\n"
+
+
+# Run in a fresh interpreter: what `import blockrank.cli`, and then a
+# `check`, load beyond numpy and scipy.sparse themselves.
+IMPORT_PROBE = """
+import json, sys
+import numpy, scipy.sparse
+base = set(sys.modules)
+from blockrank.cli import main
+imported = sorted(set(sys.modules) - base)
+code = main(sys.argv[1:])
+checked = sorted(set(sys.modules) - base)
+print(json.dumps({"code": code, "imported": imported, "checked": checked}))
+"""
+LINEAR_ALGEBRA = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+
+
+def probe_imports(args: list[str]) -> tuple[list[str], dict]:
+    src = os.path.dirname(os.path.dirname(blockrank.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout.splitlines()
+    return out[:-1], json.loads(out[-1])
+
+
+def linear_algebra(modules: list[str]) -> list[str]:
+    return [m for m in modules
+            if any(m == n or m.startswith(n + ".") for n in LINEAR_ALGEBRA)]
+
+
+class TestImports:
+    def test_admissible_check_loads_no_linear_algebra(self, g4_files):
+        graph, blocks = g4_files
+        printed, probe = probe_imports(["check", "--graph", graph, "--blocks", blocks])
+        assert probe["code"] == 0 and "admissible\ttrue" in printed
+        assert any(m.startswith("blockrank") for m in probe["imported"])
+        assert linear_algebra(probe["imported"]) == []
+        assert linear_algebra(probe["checked"]) == []
+
+    def test_reducible_check_still_names_its_components(self, split_files):
+        graph, blocks = split_files
+        printed, probe = probe_imports(["check", "--graph", graph, "--blocks", blocks])
+        assert probe["code"] == 1
+        assert printed[-2:] == ["component\tB1", "component\tB2"]
+        assert linear_algebra(probe["imported"]) == []
+        assert "scipy.sparse.csgraph" in probe["checked"]
 
 
 FILES = ["--graph", "g", "--blocks", "b"]

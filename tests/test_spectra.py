@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -33,7 +33,7 @@ from blockrank.errors import (
     ReducibleModelError,
 )
 from blockrank.graph import MATERIALIZE_CAP
-from blockrank.spectra import PRIMITIVITY_CAP
+from blockrank.spectra import PRIMITIVITY_CAP, REACH_LEVELS
 
 from helpers import G4_W, random_instance, reference_strong_components
 
@@ -51,10 +51,26 @@ def weighted_patterns(draw) -> tuple[np.ndarray, np.ndarray]:
 def with_stored_zeros(dense: np.ndarray) -> sparse.csr_array:
     """CSR that stores every entry of ``dense``, zeros included."""
     k = dense.shape[0]
-    m = sparse.csr_array((dense.ravel(), np.tile(np.arange(k), k), np.arange(0, k * k + 1, k)),
+    m = sparse.csr_array((dense.ravel(), np.tile(np.arange(k), k), np.arange(k + 1) * k),
                          shape=(k, k))
     assert m.nnz == k * k
     return m
+
+
+def ring(k: int) -> np.ndarray:
+    """The directed cycle 0 -> 1 -> ... -> k - 1 -> 0 as a 0/1 matrix."""
+    return np.roll(np.eye(k, dtype=bool), 1, axis=1)
+
+
+def unit_weights(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return adjacency, adjacency.astype(float)
+
+
+# digraphs that one reachability sweep cannot cover within its level cap
+LONG = REACH_LEVELS + 6
+LONG_RING = ring(LONG)
+LONG_CHAIN = np.eye(LONG, k=1, dtype=bool)
+TWO_WAY_RING = ring(2 * LONG) | ring(2 * LONG).T
 
 
 class TestIsIrreducible:
@@ -113,11 +129,35 @@ class TestIsIrreducible:
 
     @settings(max_examples=200, deadline=None)
     @given(weighted_patterns())
+    @example(unit_weights(LONG_RING))
+    @example(unit_weights(LONG_RING.T))
+    @example(unit_weights(LONG_CHAIN))
+    @example(unit_weights(LONG_CHAIN | LONG_CHAIN.T))
+    @example(unit_weights(TWO_WAY_RING))
+    @example(unit_weights(np.zeros((0, 0), dtype=bool)))
+    @example(unit_weights(np.zeros((1, 1), dtype=bool)))
+    @example(unit_weights(np.ones((1, 1), dtype=bool)))
     def test_components_match_transitive_closure(self, case):
         adjacency, weights = case
         want = reference_strong_components(adjacency)
         for m in (weights, adjacency, sparse.csr_array(weights), with_stored_zeros(weights)):
             assert is_irreducible(m) == (len(want) == 1, want)
+
+    def test_ring_beyond_the_level_cap_is_irreducible_through_the_components_pass(
+            self, monkeypatch):
+        from scipy.sparse import csgraph
+
+        connected_components, calls = csgraph.connected_components, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return connected_components(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "connected_components", counted)
+        assert is_irreducible(ring(REACH_LEVELS)) == (True, [list(range(REACH_LEVELS))])
+        assert not calls  # 63 levels each way: the sweeps decide
+        assert is_irreducible(ring(200)) == (True, [list(range(200))])
+        assert len(calls) == 1
 
 
 class TestIsPrimitive:
