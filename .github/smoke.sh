@@ -27,15 +27,3 @@ blockrank check --graph smoke.edges --blocks bad.blocks 2> bad.err || status=$?
 test "$status" -eq 2
 grep -q '^error: ' bad.err
 if grep -q Traceback bad.err; then cat bad.err; exit 1; fi
-# the console script's interpreter loads no linear algebra for `import blockrank.cli`
-read -r shebang < "$(command -v blockrank)"
-"${shebang#\#!}" - <<'PY'
-import sys
-import numpy, scipy.sparse
-base = set(sys.modules)
-import blockrank.cli
-heavy = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
-added = sorted(m for m in set(sys.modules) - base
-               if any(m == n or m.startswith(n + ".") for n in heavy))
-sys.exit(f"import blockrank.cli loads {added}" if added else None)
-PY

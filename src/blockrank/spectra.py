@@ -8,7 +8,8 @@ every node and every node reaches node 0, found by two sweeps of sparse
 matvecs on a boolean vector.  When a sweep stops short, the components
 come from one linear-time strongly-connected-components pass
 (``scipy.sparse.csgraph``), imported only then, since its import pulls in
-``scipy.sparse.linalg`` and ``scipy.linalg``.  Primitivity is decided by
+``scipy.sparse.linalg`` and ``scipy.linalg`` (scipy releases without lazy
+submodules load it with ``scipy.sparse`` anyway).  Primitivity is decided by
 the dense Wielandt power test: a non-negative k x k matrix is primitive
 exactly when its pattern raised to k^2 - 2k + 2 is entrywise positive.
 Magnitudes never enter, so repeated boolean squaring is exact and
