@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Console-script smoke test: every subcommand of the installed `blockrank`
 # on a 5-node graph with a non-ASCII label and a blocks file with CRLF line
-# ends.  Needs `pip install -e .`; runs in a scratch directory.
+# ends, then `check` on an edge list of several parse windows.  Needs
+# `pip install -e .`, `seq` and `awk`; runs in a scratch directory.
 set -euo pipefail
 cd "$(mktemp -d)"
 printf 'a b\nb c\nc d\nd a\nd é\né a\n' > smoke.edges
@@ -27,3 +28,15 @@ blockrank check --graph smoke.edges --blocks bad.blocks 2> bad.err || status=$?
 test "$status" -eq 2
 grep -q '^error: ' bad.err
 if grep -q Traceback bad.err; then cat bad.err; exit 1; fi
+# an edge list of several parse windows (about 660 KB) and one whose
+# malformed line lies in the last window: one error line naming it, exit 2,
+# no traceback
+seq 0 59999 | awk '{ u = $1 % 5000; printf "v%d\tv%d\n", u, (u + 1 + 37 * int($1 / 5000)) % 5000 }' > big.edges
+seq 0 4999 | awk '{ printf "v%d\tb%d\n", $1, $1 % 10 }' > big.blocks
+blockrank check --graph big.edges --blocks big.blocks
+awk 'NR == 59000 { print "v1 v2 v3"; next } { print }' big.edges > bad.edges
+status=0
+blockrank check --graph bad.edges --blocks big.blocks 2> bad_edges.err || status=$?
+test "$status" -eq 2
+grep -q "^error: line 59000: expected 'src dst', got 3 token(s)$" bad_edges.err
+if grep -q Traceback bad_edges.err; then cat bad_edges.err; exit 1; fi

@@ -109,11 +109,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    """The text of a UTF-8 file; a leading byte-order mark is not part of
-    the first label."""
+def _read(path: str) -> str | bytes:
+    """A UTF-8 file: its bytes when they are ASCII (the parsers read those
+    without a copy), else its text, in which a leading byte-order mark is
+    not part of the first label."""
+    data = Path(path).read_bytes()
+    if data.isascii():
+        return data
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 

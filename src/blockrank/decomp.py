@@ -20,7 +20,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, CoverageError, ParseError
-from .graph import Graph, intern, ones_at, pattern, require_dense, tokenize_pairs
+from .graph import Graph, ones, ones_at, pattern, require_dense
+from .tokens import Interner, codes, tokenize_pairs
 
 __all__ = [
     "Decomposition",
@@ -90,35 +91,44 @@ class Decomposition:
         return FactorForm.PARTITION if single else FactorForm.COVER
 
 
-def parse_blocks(text: str, g: Graph) -> Decomposition:
-    """Parse block-membership text ("node_label block_label" per line).
+def parse_blocks(text: str | bytes, g: Graph) -> Decomposition:
+    """Parse block-membership text ("node_label block_label" per line;
+    ``str``, or ``bytes`` of UTF-8).
 
     A node may appear on several lines, which declares an overlapping
     cover.  Unknown node labels and graph nodes missing from every block
-    are hard errors.
+    are hard errors.  Like :func:`~blockrank.graph.parse_edge_list`, it
+    reads one window at a time.
     """
-    tokens, line_nos, error = tokenize_pairs(text, "node_label block_label")
-    node_tokens, block_tokens = tokens[0::2], tokens[1::2]
-    # The graph's labels go first and are distinct, so they get ids 0..n-1:
-    # a node token's id is its node's, or n and above for an unknown label.
-    nodes = intern(node_tokens.after(g.labels))[1][g.n:]
-    unknown = np.flatnonzero(nodes >= g.n)
-    if unknown.size:
-        i = unknown[0]
-        label = node_tokens[i:i + 1].strings()[0]
-        raise CoverageError(f"line {line_nos[i]}: node label {label!r} not in the graph")
-    if error is not None:
-        raise error
-    first, blocks = intern(block_tokens)
-    block_labels = block_tokens[first].strings()
-    if not block_labels:
+    code = codes(text)
+    # The graph's labels are interned first and are distinct, so they hold
+    # ids 0..n-1: a node token's id is its node's, or n and above for an
+    # unknown label.
+    nodes = Interner.of(g.labels, code.itemsize)
+    blocks = Interner(code.itemsize)
+    pairs = np.empty((code.size // 4 + 1, 2), dtype=np.int32)  # a line per 4 codes
+    used = 0
+    for tokens, line_nos, error in tokenize_pairs(code, "node_label block_label"):
+        node = nodes.add(tokens[0::2])
+        unknown = np.flatnonzero(node >= g.n)
+        if unknown.size:
+            i = unknown[0]
+            label = tokens[2 * i:2 * i + 1].strings()[0]
+            raise CoverageError(f"line {line_nos[i]}: node label {label!r} not in the graph")
+        if error is not None:
+            raise error
+        pairs[used:used + node.size, 0] = node
+        pairs[used:used + node.size, 1] = blocks.add(tokens[1::2])
+        used += node.size
+    if not len(blocks):
         raise ParseError("empty blocks file")
 
-    B = ones_at(nodes, blocks, (g.n, len(block_labels)))
+    pairs.resize((used, 2), refcheck=False)
+    B = ones(pairs, (g.n, len(blocks)))
     missing = [g.labels[u] for u in np.flatnonzero(np.diff(B.indptr) == 0)]
     if missing:
         raise CoverageError(f"graph nodes missing from every block: {missing}")
-    return Decomposition(block_labels=tuple(block_labels), B=B)
+    return Decomposition(block_labels=tuple(blocks.strings()), B=B)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,482 @@
+"""From text to token ids: the windowed tokenizer and the interner that
+both parsers share.
+
+Text becomes one array of character codes (:func:`codes`), which is cut
+into windows of about ``WINDOW`` codes, each ending right after a ``'\\n'``.
+:func:`tokenize_pairs` finds each window's tokens and lines as arrays, and
+an :class:`Interner` gives each token the id of its distinct code
+sequence, so that no Python string is made per token and the temporaries
+are bounded by the window.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from .errors import ParseError
+
+# The characters str.split() splits on and those str.splitlines() ends a
+# line at ("\r\n" counts once), as lookup tables over all code points.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+              "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+_IS_SPACE, _IS_BREAK = np.zeros((2, 0x110000), dtype=bool)
+_IS_SPACE[list(map(ord, WHITESPACE))] = True
+_IS_BREAK[list(map(ord, LINE_BREAKS))] = True
+
+# Codes per parse window (cut after a '\n').  The parsers tokenize and
+# intern one window at a time, so their per-code and per-token temporaries
+# are bounded by the window, not the file.  256 KiB, as measured on the
+# benchmark's web-partition files (1.1 MB) and the n=1M generator probe
+# (116 MB of edges): a benchmark `rank` child peaks at 51.1 MiB with
+# windows of 64 to 512 KiB, 53.5 MiB with 1 MiB ones and 53.9 MiB with one
+# window for the file; 64 KiB windows take 4.9-5.0 s on the probe's edges
+# against 4.0-4.4 s, for the same peak.
+WINDOW = 1 << 18
+# Tokens per intern batch: bounds the interner's temporaries also in a
+# window that has grown to hold a long line.  A 256 KiB window holds about
+# 46k tokens of web-partition's edges and 33k of the probe's, so a window
+# of such files is one batch.
+BATCH = 1 << 16
+
+
+def codes(text: str | bytes) -> np.ndarray:
+    """The character codes of ``text``: one byte each when it is ASCII,
+    otherwise its code points as uint32.  ``bytes`` are UTF-8; ASCII bytes
+    are used as they are, without a copy."""
+    if isinstance(text, bytes):
+        if text.isascii():
+            return np.frombuffer(text, dtype=np.uint8)
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8 at byte {exc.start}") from None
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _decode(code: np.ndarray) -> list[str]:
+    """The strings of ``code``, each followed by one space."""
+    encoding = "ascii" if code.itemsize == 1 else "utf-32-le"
+    return code.tobytes().decode(encoding, "surrogatepass").split(" ")[:-1]
+
+
+@dataclass(frozen=True)
+class Tokens:
+    """Tokens as code offsets: token ``i`` is ``code[start[i]:end[i]]``.
+
+    ``code`` holds the codes, one byte each or four, and then at least 8
+    bytes, so that 8 bytes can be read at any token's end.
+    """
+
+    code: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def __getitem__(self, which: slice | np.ndarray) -> Tokens:
+        return Tokens(self.code, self.start[which], self.end[which])
+
+    def joined(self) -> np.ndarray:
+        """The tokens' codes, each token followed by a space, gathered in
+        one piece (faster than slicing)."""
+        size = self.end - self.start + 1
+        stop = np.cumsum(size)
+        chars = self.code[np.repeat(self.start - (stop - size), size) + np.arange(size.sum())]
+        chars[stop - 1] = ord(" ")
+        return chars
+
+    def strings(self) -> list[str]:
+        return _decode(self.joined())
+
+
+def _window_end(code: np.ndarray, lo: int) -> int:
+    """The end of the window that starts at ``lo``: right after the last
+    ``'\\n'`` in its first ``WINDOW`` codes, else right after the next
+    ``'\\n'``, else the end of the codes.  Both are looked for a page of
+    codes at a time, as the nearest one is usually a line away."""
+    hi = lo + WINDOW
+    if hi >= code.size:
+        return code.size
+    for stop in range(hi, lo, -4096):
+        newlines = np.flatnonzero(code[max(lo, stop - 4096):stop] == 0x0A)
+        if newlines.size:
+            return max(lo, stop - 4096) + int(newlines[-1]) + 1
+    for start in range(hi, code.size, 4096):
+        newlines = np.flatnonzero(code[start:start + 4096] == 0x0A)
+        if newlines.size:
+            return start + int(newlines[0]) + 1
+    return code.size
+
+
+def _split(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The tokens of ``code[:size]``, the runs of non-space codes: their
+    start and end offsets, the 0-based line of each, and the number of
+    line breaks."""
+    window = code[:size]
+    if code.itemsize == 1:  # every ASCII space is <= 32: look up only those
+        spaces = np.flatnonzero(window <= 32)
+        c = window[spaces]
+        space = _IS_SPACE[c]
+        if not space.all():
+            spaces, c = spaces[space], c[space]
+    else:
+        spaces = np.flatnonzero(_IS_SPACE[window])
+        c = window[spaces]
+    # With a space before and after the window, a token lies between two
+    # spaces more than one code apart.
+    index = np.int32 if size < 2**31 else np.int64
+    spaces = np.concatenate(([-1], spaces, [size]), dtype=index)
+    c = np.concatenate((np.uint8([0x20]), c, np.uint8([0x20])))
+    step = np.diff(spaces)
+    gap = np.flatnonzero(step > 1)
+    starts, ends = spaces[:-1][gap], spaces[1:][gap]
+    starts += 1
+    breaks = _IS_BREAK[c]
+    breaks[1:] &= (c[1:] != 0x0A) | (c[:-1] != 0x0D) | (step != 1)  # "\r\n" ends one line
+    del spaces, c, step
+    line = np.cumsum(breaks, dtype=index)
+    return starts, ends, line[gap], int(line[-1])
+
+
+def tokenize_pairs(code: np.ndarray, expected: str
+                   ) -> Iterator[tuple[Tokens, np.ndarray, ParseError | None]]:
+    """Tokens ``[left, right, left, right, ...]`` of the ``left right`` lines
+    of the codes (see :func:`codes`), one window at a time.
+
+    Lines are those of ``str.splitlines``; blank lines and lines whose first
+    token starts with ``#`` are skipped.  A window ends right after the
+    last ``'\\n'`` in its first ``WINDOW`` codes (or, when there is none,
+    the next one), so it never splits a line, and a text without ``'\\n'``
+    is one window.  Each yields its tokens, over its codes followed by at
+    least 8 more, as int32 offsets; the 1-based numbers of its lines; and
+    the :class:`ParseError` for the first malformed line (or ``None``).
+    That error ends the windows and drops its later lines: the caller
+    raises it unless it finds an error on an earlier line.
+
+    Tokens are found from the window's whitespace positions, so no Python
+    string is made per token or line.
+    """
+    lo = lines = 0
+    while lo < code.size:
+        hi = _window_end(code, lo)
+        window = code[lo:hi + 8]
+        if hi + 8 > code.size:  # the text's last codes: pad with spaces
+            window = np.concatenate((window, np.full(hi + 8 - code.size, 0x20, code.dtype)))
+        start, end, line, breaks = _split(window, hi - lo)
+        opens = np.ones(line.size, dtype=bool)  # whether a token opens its line
+        np.not_equal(line[1:], line[:-1], out=opens[1:])
+        first = np.flatnonzero(opens)  # the first token of each line
+        del opens
+        count = np.diff(first, append=line.size)
+        keep = window[start[first]] != ord("#")
+        error = None
+        malformed = np.flatnonzero(keep & (count != 2))
+        if malformed.size:
+            bad = malformed[0]
+            line_no = lines + int(line[first[bad]]) + 1
+            error = ParseError(f"line {line_no}: expected '{expected}', "
+                               f"got {count[bad]} token(s)", line=line_no)
+            keep[bad:] = False
+        if not keep.all():
+            kept = np.repeat(keep, count)
+            start, end = start[kept], end[kept]
+        yield Tokens(window, start, end), line[first[keep]] + np.int64(lines + 1), error
+        if error is not None:
+            return
+        lo, lines = hi, lines + breaks
+
+
+def _word_tables(itemsize: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per number of codes left in a word (0 up to a whole word): the mask
+    that keeps them, and the terminator placed right after them."""
+    bits = 8 * itemsize
+    rests = range(8 // itemsize)
+    mask = [(1 << bits * r) - 1 for r in rests] + [2**64 - 1]
+    terminator = [1 << bits * r + bits - 1 for r in rests] + [0]
+    return np.array(mask, dtype=np.uint64), np.array(terminator, dtype=np.uint64)
+
+
+# The terminator is a code no character or int32 block id has (0x80 past
+# ASCII, 2**31 past Unicode), so a token's words also encode its length:
+# "a" != "a\x00".
+_WORD_TABLES = {itemsize: _word_tables(itemsize) for itemsize in (1, 4)}
+_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Fold word ``w`` into hash ``h`` (in place)."""
+    h ^= w
+    h *= _MULTIPLIER
+    h ^= h >> np.uint64(29)
+    return h
+
+
+def _words(size: np.ndarray, itemsize: int) -> int:
+    """How many words the longest of tokens of ``size`` codes packs into:
+    a token of ``s`` codes has ``s // per_word + 1``, the last one
+    terminated."""
+    return int(size.max()) // (8 // itemsize) + 1 if size.size else 0
+
+
+def _word(tokens: Tokens, j: int, pick: slice | np.ndarray) -> np.ndarray:
+    """Word ``j`` of the tokens ``pick``, each ``j * per_word`` codes or
+    longer, read at unaligned offsets: its codes, masked, then the
+    terminator when fewer than a word's worth are left."""
+    code = tokens.code
+    per_word = 8 // code.itemsize
+    view = np.ndarray((code.nbytes - 7,), dtype="<u8", buffer=code, strides=(1,))
+    mask, terminator = _WORD_TABLES[code.itemsize]
+    start = tokens.start[pick].astype(np.intp)
+    rest = np.minimum(tokens.end[pick] - start - j * per_word, per_word, dtype=np.intp)
+    w = view[start * code.itemsize + 8 * j]
+    w &= mask[rest]
+    w |= terminator[rest]
+    return w
+
+
+# A hash key has its top two bits set, which no word of a token shorter
+# than a word has (its top byte is 0x00 or 0x80, its top code 0 or 2**31),
+# so equal keys are equal words unless both are hashes.
+_HASHED = np.uint64(0xC000000000000000)
+
+
+def _keys(tokens: Tokens) -> np.ndarray:
+    """Each token's key: its one word when it is shorter than a word, else
+    a hash of its words."""
+    size = tokens.end - tokens.start
+    per_word = 8 // tokens.code.itemsize
+    key = _word(tokens, 0, slice(None))
+    for j in range(1, _words(size, tokens.code.itemsize)):
+        longer = np.flatnonzero(size >= j * per_word)
+        key[longer] = _mix(key[longer], _word(tokens, j, longer))
+    key[size >= per_word] |= _HASHED
+    return key
+
+
+def _same(a: Tokens, b: Tokens) -> bool:
+    """Whether ``a[i] == b[i]`` for every ``i``, for tokens with equal hash
+    keys: compared by size, then word by word."""
+    size = a.end - a.start
+    if not np.array_equal(size, b.end - b.start):
+        return False
+    per_word = 8 // a.code.itemsize
+    for j in range(_words(size, a.code.itemsize)):
+        longer = np.flatnonzero(size >= j * per_word)
+        if not np.array_equal(_word(a, j, longer), _word(b, j, longer)):
+            return False
+    return True
+
+
+def _grow(buffer: np.ndarray, size: int) -> np.ndarray:
+    """``buffer``, or when it holds fewer than ``size`` items a copy at
+    least twice as long."""
+    if buffer.size >= size:
+        return buffer
+    grown = np.empty(max(size, 2 * buffer.size), dtype=buffer.dtype)
+    grown[:buffer.size] = buffer
+    return grown
+
+
+class Interner:
+    """Ids for distinct code sequences, in first-appearance order, given a
+    window of tokens at a time.
+
+    Each token is packed straight from its code array into 64-bit words (8
+    one-byte or 2 four-byte codes each, read at unaligned offsets) and a
+    terminator, so equal words mean equal sequences.  A token shorter than
+    a word is keyed by its word, a longer one by a hash of its words.  A
+    batch of up to ``BATCH`` tokens is sorted by key, equal neighbours form
+    a group, and each group's key is looked up in an open-addressing table
+    of the keys seen before; a new group takes the next id, and its first
+    token's codes are stored, each sequence followed by a space.  Equal
+    keys of longer tokens are confirmed word by word, within the batch and
+    against the stored sequence; should two different sequences ever share
+    a key, this batch and every later one are interned by their words
+    themselves, lexsorted together with the stored sequences'.  No string
+    is made: the memory kept is the distinct sequences and their keys.
+    """
+
+    def __init__(self, itemsize: int):
+        self.code = np.empty(64, dtype=np.uint8 if itemsize == 1 else np.uint32)
+        self.start = np.zeros(64, dtype=np.int64)  # sequence i: code[start[i]:start[i + 1] - 1]
+        self.count = 0
+        self.exact = False
+        self.slot_key = np.zeros(64, dtype=np.uint64)
+        self.slot_id = np.full(64, -1, dtype=np.int32)
+
+    @classmethod
+    def of(cls, labels: Sequence[str], itemsize: int) -> Interner:
+        """An interner holding ``labels``, distinct strings of any
+        characters, as ids ``0, 1, ...``, at the wider of ``itemsize`` and
+        their own code width.  Their codes are stored as they are, and
+        their keys go straight into the table (or, should two share a key,
+        the interner starts exact)."""
+        code = codes(" ".join(labels) + " " * 8)
+        interner = cls(max(itemsize, code.itemsize))
+        interner.code = code.astype(interner.code.dtype, copy=False)
+        interner.start = np.zeros(len(labels) + 1, dtype=np.int64)
+        space = np.flatnonzero(code == 0x20)
+        if space.size == len(labels) + 7:  # no label holds a space: the first n end them
+            interner.start[1:] = space[:len(labels)] + 1
+        else:
+            np.cumsum(np.fromiter(map(len, labels), dtype=np.int64, count=len(labels)) + 1,
+                      out=interner.start[1:])
+        interner.count = len(labels)
+        key = _keys(interner._stored(np.arange(len(labels))))
+        ordered = np.sort(key)
+        if (ordered[1:] == ordered[:-1]).any():
+            interner.exact = True
+        else:
+            interner._put(key, np.arange(len(labels), dtype=np.int32), None)
+        return interner
+
+    def __len__(self) -> int:
+        return self.count
+
+    def strings(self) -> list[str]:
+        """The distinct sequences, by id, as strings (each without spaces)."""
+        return _decode(self.code[:self.start[self.count]])
+
+    def add(self, tokens: Tokens) -> np.ndarray:
+        """Each token's id (int32), new sequences taking the next ids."""
+        if tokens.code.itemsize < self.code.itemsize:
+            tokens = Tokens(tokens.code.astype(self.code.dtype), tokens.start, tokens.end)
+        ids = np.empty(tokens.start.size, dtype=np.int32)
+        for lo in range(0, ids.size, BATCH):
+            batch = tokens[lo:lo + BATCH]
+            ids[lo:lo + BATCH] = self._exact(batch) if self.exact else self._hashed(batch)
+        return ids
+
+    def _stored(self, ids: np.ndarray) -> Tokens:
+        return Tokens(self.code, self.start[ids], self.start[ids + 1] - 1)
+
+    def _store(self, new: Tokens) -> None:
+        """Store ``new``'s sequences as the next ids."""
+        if not new.start.size:
+            return
+        chars = new.joined()
+        used, count = int(self.start[self.count]), self.count + new.start.size
+        self.code = _grow(self.code, used + chars.size + 8)
+        self.code[used:used + chars.size] = chars
+        self.start = _grow(self.start, count + 1)
+        np.cumsum(new.end - new.start + 1, out=self.start[self.count + 1:count + 1])
+        self.start[self.count + 1:count + 1] += used
+        self.count = count
+
+    def _hashed(self, batch: Tokens) -> np.ndarray:
+        key = _keys(batch)
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(key.size, dtype=bool)  # starts a group
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        hashed = key[-1] >= _HASHED  # the batch has hash keys to confirm
+        if hashed:
+            same = np.flatnonzero(~new[1:] & (key[1:] >= _HASHED))
+            if not _same(batch[order[same]], batch[order[same + 1]]):
+                return self._collided(batch)
+        bounds = np.flatnonzero(new)
+        del new
+        first = np.minimum.reduceat(order, bounds)  # each group's first token
+        key = key[bounds]
+        slot = self._slots(key, None)
+        group = self.slot_id[slot]  # each group's id, or -1
+        if hashed:
+            seen = np.flatnonzero((group >= 0) & (key >= _HASHED))
+            if not _same(batch[first[seen]], self._stored(group[seen])):
+                return self._collided(batch)
+        fresh = np.flatnonzero(group < 0)
+        fresh = fresh[np.argsort(first[fresh])]
+        group[fresh] = np.arange(self.count, self.count + fresh.size)
+        self._store(batch[first[fresh]])
+        self._put(key[fresh], group[fresh], slot[fresh])
+        ids = np.empty(order.size, dtype=np.int32)
+        ids[order] = np.repeat(group, np.diff(bounds, append=order.size))
+        return ids
+
+    def _collided(self, batch: Tokens) -> np.ndarray:
+        self.exact = True
+        return self._exact(batch)
+
+    def _exact(self, batch: Tokens) -> np.ndarray:
+        """The batch's ids from one lexsort of the words of the stored
+        sequences and the batch's tokens."""
+        both = (self._stored(np.arange(self.count)), batch)
+        words = max(_words(t.end - t.start, t.code.itemsize) for t in both)
+        table = np.zeros((words, self.count + batch.start.size), dtype=np.uint64)
+        per_word = 8 // batch.code.itemsize
+        for part, tokens in zip((slice(None, self.count), slice(self.count, None)), both):
+            size = tokens.end - tokens.start
+            for j in range(words):
+                longer = np.flatnonzero(size >= j * per_word)
+                table[j, part][longer] = _word(tokens, j, longer)
+        order = np.lexsort(table[::-1])  # stable: a stored sequence heads its group
+        table = table[:, order]
+        bounds = np.flatnonzero(np.concatenate(([True], (table[:, 1:] != table[:, :-1]).any(axis=0))))
+        del table
+        group = order[bounds]
+        fresh = np.flatnonzero(group >= self.count)
+        fresh = fresh[np.argsort(group[fresh])]
+        self._store(batch[group[fresh] - self.count])
+        group[fresh] = np.arange(self.count - fresh.size, self.count)
+        ids = np.empty(order.size, dtype=np.int32)
+        ids[order] = np.repeat(group, np.diff(bounds, append=order.size))
+        return ids[ids.size - batch.start.size:]
+
+    def _home(self, key: np.ndarray) -> np.ndarray:
+        """Each key's home slot: the top bits of a multiplicative hash."""
+        shift = np.uint64(65 - self.slot_id.size.bit_length())
+        return (key * _MULTIPLIER >> shift).astype(np.intp)
+
+    def _slots(self, key: np.ndarray, slot: np.ndarray | None) -> np.ndarray:
+        """Each key's slot in the table: the one holding it, or the free one
+        where linear probing for it stops, probing from ``slot`` (by default
+        the key's home slot)."""
+        mask = self.slot_id.size - 1
+        if slot is None:
+            slot = self._home(key)
+        todo = np.arange(key.size)
+        while todo.size:
+            at = slot[todo]
+            taken = self.slot_id[at] >= 0
+            taken[taken] = self.slot_key[at[taken]] != key[todo[taken]]
+            todo = todo[taken]
+            slot[todo] = (slot[todo] + 1) & mask
+        return slot
+
+    def _put(self, key: np.ndarray, ids: np.ndarray, slot: np.ndarray | None) -> None:
+        """Put new keys at the free slots found for them (found here when
+        ``slot`` is None); of keys that found the same one the last takes
+        it, and the others probe on.  A table that would be over half full
+        is first rebuilt twice as large: in order of home slot, each key
+        takes the first slot from its home that the keys before it left
+        free, and only those that run past the end probe on from the start.
+        """
+        if 2 * self.count > self.slot_id.size:
+            held = self.slot_id >= 0
+            key = np.concatenate((self.slot_key[held], key))
+            ids = np.concatenate((self.slot_id[held], ids))
+            size = 1 << (2 * self.count).bit_length()
+            self.slot_key = np.zeros(size, dtype=np.uint64)
+            self.slot_id = np.full(size, -1, dtype=np.int32)
+            home = self._home(key)
+            order = np.argsort(home)
+            rank = np.arange(key.size)
+            at = np.maximum.accumulate(home[order] - rank) + rank
+            fits = at < size
+            self.slot_key[at[fits]] = key[order[fits]]
+            self.slot_id[at[fits]] = ids[order[fits]]
+            key, ids = key[order[~fits]], ids[order[~fits]]
+            slot = None
+        if slot is None:
+            slot = self._slots(key, None)
+        while key.size:
+            self.slot_key[slot] = key
+            self.slot_id[slot] = ids
+            lost = self.slot_key[slot] != key
+            key, ids = key[lost], ids[lost]
+            slot = self._slots(key, slot[lost])

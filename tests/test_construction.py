@@ -8,12 +8,14 @@ here demands bit-identical output from the loop constructions they replaced
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import blockrank.graph
+import blockrank.tokens
 from blockrank import (
     DanglingPolicy,
     Decomposition,
@@ -24,8 +26,8 @@ from blockrank import (
     parse_blocks,
     parse_edge_list,
 )
-from blockrank.errors import BlockRankError, ParseError
-from blockrank.graph import LINE_BREAKS, WHITESPACE
+from blockrank.errors import BlockRankError, CoverageError, ParseError
+from blockrank.tokens import LINE_BREAKS, WHITESPACE
 
 from helpers import (
     block_sizes,
@@ -211,9 +213,18 @@ def assert_block_parse_matches_reference(blocks: str, g: Graph) -> None:
         assert [ids.tolist() for ids in members(got)] == want[1]
 
 
-@PARSE_SETTINGS
-@given(line_texts() | ascii_line_texts())
-def test_edge_list_parse_matches_per_line_reference(text):
+@contextlib.contextmanager
+def smallest_windows():
+    """Parse in windows of one code and intern batches of one token: every
+    line that ends in ``'\\n'`` is then a window of its own and every token
+    a batch of its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blockrank.tokens, "WINDOW", 1)
+        patch.setattr(blockrank.tokens, "BATCH", 1)
+        yield
+
+
+def assert_edge_parse_matches_reference(text: str) -> None:
     got, got_error = outcome(parse_edge_list, text)
     pairs, want_error = outcome(reference_parse_pairs, text, "src dst")
     if want_error is None and not pairs:
@@ -227,24 +238,49 @@ def test_edge_list_parse_matches_per_line_reference(text):
 
 
 @PARSE_SETTINGS
-@given(st.one_of(
+@given(line_texts() | ascii_line_texts())
+def test_edge_list_parse_matches_per_line_reference(text):
+    assert_edge_parse_matches_reference(text)
+
+
+@PARSE_SETTINGS
+@given(line_texts() | ascii_line_texts())
+def test_edge_list_parse_matches_per_line_reference_in_smallest_windows(text):
+    with smallest_windows():
+        assert_edge_parse_matches_reference(text)
+
+
+BLOCK_TEXTS = st.one_of(
     st.tuples(line_texts(malformed=False),
               line_texts(labels=st.sampled_from(["a", "b", "c", "zz"]))),
     st.tuples(ascii_line_texts(malformed=False), ascii_line_texts()),
-))
-def test_block_parse_matches_per_line_reference(texts):
-    edges, blocks = texts
+)
+
+
+def assert_graph_and_block_parse_match_reference(edges: str, blocks: str) -> None:
     g, _ = outcome(parse_edge_list, edges)
-    if g is None:
-        return
-    assert_block_parse_matches_reference(blocks, g)
+    if g is not None:
+        assert_block_parse_matches_reference(blocks, g)
+
+
+@PARSE_SETTINGS
+@given(BLOCK_TEXTS)
+def test_block_parse_matches_per_line_reference(texts):
+    assert_graph_and_block_parse_match_reference(*texts)
+
+
+@PARSE_SETTINGS
+@given(BLOCK_TEXTS)
+def test_block_parse_matches_per_line_reference_in_smallest_windows(texts):
+    with smallest_windows():
+        assert_graph_and_block_parse_match_reference(*texts)
 
 
 W8, W9, W16, W17 = "abcdefgh", "abcdefghi", "abcdefgh" * 2, "abcdefgh" * 2 + "i"
 E2, E3, E4, E5 = "\u00e9" * 2, "\u00e9" * 3, "\u00e9" * 4, "\u00e9" * 5
 
 
-@pytest.mark.parametrize("graph, blocks", [
+LABEL_EDGE_CASES = [
     # labels that prefix each other
     ("v1 v10\nv10 v100\nv100 v1", "v10 X\nv1 X\nv100 Y"),
     ("v1 v10\nv10 v100\nv100 v1", "v10 X\nv1 X\nv1000 Y"),
@@ -266,10 +302,20 @@ E2, E3, E4, E5 = "\u00e9" * 2, "\u00e9" * 3, "\u00e9" * 4, "\u00e9" * 5
     # and a malformed line wins over a later unknown label
     ("a b\nb a", "a X\nzz X\nb\nb X"),
     ("a b\nb a", "a X\nb\nzz X\nb X"),
-])
+]
+
+
+@pytest.mark.parametrize("graph, blocks", LABEL_EDGE_CASES)
 def test_block_parse_matches_reference_on_label_edge_cases(graph, blocks):
     g = parse_edge_list(graph)
     assert_block_parse_matches_reference(blocks, g)
+
+
+@pytest.mark.parametrize("graph, blocks", LABEL_EDGE_CASES)
+def test_block_parse_matches_reference_on_label_edge_cases_in_smallest_windows(graph, blocks):
+    with smallest_windows():
+        assert_edge_parse_matches_reference(graph)
+        assert_block_parse_matches_reference(blocks, parse_edge_list(graph))
 
 
 @pytest.mark.parametrize("labels", [["a b", "a", ""], ["a\tb", "\u00e9 a", "a"]])
@@ -279,7 +325,7 @@ def test_graph_labels_with_whitespace_match_no_blocks_token(labels):
     assert_block_parse_matches_reference("a X\n", Graph.from_edges(labels, []))
 
 
-@pytest.mark.parametrize("text, line", [
+MALFORMED_LINES = [
     ("a b\r\n\r\n# c\r\na b c\r\n", 4),
     ("a b\u2028c\u2029d e", 2),
     ("a b\r\rc\n", 3),
@@ -287,21 +333,47 @@ def test_graph_labels_with_whitespace_match_no_blocks_token(labels):
     (" a\x00 b\x1d\x1e\ta\x1fb c", 3),
     ("a b\x0b\rabcdefghi\x00\tb\x0c# x y z\x0c\x1fa b c", 5),
     ("a b\r#c\nd e f\n", 3),
-])
-def test_malformed_line_number_counts_every_line_break(text, line):
+]
+
+
+def assert_malformed_line(text: str, line: int) -> None:
     with pytest.raises(BlockRankError) as info:
         parse_edge_list(text)
     assert info.value.line == line and str(info.value).startswith(f"line {line}:")
 
 
+@pytest.mark.parametrize("text, line", MALFORMED_LINES)
+def test_malformed_line_number_counts_every_line_break(text, line):
+    assert_malformed_line(text, line)
+
+
+@pytest.mark.parametrize("text, line", MALFORMED_LINES)
+def test_malformed_line_number_counts_every_line_break_in_smallest_windows(text, line):
+    with smallest_windows():
+        assert_malformed_line(text, line)
+
+
 @pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
 def test_interning_is_exact_when_every_hash_collides(alphabet, monkeypatch):
-    """Labels longer than one 64-bit word (8 ASCII characters, 2 otherwise)
-    are sorted by a hash of their words, and so are block signatures of 2
+    """Labels of one 64-bit word or more (8 ASCII characters, 2 otherwise)
+    are keyed by a hash of their words, and so are block signatures of 2
     or more blocks.  With that hash forced to one value for every label and
     signature, the exact sort over the words must still give each distinct
     label its own id, in both parsers, and each distinct signature its own."""
-    monkeypatch.setattr(blockrank.graph, "_mix", lambda h, w: np.zeros_like(h))
+    monkeypatch.setattr(blockrank.tokens, "_mix", lambda h, w: np.zeros_like(h))
+    assert_interning_is_exact(alphabet)
+
+
+@pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
+def test_interning_is_exact_when_every_hash_collides_in_smallest_windows(alphabet, monkeypatch):
+    """As above, with each token interned alone: the collision is then met
+    against the labels already stored, not inside one batch."""
+    monkeypatch.setattr(blockrank.tokens, "_mix", lambda h, w: np.zeros_like(h))
+    with smallest_windows():
+        assert_interning_is_exact(alphabet)
+
+
+def assert_interning_is_exact(alphabet: str) -> None:
     rng = np.random.default_rng(3)
     shortest = 9 if alphabet.isascii() else 3
     labels = sorted({"".join(rng.choice(list(alphabet), size=rng.integers(shortest, 41)))
@@ -331,3 +403,59 @@ def test_interning_is_exact_when_every_hash_collides(alphabet, monkeypatch):
     signature, reach = reference_signatures(d, h.dangling)
     assert h.signature.tolist() == signature
     assert np.array_equal(h.reach[h.signature].toarray(), reach)
+
+
+def many_lines(count: int) -> list[str]:
+    """``count`` edge lines over a few hundred repeating labels."""
+    return [f"v{i % 997}\tv{i * 7 % 1009}\n" for i in range(count)]
+
+
+@pytest.mark.parametrize("window, count", [(1, 300), (16, 600), (None, 60_000)])
+def test_malformed_line_in_a_later_window_names_its_line(window, count, monkeypatch):
+    lines = many_lines(count)  # 60,000 are about 660 KB: three default windows
+    if window is not None:
+        monkeypatch.setattr(blockrank.tokens, "WINDOW", window)
+    assert len("".join(lines)) > 2 * blockrank.tokens.WINDOW
+    assert_edge_parse_matches_reference("".join(lines))
+    lines[count - count // 12] = "v1 v2 v3\n"
+    assert_malformed_line("".join(lines), count - count // 12 + 1)
+
+
+@pytest.mark.parametrize("window", [1, None])
+def test_block_errors_keep_line_order_across_windows(window, monkeypatch):
+    """An unknown node label in one window wins over a malformed line in a
+    later one, and a malformed line over an unknown label in a later one."""
+    if window is not None:
+        monkeypatch.setattr(blockrank.tokens, "WINDOW", window)
+    g = parse_edge_list("a b\nb a\n")
+    filler = ["a X\n", "b Y\n"] * 40_000  # about 320 KB: two windows at the default size
+    assert len("".join(filler)) > blockrank.tokens.WINDOW
+    unknown_first = ["a X\n", "zz X\n"] + filler + ["b\n"]
+    malformed_first = ["a X\n", "b\n"] + filler + ["zz X\n"]
+    for lines in (unknown_first, malformed_first):
+        assert_block_parse_matches_reference("".join(lines), g)
+    with pytest.raises(CoverageError, match="line 2: node label 'zz'"):
+        parse_blocks("".join(unknown_first), g)
+    with pytest.raises(ParseError, match="line 2: expected"):
+        parse_blocks("".join(malformed_first), g)
+
+
+@pytest.mark.parametrize("ending", ["\r", "\x0b", " "])
+def test_text_without_a_newline_is_one_window(ending, monkeypatch):
+    monkeypatch.setattr(blockrank.tokens, "WINDOW", 8)
+    lines = [line.replace("\n", ending) for line in many_lines(500)]
+    assert_edge_parse_matches_reference("".join(lines))
+    lines[321] = "v1" + ending
+    assert_malformed_line("".join(lines), 322)
+
+
+@pytest.mark.parametrize("label", ["abcdefghijk", "abcdefgh", "ééé", "éé"])
+def test_long_label_first_seen_in_a_later_window(label):
+    """A label of a word or more is keyed by a hash; it first appears in the
+    third window and again in the fifth, and keeps one id."""
+    text = f"a b\nb c\n{label} a\nc b\nc {label}\n{label}x {label}\n"
+    with smallest_windows():
+        assert_edge_parse_matches_reference(text)
+        g = parse_edge_list(text)
+        assert g.labels == ("a", "b", "c", label, label + "x")
+        assert_block_parse_matches_reference(f"a X\nb X\nc X\n{label}x Y\n{label} Y\n", g)

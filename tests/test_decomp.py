@@ -74,6 +74,12 @@ class TestParseBlocks:
         with pytest.raises(ParseError):
             parse_blocks("# nothing\n", g4)
 
+    @pytest.mark.parametrize("text", ["c Z\nd Z\na A\nb A", "c \u00c9\r\nd Z\na \u00c9\nb Z\n"])
+    def test_utf8_bytes_parse_as_their_text(self, g4, text):
+        d, want = parse_blocks(text.encode(), g4), parse_blocks(text, g4)
+        assert d.block_labels == want.block_labels
+        assert (d.B != want.B).nnz == 0
+
     def test_block_ids_follow_first_appearance(self, g4):
         d = parse_blocks("c Z\nd Z\na A\nb A", g4)
         assert d.block_labels == ("Z", "A")
