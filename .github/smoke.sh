@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Console-script smoke test: every subcommand of the installed `blockrank`
 # on a 5-node graph with a non-ASCII label and a blocks file with CRLF line
-# ends, then `check` on an edge list of several parse windows.  Needs
-# `pip install -e .`, `seq` and `awk`; runs in a scratch directory.
+# ends, then `check`, `rank` and `compare` on an edge list of several parse
+# windows.  Needs `pip install -e .`, `seq` and `awk`; runs in a scratch
+# directory.
 set -euo pipefail
 cd "$(mktemp -d)"
 printf 'a b\nb c\nc d\nd a\nd é\né a\n' > smoke.edges
@@ -34,6 +35,15 @@ if grep -q Traceback bad.err; then cat bad.err; exit 1; fi
 seq 0 59999 | awk '{ u = $1 % 5000; printf "v%d\tv%d\n", u, (u + 1 + 37 * int($1 / 5000)) % 5000 }' > big.edges
 seq 0 4999 | awk '{ printf "v%d\tb%d\n", $1, $1 % 10 }' > big.blocks
 blockrank check --graph big.edges --blocks big.blocks
+# rank and compare on that corpus, whose blocks leak too much for the
+# corrector (a refusal by the links): one row per node, and a rerun gives
+# the same bytes
+blockrank rank --graph big.edges --blocks big.blocks > big.tsv
+test "$(wc -l < big.tsv)" -eq 5000
+blockrank rank --graph big.edges --blocks big.blocks | cmp - big.tsv
+blockrank compare --graph big.edges --blocks big.blocks --format json > big.json
+test "$(wc -l < big.json)" -eq 1
+blockrank compare --graph big.edges --blocks big.blocks --format json | cmp - big.json
 awk 'NR == 59000 { print "v1 v2 v3"; next } { print }' big.edges > bad.edges
 status=0
 blockrank check --graph bad.edges --blocks big.blocks 2> bad_edges.err || status=$?

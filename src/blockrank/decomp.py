@@ -189,11 +189,12 @@ def build_factors(
 
     n, K = g.n, d.K
 
-    # Gamma = pattern((I + G) @ B): row u marks u's proximal blocks.
-    G = sparse.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
-    gamma = pattern(G @ d.B + d.B)
-    N = np.diff(gamma.indptr)
     by_block = d.B.T.tocsr()  # B^T: block k's row lists its members
+    # Gamma = pattern((I + G) @ B): row u marks u's proximal blocks.  The
+    # graph stores G^T, so G, like B (by_block's transpose), is a CSC view.
+    G = sparse.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n)).T
+    gamma = pattern((G @ by_block.T + by_block.T).tocsr())
+    N = np.diff(gamma.indptr)
     sizes = np.diff(by_block.indptr)
     if form is FactorForm.PARTITION:
         # R = Gamma @ Diag(sizes)^-1: per-entry (1/N_u) * (1/|D_J|)

@@ -45,18 +45,24 @@ class DanglingPolicy(Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable directed graph in compressed sparse row form.
+    """Immutable directed graph, its links stored by target.
 
-    Node ids are dense integers in ``[0, n)`` assigned at construction;
-    ``labels[i]`` is the original label of node ``i``.  Duplicate edges are
-    collapsed, self-loops kept.
+    Node ids are dense integers in ``[0, n)``; ``labels[i]`` is node ``i``'s
+    original label.  ``indptr`` and ``indices`` (int32) are the transposed
+    adjacency in CSR: row ``v`` lists the sources of the links into ``v``,
+    ascending, the pattern ``H^T`` shares.  Duplicate edges are collapsed,
+    self-loops kept.
     """
 
     n: int
     labels: tuple[str, ...]
     indptr: np.ndarray
     indices: np.ndarray
-    out_degree: np.ndarray
+
+    @property
+    def out_degree(self) -> np.ndarray:
+        """Each node's number of out-links, counted on each access."""
+        return np.bincount(self.indices, minlength=self.n)
 
     @classmethod
     def from_edges(cls, labels: Sequence[str], edges: Iterable[tuple[int, int]]) -> Graph:
@@ -76,9 +82,8 @@ class Graph:
             u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1).argmax()]
             raise DimensionError(f"edge ({u}, {v}) outside node range [0, {n})")
 
-        indptr, indices = _pattern(pairs.astype(np.int32, order="C"), n)
-        return cls(n=n, labels=labels, indptr=indptr, indices=indices,
-                   out_degree=np.diff(indptr))
+        indptr, indices = _pattern(pairs.astype(np.int32, order="C"), n, row=1)
+        return cls(n=n, labels=labels, indptr=indptr, indices=indices)
 
     @property
     def label_ids(self) -> dict[str, int]:
@@ -87,32 +92,37 @@ class Graph:
         return dict(zip(self.labels, range(self.n)))
 
 
-def _pattern(pairs: np.ndarray, nrows: int) -> tuple[np.ndarray, np.ndarray]:
-    """``indptr`` and ``indices`` (int64) of the 0/1 CSR matrix with a one at
-    each (row, col) pair of the C-contiguous ``m x 2`` int32 array
-    ``pairs``, in canonical form.
+def _pattern(pairs: np.ndarray, nrows: int, row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` (int32) of the canonical 0/1 CSR matrix with
+    a one at each pair of the C-contiguous ``m x 2`` int32 array ``pairs``,
+    whose column ``row`` holds the row ids.
 
-    ``pairs`` is consumed: each pair is overwritten by its packed int64 key
-    ``row << 32 | col`` (a batch at a time), the keys are sorted in place
-    and equal neighbours dropped; the row starts are found by binary search
-    and the keys' low halves are the column indices.  So no other array
-    per pair is made, unless there are duplicates to drop.
+    ``pairs``, which must own its data, is consumed: each pair becomes its
+    packed int64 key ``row << 32 | col`` (a batch at a time), the keys are
+    sorted in place and equal neighbours dropped, the row starts found by
+    binary search, and the keys' low halves moved to the front as the
+    column indices, the buffer shrunk to them.  No other array per pair is
+    made, unless there are duplicates to drop.
     """
-    key = pairs.view(np.int64).reshape(-1)
-    step = tokens.BATCH
+    key, flat, step = pairs.view(np.int64).reshape(-1), pairs.reshape(-1), tokens.BATCH
+    rows, cols = pairs[:, row], pairs[:, 1 - row]
     for lo in range(0, key.size, step):
-        pair = pairs[lo:lo + step]
-        key[lo:lo + step] = pair[:, 0].astype(np.int64) << 32 | pair[:, 1]
+        key[lo:lo + step] = rows[lo:lo + step].astype(np.int64) << 32 | cols[lo:lo + step]
     key.sort()
     new = np.empty(key.size, dtype=bool)
     new[:1] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    if not new.all():
-        key = key[new]
+    m = int(np.count_nonzero(new))
+    if m < key.size:
+        key[:m] = key[new]
     del new
-    indptr = np.searchsorted(key, np.arange(nrows + 1, dtype=np.int64) << 32)
-    key &= 0xFFFFFFFF
-    return indptr, key
+    indptr = np.searchsorted(key[:m], np.arange(nrows + 1, dtype=np.int64) << 32)
+    for lo in range(0, m, step):  # a batch overwrites only keys already moved
+        hi = min(lo + step, m)
+        flat[lo:hi] = key[lo:hi] & 0xFFFFFFFF
+    del key, flat, rows, cols
+    pairs.resize(m, refcheck=False)
+    return indptr.astype(np.int32 if m < 2**31 else np.int64), pairs
 
 
 def ones(pairs: np.ndarray, shape: tuple[int, int]) -> sparse.csr_array:
@@ -166,28 +176,24 @@ def parse_edge_list(text: str | bytes) -> Graph:
         used += window.start.size
     if not len(labels):
         raise ParseError("empty graph")
-    ids.resize(used, refcheck=False)  # gives the untouched tail back
-    indptr, indices = _pattern(ids.reshape(-1, 2), len(labels))
-    return Graph(n=len(labels), labels=tuple(labels.strings()), indptr=indptr,
-                 indices=indices, out_degree=np.diff(indptr))
+    ids.resize((used // 2, 2), refcheck=False)  # gives the untouched tail back
+    indptr, indices = _pattern(ids, len(labels), row=1)
+    return Graph(n=len(labels), labels=tuple(labels.strings()), indptr=indptr, indices=indices)
 
 
 @dataclass(frozen=True)
 class HyperlinkOperator:
     """Row-stochastic surfing operator, applied as ``x -> x @ H``.
 
-    ``base_t``, the one copy of the links, holds the normalized link rows
-    (``1/d_u`` entries; dangling rows are zero) transposed, in CSR: their
-    part of ``x @ H`` is the row gather ``base_t @ x``, faster than a column
-    scatter and adding in the same order.  The substituted dangling rows
-    are kept apart.  Under ``UNIFORM_ALL`` they are the stored dangling set
-    plus an implicit uniform rank-one correction.  Under ``OWN_BLOCK`` they are factored by
-    block signature, the set of blocks a node lies in: dangling node
+    ``base_t`` holds the normalized link rows (``1/d_u``; dangling rows are
+    zero) transposed, in CSR on the graph's own pattern arrays: their part
+    of ``x @ H`` is the row gather ``base_t @ x``.  The dangling rows are
+    kept apart: under ``UNIFORM_ALL`` as a uniform rank-one term; under
+    ``OWN_BLOCK`` by block signature (a node's set of blocks): dangling node
     ``dangling[i]`` spreads ``share[i]`` (one over the size of the union of
     its blocks) to every node ``v`` with ``reach[signature[v], i] == 1``,
-    where ``reach`` is the 0/1 matrix with one row per distinct signature,
-    in first-appearance order, and a one wherever that signature meets the
-    dangling node's blocks.
+    ``reach`` holding a row per distinct signature (in first-appearance
+    order) with a one wherever it meets the dangling node's blocks.
     """
 
     n: int
@@ -229,10 +235,10 @@ def build_hyperlink(
                 f"decomposition covers {decomp.n} nodes but the graph has {g.n}"
             )
 
-    n = g.n
-    data = np.repeat(1.0 / np.maximum(g.out_degree, 1), g.out_degree)
-    base_t = sparse.csr_array((data, g.indices, g.indptr), shape=(n, n)).T.tocsr()
-    dangling = np.flatnonzero(g.out_degree == 0)
+    n, degree = g.n, g.out_degree  # H^T's entry (v, u) is 1/d_u, on the graph's pattern
+    base_t = sparse.csr_array(((1.0 / np.maximum(degree, 1))[g.indices], g.indices, g.indptr),
+                              shape=(n, n))
+    dangling = np.flatnonzero(degree == 0)
     if policy is not DanglingPolicy.OWN_BLOCK:
         return HyperlinkOperator(n=n, policy=policy, base_t=base_t, dangling=dangling)
 

@@ -1,27 +1,20 @@
 """Ranking vectors by sparse power iteration on the factored surfing operator.
 
-The iteration step is ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t * v``
-with ``t = 1 - eta - mu``, without forming the dense proximity matrix or the
-explicit ``OWN_BLOCK`` dangling rows.  Every operand is read row-wise in CSR
-(``H^T`` held once by the operator, ``R^T`` built once per run): a row gather
-beats a column scatter and sums in the same order.  A step costs
-O(nnz(G) + n + nnz(Q) + nnz(R) + nnz(A)), ``Q`` being
-``HyperlinkOperator.reach`` (signature by dangling node).
+The step ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t * v``, with
+``t = 1 - eta - mu``, forms neither the dense proximity matrix nor the
+``OWN_BLOCK`` dangling rows and reads every operand row-wise in CSR (``H^T``;
+``R^T``, built once per run): a row gather beats a column scatter and sums
+in the same order.  A step costs O(nnz(G) + n + nnz(Q) + nnz(R) + nnz(A)),
+``Q`` being ``HyperlinkOperator.reach``.
 
-Without teleportation the iteration contracts at ``|lambda_2(P)|``, which
-tends to 1 as a block decouples from the rest (the nearly completely
-decomposable regime).  There, :func:`rank` rescales ``x`` before each step
-so that the mass of each aggregate (the nodes whose lowest block is the
-same) matches the stationary vector of the small coupled chain between
-aggregates (iterative aggregation-disaggregation, Koury, McAllister &
-Stewart 1984).  Up to ``K^2 <= n`` blocks that chain is dense and solved
-exactly; above, it is kept on its sparse pattern and solved inexactly by a
-few power steps that start from the previous correction (De Sterck et al.,
-SIAM J. Sci. Comput. 2008).  The stop rule and the returned vector are
+Without teleportation the iteration contracts at ``|lambda_2(P)|``, near 1
+when a block nearly decouples.  There :func:`rank` rescales ``x`` before
+each step so that each aggregate (the nodes with one lowest block) carries
+its mass in the stationary vector of the coupled chain between aggregates
+(aggregation-disaggregation, Koury, McAllister & Stewart 1984; De Sterck et
+al., SIAM J. Sci. Comput. 2008).  The stop rule and the returned vector are
 those of the plain step that follows, so ``|x @ P - x|_1 <= tol`` holds as
-without corrections.  Whether corrections run is decided once from the
-input (:func:`block_aggregation`).  A PageRank baseline and a small
-comparison report round out the module.
+without corrections.  A PageRank baseline and a comparison follow.
 """
 
 from __future__ import annotations
@@ -33,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from . import tokens
 from .decomp import ProximityFactors, indicator
 from .errors import ConfigurationError, DimensionError
 from .graph import DanglingPolicy, HyperlinkOperator, hyperlink_apply
@@ -51,19 +45,16 @@ __all__ = [
 # 1 - eta - mu within it of 0 is exactly 0, so the run is teleport-free.
 WEIGHT_TOL = 1e-9
 # Largest leak of the weakest aggregate (the probability that one step from
-# the uniform vector on it leaves it) at which aggregation-disaggregation
-# corrections run.  On a coupling sweep (K = 8, n = 8000) corrected runs
-# cost as much wall time as plain ones near a leak of 0.22; half of that
-# leaves room for blocks that mix more slowly inside.
+# the uniform vector on it leaves it) at which corrections run.  On a
+# coupling sweep (K = 8, n = 8000) they break even near a leak of 0.22; half
+# of that leaves room for blocks that mix more slowly inside.
 LEAK = 0.1
-# A sparse coarse solve stops once a power step on the coupled chain changes
-# it by at most COARSE_STOP times the fine residual, or after COARSE_STEPS
-# steps.  On hosts-cover (K = 800) fractions 1.0 / 0.3 / 0.1 took 255 / 55 /
-# 50 fine steps, and 0.3 takes about 9 coarse steps per correction.  The cap
-# binds only where the coupled chain itself mixes slowly: on a generator
-# instance with n = 20000, K = 200 and 1% of links leaving their block,
-# caps of 20 / 100 / 200 / 500 / 1000 took 3000+ / 768 / 396 / 172 / 112
-# fine steps (76,085 plain), and a cap of 1500 let corrections stall.
+# A sparse coarse solve stops once a power step changes it by at most
+# COARSE_STOP times the fine residual, or after COARSE_STEPS steps.  On
+# hosts-cover (K = 800) 1.0 / 0.3 / 0.1 took 255 / 55 / 50 fine steps.  With
+# n = 20000, K = 200 and 1% of links leaving their block, caps of 20 / 100 /
+# 200 / 500 / 1000 took 3000+ / 768 / 396 / 172 / 112 fine steps (76,085
+# plain), and a cap of 1500 let corrections stall.
 COARSE_STOP = 0.3
 COARSE_STEPS = 200
 RATE_WINDOW = 5  # residual ratios averaged into RankResult.rate
@@ -106,11 +97,9 @@ def _check_stop_rule(tol: float, max_iter: int) -> None:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Probability vector over node ids plus convergence diagnostics.
-
-    ``corrections`` counts the aggregation-disaggregation corrections that
-    ran; ``rate`` is the geometric mean of the last few residual ratios
-    (the observed contraction per step; NaN after a single step).
+    """Probability vector over node ids plus convergence diagnostics:
+    ``corrections`` run, and ``rate``, the geometric mean of the last few
+    residual ratios (NaN after a single step).
     """
 
     scores: np.ndarray
@@ -151,10 +140,8 @@ def fmt(x: float) -> str:
 
 def order_by_score(scores: np.ndarray, labels) -> list[int]:
     """Node ids by descending score as printed (12 significant digits), ties
-    broken by ascending label.
-
-    Only scores within ``1e-11`` (relative) of a neighbouring score can print
-    alike, so only those are keyed by their printed value.
+    by ascending label.  Only scores within ``1e-11`` (relative) of a
+    neighbour can print alike, so only those are keyed by their print.
     """
     keys, which = np.unique(-np.asarray(scores, dtype=np.float64), return_inverse=True)
     near = np.diff(keys) <= 1e-11 * np.abs(keys[1:])
@@ -185,25 +172,19 @@ def _validate_personalization(v: np.ndarray | None, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockAggregation:
-    """Aggregation-disaggregation corrector for the teleport-free operator
-    ``P = eta * H + mu * R @ A``.
+    """Aggregation-disaggregation corrector for ``P = eta * H + mu * R @ A``.
 
     Node ``u`` belongs to aggregate ``agg[u]``, the renumbered lowest block
-    containing it; ``E`` is the matching ``n x k`` 0/1 matrix.  The coupled
-    chain ``C = E^T Diag(x) P E`` lives on a fixed pattern, ``c_t`` being
-    ``C^T`` in CSR with its entries rewritten by each correction:
-    ``links @ x`` lists the entries of ``E^T Diag(x) eta H E`` on that
-    pattern and ``proximity @ x`` those of ``Z = E^T Diag(x) R`` on its
-    own, and ``pairs`` adds ``Z``'s entry ``(i, b)`` times the entry
-    ``(b, j)`` of ``mu * A E`` to ``C``'s entry ``(i, j)``.  The proximity
-    term stays factored, since for a cover ``R @ A E`` can hold ``n x k``
-    entries.  Under ``UNIFORM_ALL`` the dangling rows of ``eta * H E`` are
-    all ``spread`` and enter as a rank-one term.  ``leak`` is the weakest
-    aggregate's: the probability that one step from the uniform vector on
-    it leaves it.  With ``exact`` (``K^2 <= n`` blocks) ``C`` is solved
-    densely; otherwise by power steps.  A correction costs
-    O(nnz(H E) + nnz(R) + nnz(pairs)) plus ``K^3`` for the dense solve or
-    ``steps * nnz(C)`` for the power steps.
+    containing it (``E`` is the ``n x k`` 0/1 matrix).  ``c_t`` holds
+    ``C^T``, ``C = E^T Diag(x) P E``, on a fixed pattern, its entries
+    rewritten by each correction: ``links @ x`` gives those of
+    ``E^T Diag(x) eta H E``, and ``pairs`` adds to the entry ``(i, j)`` of
+    ``C`` the entry ``(i, b)`` of ``Z = E^T Diag(x) R`` (``proximity @ x``)
+    times the entry ``(b, j)`` of ``mu * A E`` (for a cover ``R @ A E`` can
+    hold ``n x k`` entries).  ``UNIFORM_ALL`` dangling rows are ``spread``.
+    ``leak`` is the weakest aggregate's.  With ``exact`` (``K^2 <= n``)
+    ``C`` is solved densely, else by power steps.  A correction costs
+    O(nnz(H E) + nnz(R) + nnz(pairs)) plus ``K^3`` or ``steps * nnz(C)``.
     """
 
     agg: np.ndarray
@@ -217,11 +198,9 @@ class BlockAggregation:
     exact: bool
 
     def correct(self, x: np.ndarray, residual: float) -> np.ndarray | None:
-        """``x`` with each aggregate's mass set to the stationary vector of the
-        coupled ``k x k`` chain ``Diag(1/xi) C``, ``xi = E^T x``; ``None``
-        when the coarse solve fails or gives a non-positive vector.
-        ``residual`` is the L1 change of the step that gave ``x`` (``inf``
-        before the first), which sets how far power steps resolve ``C``."""
+        """``x`` with each aggregate's mass set to the stationary vector of
+        ``Diag(1/xi) C``, ``xi = E^T x``, or ``None`` when that fails or is
+        not positive.  ``residual`` is the L1 change of the last step."""
         xi = np.bincount(self.agg, weights=x)
         if not (xi > 0.0).all():
             return None
@@ -260,11 +239,10 @@ class BlockAggregation:
             return None
 
     def _power_steps(self, xi, mass, residual):
-        """Power steps on ``Diag(1/xi) C``, which is stochastic, from ``xi``
-        (the last correction's ``pi`` carried through one step) until one
-        changes ``pi`` by at most :data:`COARSE_STOP` times the fine
-        residual, or :data:`COARSE_STEPS` of them; the first correction,
-        with no residual yet, takes one."""
+        """Power steps on the stochastic ``Diag(1/xi) C`` from ``xi`` (the
+        last correction's ``pi`` carried through one step) until one moves
+        ``pi`` by at most :data:`COARSE_STOP` times ``residual``, or
+        :data:`COARSE_STEPS` of them."""
         pi, stop = xi, COARSE_STOP * residual
         for _ in range(COARSE_STEPS):
             q = pi / xi
@@ -278,114 +256,156 @@ class BlockAggregation:
         return pi / pi.sum()
 
 
+def _rows(indptr: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The row (int32) of each entry ``lo .. hi - 1`` of a CSR matrix."""
+    first, last = np.searchsorted(indptr, (lo, hi - 1), side="right") - 1
+    return np.repeat(np.arange(first, last + 1, dtype=np.int32),
+                     np.diff(np.clip(indptr[first:last + 2], lo, hi)))
+
+
+def _csr(data, rows, cols, shape) -> sparse.csr_array:
+    """The CSR matrix of COO triples, with int32 indices."""
+    return sparse.csr_array((data, (rows.astype(np.int32), cols.astype(np.int32))), shape=shape)
+
+
 def _link_leaks(h: HyperlinkOperator, agg: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Each aggregate's leak under ``H``; ``eta`` times it is a lower bound
-    on the leak under ``P`` that needs only the links."""
+    """Each aggregate's leak under ``H`` (times ``eta``, a lower bound on
+    the leak under ``P``), reading the links ``tokens.BATCH`` at a time."""
     base_t, dangling = h.base_t, h.dangling
-    to = np.repeat(agg, np.diff(base_t.indptr))
-    inside = agg[base_t.indices] == to
+    stay = np.zeros(size.size)
+    for lo in range(0, base_t.nnz, tokens.BATCH):
+        hi = min(lo + tokens.BATCH, base_t.nnz)
+        to = agg[_rows(base_t.indptr, lo, hi)]
+        np.add.at(stay, to, base_t.data[lo:hi] * (agg[base_t.indices[lo:hi]] == to))
     if h.policy is DanglingPolicy.OWN_BLOCK:  # the union of u's blocks holds u's aggregate
         back = h.share * size[agg[dangling]]
     else:
         back = size[agg[dangling]] / h.n
-    stay = (np.bincount(to[inside], weights=base_t.data[inside], minlength=size.size)
-            + np.bincount(agg[dangling], weights=back, minlength=size.size))
+    stay += np.bincount(agg[dangling], weights=back, minlength=size.size)
     return 1.0 - stay / size
 
 
-def _aggregated_links(h: HyperlinkOperator, agg: np.ndarray, k: int) -> sparse.csr_array:
-    """``H E`` through one sparse product.  Nodes with one signature share
-    their aggregate, so ``OWN_BLOCK`` dangling node i sends ``share[i] *
-    (nodes of signature s)`` to aggregate ``agg(s)`` for each signature s
-    its row reaches; ``UNIFORM_ALL`` dangling rows are left out."""
-    n = h.n
-    he = (h.base_t.T @ sparse.csr_array((np.ones(n), agg, np.arange(n + 1)), shape=(n, k))).tocsr()
+def _aggregated_links(h: HyperlinkOperator, agg: np.ndarray, order: np.ndarray,
+                      size: np.ndarray) -> sparse.csr_array:
+    """``(H E)^T`` as ``E^T H^T``.  ``OWN_BLOCK`` dangling node i sends
+    ``share[i] * (nodes of signature s)`` to aggregate ``agg(s)`` for each
+    signature s its row reaches; ``UNIFORM_ALL`` ones are left out."""
+    n, k = h.n, size.size
+    e_t = sparse.csr_array((np.ones(n), order, np.append(0, np.cumsum(size)).astype(np.int32)),
+                           shape=(k, n))
+    he_t = e_t @ h.base_t
+    del e_t
     if h.policy is not DanglingPolicy.OWN_BLOCK:
-        return he
-    sig_agg = np.empty(h.reach.shape[0], dtype=np.int64)
+        return he_t
+    sig_agg = np.empty(h.reach.shape[0], dtype=np.int32)
     sig_agg[h.signature] = agg
     reach = h.reach.tocoo()
-    return he + sparse.csr_array((h.share[reach.col] * np.bincount(h.signature)[reach.row],
-                                  (h.dangling[reach.col], sig_agg[reach.row])), shape=(n, k))
+    return he_t + _csr(h.share[reach.col] * np.bincount(h.signature)[reach.row],
+                       h.dangling[reach.col], sig_agg[reach.row], (n, k)).T
+
+
+def _runs(m: sparse.csr_array, order: np.ndarray, rank: np.ndarray, agg: np.ndarray, k: int):
+    """The entries of ``m`` (CSR over nodes) in runs of one row and one
+    aggregate, as the rows of a CSR matrix, nodes ascending, and the runs'
+    keys ``row * k + aggregate``.  ``order`` lists the nodes by aggregate,
+    then id; ``rank`` inverts it."""
+    m = sparse.csr_array((m.data, rank[m.indices], m.indptr), shape=m.shape)
+    m.sort_indices()
+    nodes = order[m.indices]
+    to = agg[nodes]
+    start = np.empty(nodes.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(to[1:], to[:-1], out=start[1:])
+    start[m.indptr[:-1][m.indptr[:-1] < nodes.size]] = True
+    start = np.flatnonzero(start)
+    key = (np.searchsorted(m.indptr, start, side="right") - 1) * np.int64(k) + to[start]
+    return sparse.csr_array((m.data, nodes, np.append(start, nodes.size).astype(np.int32)),
+                            shape=(start.size, order.size)), key
 
 
 def block_aggregation(
     h: HyperlinkOperator, f: ProximityFactors, params: RankParams
 ) -> BlockAggregation | None:
-    """The corrector :func:`rank` uses, or ``None`` where corrections would
-    not pay.
+    """The corrector :func:`rank` uses, or ``None`` where it would not pay.
 
-    Corrections run only for the teleport-free operator with ``mu > 0``, at
-    least two aggregates, and some aggregate that leaks at most
-    :data:`LEAK` (the probability that one step from the uniform vector on
-    it leaves it): a nearly closed aggregate makes the slow mode that a
-    coarse solve removes, and where every aggregate leaks more the plain
-    iteration is fast already.  The links' share of the leaks is a lower
-    bound that decides most refusals before the proximity term is formed.
-    The decision costs O(nnz(G) + nnz(R) + nnz(A) + n) and keeps nothing
-    when it says no.  The corrector holds
-    O(nnz(G) + nnz(Q) + nnz(R) + nnz(pairs) + n) entries, the pairs being
-    no more than ``nnz(E^T R)`` times the most aggregates one block meets
-    (one, for a partition).  At ``K^2 <= n`` blocks it solves the coupled
-    chain exactly, as a dense ``k x k`` system; above, by power steps.
+    It runs only for the teleport-free operator with ``mu > 0``, at least
+    two aggregates and some aggregate that leaks at most :data:`LEAK`: a
+    nearly closed aggregate makes the slow mode a coarse solve removes.
+    The links' share of the leaks, a lower bound, decides most refusals
+    first.  The decision takes O(nnz(G) + nnz(R) + nnz(A) + n) time, reads
+    ``A`` and the links ``tokens.BATCH`` entries at a time (so a refusal
+    takes O(n + batch) scratch memory, O(n + nnz(R)) after the links) and
+    keeps nothing.  The corrector holds O(nnz(G) + nnz(Q) + nnz(R) +
+    nnz(pairs) + n) entries with int32 indices, the pairs being at most
+    ``nnz(E^T R)`` times the most aggregates one block meets; its build
+    takes scratch memory for O(n) entries and two copies of ``H E``.
     """
     n, K = h.n, f.K
     if params.teleport != 0.0 or params.mu == 0.0:
         return None
-    lowest = f.A.T.tocsr()  # row u: the blocks containing u, ascending
-    first = lowest.indices[lowest.indptr[:-1]]
+    R, A = f.R, f.A
+    first = np.full(n, K, dtype=np.int32)  # each node's lowest block
+    for lo in range(0, A.nnz, tokens.BATCH):
+        hi = min(lo + tokens.BATCH, A.nnz)
+        np.minimum.at(first, A.indices[lo:hi], _rows(A.indptr, lo, hi))
     used = np.bincount(first, minlength=K) > 0
     k = int(used.sum())
     if k < 2:
         return None
-    agg = (np.cumsum(used) - 1)[first]  # aggregates numbered in block order
-
+    agg = (np.cumsum(used, dtype=np.int32) - 1)[first]  # aggregates numbered in block order
     eta, mu = params.eta, params.mu
     size = np.bincount(agg)
     leaks = eta * _link_leaks(h, agg, size)
     if leaks.min() > LEAK:
         return None
-    # A E and Z = E^T R on their patterns, both keyed b * k + aggregate;
-    # where both hold (b, j), that share of block b returns to aggregate j
-    R, A = f.R, f.A
-    r_rows = np.repeat(np.arange(n), np.diff(R.indptr))
-    ae_key, ae_slot = np.unique(np.repeat(np.arange(K), np.diff(A.indptr)) * k + agg[A.indices],
-                                return_inverse=True)
-    ae = np.bincount(ae_slot, weights=A.data)
-    z_key, z_slot = np.unique(R.indices.astype(np.int64) * k + agg[r_rows], return_inverse=True)
+    # A E, and the proximity rows: R^T's entries in runs of one block b and
+    # one aggregate i, which sum to Z^T = R^T E.  Where both hold (b, j),
+    # that share of block b returns to aggregate j.
+    e = sparse.csr_array((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)), shape=(n, k))
+    ae = A @ e
+    ae.sort_indices()
+    order = e.T.tocsr().indices  # the nodes by aggregate, then id
+    del e, first
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    proximity, z_key = _runs(R.T.tocsr(), order, rank, agg, k)
+    ae_key = _rows(ae.indptr, 0, ae.nnz) * np.int64(k) + ae.indices
     at = np.minimum(np.searchsorted(z_key, ae_key), z_key.size - 1)
     hit = z_key[at] == ae_key
-    stay = np.bincount(ae_key[hit] % k, weights=ae[hit] * np.bincount(z_slot, R.data)[at[hit]],
+    stay = np.bincount(ae.indices[hit], weights=ae.data[hit] * (proximity @ np.ones(n))[at[hit]],
                        minlength=k)
     leaks += mu * (1.0 - stay / size)
     if leaks.min() > LEAK:
         return None
 
-    he = _aggregated_links(h, agg, k)
-    he_rows = np.repeat(np.arange(n), np.diff(he.indptr))
-    # pairs: each entry (b, i) of Z with each entry (b, j) of A E, as the
-    # entry (j, i) of C^T
-    a_start = np.searchsorted(ae_key, np.arange(K + 1) * k)
-    count = a_start[z_key // k + 1] - a_start[z_key // k]
-    pair_z = np.repeat(np.arange(z_key.size), count)
-    shift = np.repeat(a_start[z_key // k] - np.cumsum(count) + count, count)
-    pair_a = np.arange(pair_z.size) + shift  # the A E entries of each Z entry's block
-    c_key, c_slot = np.unique(np.concatenate([he.indices.astype(np.int64) * k + agg[he_rows],
-                                              ae_key[pair_a] % k * k + z_key[pair_z] % k]),
-                              return_inverse=True)
-    nc = c_key.size
+    # C^T's entries: the link runs (j, i), and each entry (b, i) of Z^T
+    # paired with each entry (b, j) of A E
+    z_block, z_agg = np.divmod(z_key, k)
+    start = ae.indptr[z_block]
+    count = ae.indptr[z_block + 1] - start
+    pair_z = np.repeat(np.arange(z_key.size, dtype=np.int32), count)
+    pair_a = np.arange(pair_z.size) + np.repeat(start - np.cumsum(count) + count, count)
+    pair_key = ae.indices[pair_a] * np.int64(k) + z_agg[pair_z]
+    links, link_key = _runs(_aggregated_links(h, agg, order, size), order, rank, agg, k)
+    del order, rank
+    c_key = np.concatenate((link_key, pair_key))
+    c_key.sort()
+    c_key = c_key[np.append(True, c_key[1:] != c_key[:-1])]
+    count = np.zeros(c_key.size + 1, dtype=np.int32)
+    count[np.searchsorted(c_key, link_key) + 1] = np.diff(links.indptr)
+    links.data *= eta
     uniform = h.policy is DanglingPolicy.UNIFORM_ALL and h.dangling.size > 0
     return BlockAggregation(
         agg=agg,
         leak=float(leaks.min()),
         dangling=h.dangling if uniform else None,
         spread=eta * size / n if uniform else None,
-        links=sparse.csr_array((eta * he.data, (c_slot[:he.nnz], he_rows)), shape=(nc, n)),
-        proximity=sparse.csr_array((R.data, (z_slot, r_rows)), shape=(z_key.size, n)),
-        pairs=sparse.csr_array((mu * ae[pair_a], (c_slot[he.nnz:], pair_z)),
-                               shape=(nc, z_key.size)),
-        c_t=sparse.csr_array((np.zeros(nc), c_key % k,
-                              np.searchsorted(c_key, np.arange(k + 1) * k)), shape=(k, k)),
+        links=sparse.csr_array((links.data, links.indices, np.cumsum(count, dtype=np.int32)),
+                               shape=(c_key.size, n)),
+        proximity=proximity,
+        pairs=_csr(mu * ae.data[pair_a], np.searchsorted(c_key, pair_key), pair_z,
+                   (c_key.size, z_key.size)),
+        c_t=_csr(np.zeros(c_key.size), c_key // k, c_key % k, (k, k)),
         exact=K * K <= n,
     )
 
@@ -401,12 +421,10 @@ def _rate(history: deque) -> float:
 def power_iteration(
     step, n: int, tol: float, max_iter: int, coarse: BlockAggregation | None = None
 ) -> RankResult:
-    """Power iteration from the uniform vector, renormalized each step to
-    counter rounding drift, stopping at an L1 change ``<= tol``.
-
-    With ``coarse``, ``x`` is corrected before each step until a correction
-    fails or a corrected step contracts the residual by less than
-    ``1 - coarse.leak``; from then on the steps are plain.
+    """Power iteration from the uniform vector, renormalized each step,
+    stopping at an L1 change ``<= tol``.  With ``coarse``, ``x`` is
+    corrected before each step until a correction fails or a corrected
+    step contracts the residual by less than ``1 - coarse.leak``.
     """
     x = np.full(n, 1.0 / n)
     residual = np.inf
@@ -436,8 +454,8 @@ def power_iteration(
 
 def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
                   v: np.ndarray | None, f: ProximityFactors | None = None):
-    """The step ``x -> eta * (x @ H) + mu * ((x @ R) @ A) + teleport * v`` without
-    its zero terms; ``x @ R`` is the row gather ``R_t @ x``, ``R^T`` as CSR built once."""
+    """The step ``x -> eta * (x @ H) + mu * ((x @ R) @ A) + teleport * v``
+    without its zero terms."""
     if mu != 0.0:
         R_t, A_t = f.R.T.tocsr(), f.A.T
     if teleport != 0.0:
@@ -462,14 +480,12 @@ def rank(
 ) -> RankResult:
     """Ranking vector of the block-aware surfing operator.
 
-    With ``teleport == 0`` and ``strict`` (the default) the admissibility
-    check runs first and a reducible indicator matrix raises
-    :class:`ReducibleModelError` naming the blocking block components;
-    pass ``strict=False`` to proceed anyway and get an honest convergence
-    report.  Non-convergence is reported, not raised.  Weakly coupled
-    blocks get aggregation-disaggregation corrections
-    (:func:`block_aggregation` decides); the result satisfies the same
-    stop rule either way.
+    With ``teleport == 0`` and ``strict`` (the default) a reducible
+    indicator matrix raises :class:`ReducibleModelError` naming the
+    blocking components; ``strict=False`` proceeds and reports how the run
+    converged.  Non-convergence is reported, not raised.  Weakly coupled
+    blocks get corrections (:func:`block_aggregation`) under the same
+    stop rule.
     """
     n = h.n
     if f.n != n:
@@ -492,11 +508,9 @@ def pagerank(
     tol: float = RankParams.tol,
     max_iter: int = RankParams.max_iter,
 ) -> RankResult:
-    """PageRank baseline: stationary vector of ``alpha * H + (1 - alpha) * e v^T``.
-
-    Iterates :func:`rank`'s step with ``mu = 0`` and ``teleport = 1 - alpha``.
-    ``alpha = 0`` returns the personalization vector itself; ``alpha = 1`` is
-    rejected because convergence is not guaranteed without teleportation.
+    """PageRank baseline: stationary vector of ``alpha * H + (1 - alpha) * e v^T``,
+    by :func:`rank`'s step with ``mu = 0``.  ``alpha = 1`` is rejected: without
+    teleportation convergence is not guaranteed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ConfigurationError(f"alpha must be in [0, 1), got {alpha}")
@@ -508,9 +522,8 @@ def pagerank(
 def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:
     """L1 distance and top-k overlap of two rankings over the same nodes.
 
-    Top-k lists order by descending score with ties broken by ascending
-    label; ``k`` larger than the node count is clipped (flagged in the
-    report).
+    Top-k lists order by descending score, ties by ascending label; ``k``
+    above the node count is clipped (and flagged).
     """
     labels = tuple(labels)
     n = len(labels)
@@ -532,6 +545,5 @@ def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:
     top_a, top_b = top(a.scores), top(b.scores)
     overlap = len(set(top_a) & set(top_b)) / k_eff
     l1 = float(np.abs(a.scores - b.scores).sum())
-    return ComparisonReport(
-        l1=l1, overlap=overlap, top_a=top_a, top_b=top_b, k=k_eff, clipped=clipped
-    )
+    return ComparisonReport(l1=l1, overlap=overlap, top_a=top_a, top_b=top_b, k=k_eff,
+                            clipped=clipped)

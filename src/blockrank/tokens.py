@@ -36,10 +36,10 @@ _IS_BREAK[list(map(ord, LINE_BREAKS))] = True
 # window for the file; 64 KiB windows take 4.9-5.0 s on the probe's edges
 # against 4.0-4.4 s, for the same peak.
 WINDOW = 1 << 18
-# Tokens per intern batch: bounds the interner's temporaries also in a
-# window that has grown to hold a long line.  A 256 KiB window holds about
-# 46k tokens of web-partition's edges and 33k of the probe's, so a window
-# of such files is one batch.
+# Tokens per intern batch (and links per batch of the CSR build and of the
+# corrector's gate): bounds the interner's temporaries also in a window
+# grown to hold a long line.  A 256 KiB window holds about 46k tokens of
+# web-partition's edges and 33k of the probe's, so it is one batch.
 BATCH = 1 << 16
 
 

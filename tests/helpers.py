@@ -53,8 +53,9 @@ def label_ids(g: Graph) -> dict[str, int]:
 
 
 def out_neighbors(g: Graph, u: int) -> np.ndarray:
-    """Node ids reachable from ``u`` in one step (sorted)."""
-    return g.indices[g.indptr[u]:g.indptr[u + 1]]
+    """Node ids reachable from ``u`` in one step (sorted), read from the
+    graph's links by target."""
+    return np.repeat(np.arange(g.n), np.diff(g.indptr))[g.indices == u]
 
 
 def random_graph(rng: np.random.Generator, n: int, edge_prob: float = 0.3) -> Graph:
@@ -361,12 +362,16 @@ def reference_hyperlink(
 ) -> tuple[sparse.csr_array, sparse.csr_array | None]:
     """(base, dangling_rows) built row by row."""
     n = g.n
-    data = np.empty(g.indices.size, dtype=np.float64)
+    rows = [out_neighbors(g, u) for u in range(n)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([row.size for row in rows], out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=np.float64)
     for u in range(n):
-        lo, hi = g.indptr[u], g.indptr[u + 1]
+        lo, hi = indptr[u], indptr[u + 1]
         if hi > lo:
             data[lo:hi] = 1.0 / (hi - lo)
-    base = sparse.csr_array((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
+    base = sparse.csr_array((data, np.concatenate([[], *rows]).astype(np.int64), indptr),
+                            shape=(n, n))
     if policy is not DanglingPolicy.OWN_BLOCK:
         return base, None
     ids, blocks_of = members(d), node_blocks(d)
@@ -405,7 +410,7 @@ def reference_factors(
     block_ids = members(d)
     sizes = np.array([ids.size for ids in block_ids], dtype=np.int64)
     prox = [sorted(blocks) for blocks in reference_proximal_sets(g, d)]
-    N = np.array([len(blocks) for blocks in prox], dtype=np.int64)
+    N = np.array([len(blocks) for blocks in prox], dtype=np.int32)
     r_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(N, out=r_indptr[1:])
     r_indices = np.empty(int(r_indptr[-1]), dtype=np.int64)

@@ -79,10 +79,12 @@ def instances(draw) -> tuple[Graph, Decomposition]:
 def test_graph_matches_per_node_adjacency(case):
     n, edges = case
     g = Graph.from_edges([f"n{i}" for i in range(n)], edges)
-    indptr, indices = reference_adjacency(n, edges)
+    indptr, indices = reference_adjacency(n, [(v, u) for u, v in edges])  # links by target
     assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
-    assert np.array_equal(g.out_degree, np.diff(indptr))
-    assert np.array_equal(np.flatnonzero(g.out_degree == 0), np.flatnonzero(np.diff(indptr) == 0))
+    out_indptr, _ = reference_adjacency(n, edges)
+    assert np.array_equal(g.out_degree, np.diff(out_indptr))
+    assert np.array_equal(np.flatnonzero(g.out_degree == 0),
+                          np.flatnonzero(np.diff(out_indptr) == 0))
 
 
 @SETTINGS
@@ -233,7 +235,7 @@ def assert_edge_parse_matches_reference(text: str) -> None:
     if want_error is None:
         ids = first_appearance(token for pair in pairs for token in pair)
         assert got.labels == tuple(ids)
-        indptr, indices = reference_adjacency(len(ids), [(ids[u], ids[v]) for u, v in pairs])
+        indptr, indices = reference_adjacency(len(ids), [(ids[v], ids[u]) for u, v in pairs])
         assert np.array_equal(got.indptr, indptr) and np.array_equal(got.indices, indices)
 
 
@@ -386,7 +388,7 @@ def assert_interning_is_exact(alphabet: str) -> None:
     pairs = reference_parse_pairs(text, "src dst")
     ids = first_appearance(label for pair in pairs for label in pair)
     assert g.labels == tuple(ids)
-    indptr, indices = reference_adjacency(len(ids), [(ids[u], ids[v]) for u, v in pairs])
+    indptr, indices = reference_adjacency(len(ids), [(ids[v], ids[u]) for u, v in pairs])
     assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
 
     blocks = "".join(f"{u} {rng.choice(labels[:5])}\n" for u in g.labels)
