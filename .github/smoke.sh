@@ -44,6 +44,22 @@ blockrank rank --graph big.edges --blocks big.blocks | cmp - big.tsv
 blockrank compare --graph big.edges --blocks big.blocks --format json > big.json
 test "$(wc -l < big.json)" -eq 1
 blockrank compare --graph big.edges --blocks big.blocks --format json | cmp - big.json
+# URL-like labels, long enough to be keyed by a hash, over several parse
+# windows (about 3 MB), under a pair that an unsalted hash of two words
+# keys alike on line 1: check, then rank twice to the same bytes
+{
+  printf 'aaaaaaaabbbbbbb\tbbbbbbbaaaaaaaa\n'
+  seq 0 39999 | awk '{ u = $1 % 5000; v = (u + 1 + 37 * int($1 / 5000)) % 5000
+    printf "https://host%d.example.org/page/%d\thttps://host%d.example.org/page/%d\n", u % 97, u, v % 97, v }'
+} > url.edges
+{
+  printf 'aaaaaaaabbbbbbb\tsite-0\nbbbbbbbaaaaaaaa\tsite-0\n'
+  seq 0 4999 | awk '{ printf "https://host%d.example.org/page/%d\tsite-%d\n", $1 % 97, $1, $1 % 10 }'
+} > url.blocks
+blockrank check --graph url.edges --blocks url.blocks
+blockrank rank --graph url.edges --blocks url.blocks > url.tsv
+test "$(wc -l < url.tsv)" -eq 5002
+blockrank rank --graph url.edges --blocks url.blocks | cmp - url.tsv
 awk 'NR == 59000 { print "v1 v2 v3"; next } { print }' big.edges > bad.edges
 status=0
 blockrank check --graph bad.edges --blocks big.blocks 2> bad_edges.err || status=$?

@@ -91,7 +91,7 @@ class RankParams:
 def _check_stop_rule(tol: float, max_iter: int) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+    if not isinstance(max_iter, (int, np.integer)) or isinstance(max_iter, bool) or max_iter < 1:
         raise ConfigurationError(f"max_iter must be a positive integer, got {max_iter!r}")
 
 
@@ -529,7 +529,7 @@ def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:
     n = len(labels)
     if a.scores.shape != (n,) or b.scores.shape != (n,):
         raise DimensionError("rankings and labels must cover the same node universe")
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     clipped = k > n
     k_eff = min(k, n)

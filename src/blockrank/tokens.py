@@ -5,12 +5,14 @@ Text becomes one array of character codes (:func:`codes`), which is cut
 into windows of about ``WINDOW`` codes, each ending right after a ``'\\n'``.
 :func:`tokenize_pairs` finds each window's tokens and lines as arrays, and
 an :class:`Interner` gives each token the id of its distinct code
-sequence, so that no Python string is made per token and the temporaries
+sequence (by a hash table salted at random, which no text can be written
+to slow), so that no Python string is made per token and the temporaries
 are bounded by the window.
 """
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -244,16 +246,18 @@ def _word(tokens: Tokens, j: int, pick: slice | np.ndarray) -> np.ndarray:
 _HASHED = np.uint64(0xC000000000000000)
 
 
-def _keys(tokens: Tokens) -> np.ndarray:
+def _keys(tokens: Tokens, salt: np.uint64) -> np.ndarray:
     """Each token's key: its one word when it is shorter than a word, else
-    a hash of its words."""
+    a hash of ``salt`` and its words."""
     size = tokens.end - tokens.start
     per_word = 8 // tokens.code.itemsize
     key = _word(tokens, 0, slice(None))
+    hashed = longer = np.flatnonzero(size >= per_word)
+    key[longer] = _mix(key[longer], salt)  # the salt, folded in with the first word
     for j in range(1, _words(size, tokens.code.itemsize)):
-        longer = np.flatnonzero(size >= j * per_word)
+        longer = longer[size[longer] >= j * per_word]
         key[longer] = _mix(key[longer], _word(tokens, j, longer))
-    key[size >= per_word] |= _HASHED
+    key[hashed] |= _HASHED
     return key
 
 
@@ -288,23 +292,24 @@ class Interner:
     Each token is packed straight from its code array into 64-bit words (8
     one-byte or 2 four-byte codes each, read at unaligned offsets) and a
     terminator, so equal words mean equal sequences.  A token shorter than
-    a word is keyed by its word, a longer one by a hash of its words.  A
-    batch of up to ``BATCH`` tokens is sorted by key, equal neighbours form
-    a group, and each group's key is looked up in an open-addressing table
-    of the keys seen before; a new group takes the next id, and its first
-    token's codes are stored, each sequence followed by a space.  Equal
-    keys of longer tokens are confirmed word by word, within the batch and
-    against the stored sequence; should two different sequences ever share
-    a key, this batch and every later one are interned by their words
-    themselves, lexsorted together with the stored sequences'.  No string
-    is made: the memory kept is the distinct sequences and their keys.
+    a word is keyed by its word, a longer one by a hash of a random salt
+    and its words.  A batch of up to ``BATCH`` tokens is sorted by key,
+    equal neighbours form a group, and each group's key is looked up in an
+    open-addressing table of the keys seen before, whose slots the salt
+    also picks; a new group takes the next id, and its first token's codes
+    are stored, each sequence followed by a space.  Equal keys of longer
+    tokens are confirmed word by word, within the batch and against the
+    stored sequence; should two different sequences share one, a fresh
+    salt is drawn, the table rebuilt from the stored sequences' keys and
+    the batch interned again.  No string is made: the memory kept is the
+    distinct sequences and their keys.
     """
 
     def __init__(self, itemsize: int):
         self.code = np.empty(64, dtype=np.uint8 if itemsize == 1 else np.uint32)
         self.start = np.zeros(64, dtype=np.int64)  # sequence i: code[start[i]:start[i + 1] - 1]
         self.count = 0
-        self.exact = False
+        self.salt = np.uint64(secrets.randbits(64))
         self.slot_key = np.zeros(64, dtype=np.uint64)
         self.slot_id = np.full(64, -1, dtype=np.int32)
 
@@ -312,9 +317,7 @@ class Interner:
     def of(cls, labels: Sequence[str], itemsize: int) -> Interner:
         """An interner holding ``labels``, distinct strings of any
         characters, as ids ``0, 1, ...``, at the wider of ``itemsize`` and
-        their own code width.  Their codes are stored as they are, and
-        their keys go straight into the table (or, should two share a key,
-        the interner starts exact)."""
+        their own code width, their codes stored as they are."""
         code = codes(" ".join(labels) + " " * 8)
         interner = cls(max(itemsize, code.itemsize))
         interner.code = code.astype(interner.code.dtype, copy=False)
@@ -326,12 +329,7 @@ class Interner:
             np.cumsum(np.fromiter(map(len, labels), dtype=np.int64, count=len(labels)) + 1,
                       out=interner.start[1:])
         interner.count = len(labels)
-        key = _keys(interner._stored(np.arange(len(labels))))
-        ordered = np.sort(key)
-        if (ordered[1:] == ordered[:-1]).any():
-            interner.exact = True
-        else:
-            interner._put(key, np.arange(len(labels), dtype=np.int32), None)
+        interner._rehash(interner.salt)
         return interner
 
     def __len__(self) -> int:
@@ -348,7 +346,9 @@ class Interner:
         ids = np.empty(tokens.start.size, dtype=np.int32)
         for lo in range(0, ids.size, BATCH):
             batch = tokens[lo:lo + BATCH]
-            ids[lo:lo + BATCH] = self._exact(batch) if self.exact else self._hashed(batch)
+            while (got := self._intern(batch)) is None:
+                self._rehash()
+            ids[lo:lo + BATCH] = got
         return ids
 
     def _stored(self, ids: np.ndarray) -> Tokens:
@@ -367,8 +367,9 @@ class Interner:
         self.start[self.count + 1:count + 1] += used
         self.count = count
 
-    def _hashed(self, batch: Tokens) -> np.ndarray:
-        key = _keys(batch)
+    def _intern(self, batch: Tokens) -> np.ndarray | None:
+        """The batch's ids, or None (nothing changed) when two sequences share a key."""
+        key = _keys(batch, self.salt)
         order = np.argsort(key)
         key = key[order]
         new = np.empty(key.size, dtype=bool)  # starts a group
@@ -378,7 +379,7 @@ class Interner:
         if hashed:
             same = np.flatnonzero(~new[1:] & (key[1:] >= _HASHED))
             if not _same(batch[order[same]], batch[order[same + 1]]):
-                return self._collided(batch)
+                return None
         bounds = np.flatnonzero(new)
         del new
         first = np.minimum.reduceat(order, bounds)  # each group's first token
@@ -388,7 +389,7 @@ class Interner:
         if hashed:
             seen = np.flatnonzero((group >= 0) & (key >= _HASHED))
             if not _same(batch[first[seen]], self._stored(group[seen])):
-                return self._collided(batch)
+                return None
         fresh = np.flatnonzero(group < 0)
         fresh = fresh[np.argsort(first[fresh])]
         group[fresh] = np.arange(self.count, self.count + fresh.size)
@@ -398,39 +399,18 @@ class Interner:
         ids[order] = np.repeat(group, np.diff(bounds, append=order.size))
         return ids
 
-    def _collided(self, batch: Tokens) -> np.ndarray:
-        self.exact = True
-        return self._exact(batch)
-
-    def _exact(self, batch: Tokens) -> np.ndarray:
-        """The batch's ids from one lexsort of the words of the stored
-        sequences and the batch's tokens."""
-        both = (self._stored(np.arange(self.count)), batch)
-        words = max(_words(t.end - t.start, t.code.itemsize) for t in both)
-        table = np.zeros((words, self.count + batch.start.size), dtype=np.uint64)
-        per_word = 8 // batch.code.itemsize
-        for part, tokens in zip((slice(None, self.count), slice(self.count, None)), both):
-            size = tokens.end - tokens.start
-            for j in range(words):
-                longer = np.flatnonzero(size >= j * per_word)
-                table[j, part][longer] = _word(tokens, j, longer)
-        order = np.lexsort(table[::-1])  # stable: a stored sequence heads its group
-        table = table[:, order]
-        bounds = np.flatnonzero(np.concatenate(([True], (table[:, 1:] != table[:, :-1]).any(axis=0))))
-        del table
-        group = order[bounds]
-        fresh = np.flatnonzero(group >= self.count)
-        fresh = fresh[np.argsort(group[fresh])]
-        self._store(batch[group[fresh] - self.count])
-        group[fresh] = np.arange(self.count - fresh.size, self.count)
-        ids = np.empty(order.size, dtype=np.int32)
-        ids[order] = np.repeat(group, np.diff(bounds, append=order.size))
-        return ids[ids.size - batch.start.size:]
+    def _rehash(self, salt: np.uint64 | None = None) -> None:
+        """Rebuild the table from every stored sequence's key under ``salt``,
+        by default a fresh random one.  Keys two sequences share are told
+        apart when they are looked up, as a batch's are."""
+        self.salt = np.uint64(secrets.randbits(64)) if salt is None else salt
+        ids = np.arange(self.count, dtype=np.int32)
+        self._place(_keys(self._stored(ids), self.salt), ids)
 
     def _home(self, key: np.ndarray) -> np.ndarray:
-        """Each key's home slot: the top bits of a multiplicative hash."""
+        """Each key's home slot: the top bits of its product with the salt made odd."""
         shift = np.uint64(65 - self.slot_id.size.bit_length())
-        return (key * _MULTIPLIER >> shift).astype(np.intp)
+        return (key * (self.salt | np.uint64(1)) >> shift).astype(np.intp)
 
     def _slots(self, key: np.ndarray, slot: np.ndarray | None) -> np.ndarray:
         """Each key's slot in the table: the one holding it, or the free one
@@ -452,26 +432,11 @@ class Interner:
         """Put new keys at the free slots found for them (found here when
         ``slot`` is None); of keys that found the same one the last takes
         it, and the others probe on.  A table that would be over half full
-        is first rebuilt twice as large: in order of home slot, each key
-        takes the first slot from its home that the keys before it left
-        free, and only those that run past the end probe on from the start.
-        """
+        is rebuilt instead, from its keys and the new ones."""
         if 2 * self.count > self.slot_id.size:
             held = self.slot_id >= 0
-            key = np.concatenate((self.slot_key[held], key))
-            ids = np.concatenate((self.slot_id[held], ids))
-            size = 1 << (2 * self.count).bit_length()
-            self.slot_key = np.zeros(size, dtype=np.uint64)
-            self.slot_id = np.full(size, -1, dtype=np.int32)
-            home = self._home(key)
-            order = np.argsort(home)
-            rank = np.arange(key.size)
-            at = np.maximum.accumulate(home[order] - rank) + rank
-            fits = at < size
-            self.slot_key[at[fits]] = key[order[fits]]
-            self.slot_id[at[fits]] = ids[order[fits]]
-            key, ids = key[order[~fits]], ids[order[~fits]]
-            slot = None
+            return self._place(np.concatenate((self.slot_key[held], key)),
+                               np.concatenate((self.slot_id[held], ids)))
         if slot is None:
             slot = self._slots(key, None)
         while key.size:
@@ -480,3 +445,20 @@ class Interner:
             lost = self.slot_key[slot] != key
             key, ids = key[lost], ids[lost]
             slot = self._slots(key, slot[lost])
+
+    def _place(self, key: np.ndarray, ids: np.ndarray) -> None:
+        """A new table, over twice the stored count, of ``key`` and ``ids``: by
+        home slot, each key takes the first slot from its home that those
+        before it left free; those that run past the end probe on from 0."""
+        size = max(64, 1 << (2 * self.count).bit_length())
+        self.slot_key = np.zeros(size, dtype=np.uint64)
+        self.slot_id = np.full(size, -1, dtype=np.int32)
+        home = self._home(key)
+        order = np.argsort(home)
+        rank = np.arange(key.size)
+        at = np.maximum.accumulate(home[order] - rank) + rank
+        fits = at < size
+        self.slot_key[at[fits]] = key[order[fits]]
+        self.slot_id[at[fits]] = ids[order[fits]]
+        rest = order[~fits]
+        self._put(key[rest], ids[rest], None)

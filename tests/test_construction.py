@@ -27,7 +27,7 @@ from blockrank import (
     parse_edge_list,
 )
 from blockrank.errors import BlockRankError, CoverageError, ParseError
-from blockrank.tokens import LINE_BREAKS, WHITESPACE
+from blockrank.tokens import LINE_BREAKS, WHITESPACE, Interner, codes, tokenize_pairs
 
 from helpers import (
     block_sizes,
@@ -355,27 +355,60 @@ def test_malformed_line_number_counts_every_line_break_in_smallest_windows(text,
         assert_malformed_line(text, line)
 
 
+@contextlib.contextmanager
+def colliding_until_rehash():
+    """Give every hash key an interner makes with its first salt one value,
+    so that any two sequences of a word or more collide until it draws a
+    fresh salt.  Yields the fresh salts drawn so far, per interner made."""
+    first, fresh = set(), {}
+    keys, init, rehash = blockrank.tokens._keys, Interner.__init__, Interner._rehash
+
+    def colliding_keys(tokens, salt):
+        key = keys(tokens, salt)
+        if int(salt) in first:
+            key[key >= blockrank.tokens._HASHED] = blockrank.tokens._HASHED
+        return key
+
+    def made(self, itemsize):
+        init(self, itemsize)
+        first.add(int(self.salt))
+        fresh[self] = 0
+
+    def counted_rehash(self, salt=None):
+        fresh[self] += salt is None
+        rehash(self, salt)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blockrank.tokens, "_keys", colliding_keys)
+        patch.setattr(Interner, "__init__", made)
+        patch.setattr(Interner, "_rehash", counted_rehash)
+        yield fresh
+
+
 @pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
-def test_interning_is_exact_when_every_hash_collides(alphabet, monkeypatch):
+def test_interning_is_exact_when_the_first_salt_collides(alphabet):
     """Labels of one 64-bit word or more (8 ASCII characters, 2 otherwise)
-    are keyed by a hash of their words, and so are block signatures of 2
-    or more blocks.  With that hash forced to one value for every label and
-    signature, the exact sort over the words must still give each distinct
-    label its own id, in both parsers, and each distinct signature its own."""
-    monkeypatch.setattr(blockrank.tokens, "_mix", lambda h, w: np.zeros_like(h))
-    assert_interning_is_exact(alphabet)
+    are keyed by a salted hash of their words, and so are block signatures
+    of 2 or more blocks.  With every such key of an interner's first salt
+    forced to one value, the collision is found within a batch (for the
+    node interner of the blocks parse, the first batch looked up in the
+    graph's labels): each interner draws exactly one fresh salt, and each
+    distinct label and signature still gets its own id, in both parsers."""
+    with colliding_until_rehash() as fresh:
+        assert_interning_is_exact(alphabet, fresh)
 
 
 @pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
-def test_interning_is_exact_when_every_hash_collides_in_smallest_windows(alphabet, monkeypatch):
+def test_interning_is_exact_when_the_first_salt_collides_in_smallest_windows(alphabet):
     """As above, with each token interned alone: the collision is then met
-    against the labels already stored, not inside one batch."""
-    monkeypatch.setattr(blockrank.tokens, "_mix", lambda h, w: np.zeros_like(h))
-    with smallest_windows():
-        assert_interning_is_exact(alphabet)
+    against the sequences already stored, not inside one batch."""
+    with colliding_until_rehash() as fresh, smallest_windows():
+        assert_interning_is_exact(alphabet, fresh)
 
 
-def assert_interning_is_exact(alphabet: str) -> None:
+def assert_interning_is_exact(alphabet: str, fresh: dict) -> None:
+    """Both parsers and the signatures against their references, and, when
+    each stage is done, one fresh salt drawn by each interner it made."""
     rng = np.random.default_rng(3)
     shortest = 9 if alphabet.isascii() else 3
     labels = sorted({"".join(rng.choice(list(alphabet), size=rng.integers(shortest, 41)))
@@ -383,8 +416,12 @@ def assert_interning_is_exact(alphabet: str) -> None:
     labels += [labels[0] + "\x00", labels[0] + "\x00\x00",  # the same words, but longer
                labels[0][:-1] + "\x00"]  # the same length and first word
     edges = rng.choice(labels, size=(120, 2))
-    text = "".join(f"{u} {v}\n" for u, v in edges)
+    # line 1: two labels that differ only in their last word, so that a
+    # collision met against the store is told apart word by word
+    text = "".join(f"{u} {v}\n" for u, v in [(labels[0], labels[-1]), *edges])
     g = parse_edge_list(text)
+    assert list(fresh.values()) == [1]
+    fresh.clear()
     pairs = reference_parse_pairs(text, "src dst")
     ids = first_appearance(label for pair in pairs for label in pair)
     assert g.labels == tuple(ids)
@@ -393,6 +430,8 @@ def assert_interning_is_exact(alphabet: str) -> None:
 
     blocks = "".join(f"{u} {rng.choice(labels[:5])}\n" for u in g.labels)
     assert_block_parse_matches_reference(blocks, g)
+    assert list(fresh.values()) == [1, 1]  # the node and the block interner
+    fresh.clear()
 
     # every node in 3 or more of 8 blocks; some signatures share their
     # length and first word (blocks 0 and 1)
@@ -402,6 +441,7 @@ def assert_interning_is_exact(alphabet: str) -> None:
     d = Decomposition.from_members(
         [[u for u, blocks in enumerate(blocks_of) if k in blocks] for k in range(8)], n=g.n)
     h = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d)
+    assert list(fresh.values()) == [1]
     signature, reach = reference_signatures(d, h.dangling)
     assert h.signature.tolist() == signature
     assert np.array_equal(h.reach[h.signature].toarray(), reach)
@@ -410,6 +450,46 @@ def assert_interning_is_exact(alphabet: str) -> None:
 def many_lines(count: int) -> list[str]:
     """``count`` edge lines over a few hundred repeating labels."""
     return [f"v{i % 997}\tv{i * 7 % 1009}\n" for i in range(count)]
+
+
+def test_crafted_hash_collision_above_several_windows():
+    """An unsalted hash of a long token's two words is a bijection of their
+    XOR, so ``aaaaaaaabbbbbbb`` and ``bbbbbbbaaaaaaaa`` would share a key,
+    and so would the signatures (0, 2, 7) and (1, 2, 6).  With that pair on
+    line 1 above three windows of edges, as node and as block labels, and
+    those signatures in a cover, both parsers and the signatures match
+    their references."""
+    pair = ("aaaaaaaabbbbbbb", "bbbbbbbaaaaaaaa")
+    text = "".join([f"{pair[0]} {pair[1]}\n"] + many_lines(60_000))
+    assert len(text) > 2 * blockrank.tokens.WINDOW
+    assert_edge_parse_matches_reference(text)
+    g = parse_edge_list(text)
+    assert_block_parse_matches_reference(
+        "".join(f"{u} {pair[i % 2]}\n" for i, u in enumerate(g.labels)), g)
+    pool = [(0, 2, 7), (1, 2, 6), (3, 4, 5)]
+    d = Decomposition.from_members(
+        [[u for u in range(g.n) if k in pool[u % len(pool)]] for k in range(8)], n=g.n)
+    h = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d)
+    signature, reach = reference_signatures(d, h.dangling)
+    assert h.signature.tolist() == signature
+    assert np.array_equal(h.reach[h.signature].toarray(), reach)
+
+
+def test_short_labels_cannot_crowd_the_table():
+    """A label shorter than a word is keyed by its word exactly, so with a
+    fixed home multiplier labels could be chosen whose homes all lie in the
+    first 1/32 of a table of any size, one run of taken slots.  These 2,000
+    are such labels; with the salt as the multiplier the longest run of
+    taken slots stays short."""
+    rng = np.random.default_rng(7)
+    chars = rng.integers(ord("a"), ord("z") + 1, (100_000, 7), dtype=np.uint64)
+    word = (chars << np.arange(0, 56, 8, dtype=np.uint64)).sum(axis=1) | np.uint64(0x80 << 56)
+    crowded = chars[word * blockrank.tokens._MULTIPLIER >> np.uint64(59) == 0]
+    labels = sorted({bytes(row.astype(np.uint8)).decode() for row in crowded})[:2000]
+    assert len(labels) == 2000
+    taken = np.concatenate(([0], Interner.of(labels, 1).slot_id >= 0, [0]))
+    runs = np.diff(np.flatnonzero(np.diff(taken)))[::2]
+    assert runs.max() < 200
 
 
 @pytest.mark.parametrize("window, count", [(1, 300), (16, 600), (None, 60_000)])
@@ -440,6 +520,20 @@ def test_block_errors_keep_line_order_across_windows(window, monkeypatch):
         parse_blocks("".join(unknown_first), g)
     with pytest.raises(ParseError, match="line 2: expected"):
         parse_blocks("".join(malformed_first), g)
+
+
+def test_tokenizer_ends_after_its_error(monkeypatch):
+    """A malformed line ends the windows: the window that holds it is the
+    last one yielded, and it keeps only the lines before it."""
+    monkeypatch.setattr(blockrank.tokens, "WINDOW", 16)
+    lines = many_lines(100)
+    lines[7] = "v1 v2 v3\n"
+    windows = list(tokenize_pairs(codes("".join(lines)), "src dst"))
+    assert len(windows) > 1
+    assert [error is None for _, _, error in windows] == [True] * (len(windows) - 1) + [False]
+    assert windows[-1][2].line == 8
+    assert np.concatenate([line for _, line, _ in windows]).tolist() == list(range(1, 8))
+    assert sum(tokens.start.size for tokens, _, _ in windows) == 2 * 7
 
 
 @pytest.mark.parametrize("ending", ["\r", "\x0b", " "])

@@ -211,6 +211,14 @@ class TestDecompositionConstruction:
         with pytest.raises(CoverageError):
             Decomposition.from_members([[0, 5]], n=3)
 
+    def test_no_blocks_rejected(self):
+        with pytest.raises(CoverageError, match="no blocks"):
+            Decomposition.from_members([], n=2)
+
+    def test_uncovered_node_rejected(self):
+        with pytest.raises(CoverageError, match=r"not covered by any block: \[1\]"):
+            Decomposition.from_members([[0, 2]], n=3)
+
     def test_kind_derivation(self):
         part = Decomposition.from_members([[0], [1]], n=2)
         cover = Decomposition.from_members([[0, 1], [1]], n=2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from blockrank.errors import (
     DimensionError,
     ReducibleModelError,
 )
-from blockrank.ranker import order_by_score, power_iteration
+from blockrank.ranker import _rate, order_by_score, power_iteration
 
 from helpers import random_graph, random_instance, random_partition, reference_order_by_score
 
@@ -340,7 +341,10 @@ SEED_RANKER = 624007
     (lambda: Decomposition.from_members([[0, 1.5], [2, 3]], n=4), CoverageError),
     (lambda: RankParams(max_iter=2.5), ConfigurationError),
     (lambda: compare(_result([0.5, 0.5]), _result([0.5, 0.5]), 2.5, "ab"), ConfigurationError),
-], ids=["edge", "member", "max_iter", "k"])
+    # a bool is an int to isinstance, but True is no count
+    (lambda: RankParams(max_iter=True), ConfigurationError),
+    (lambda: compare(_result([0.5, 0.5]), _result([0.5, 0.5]), True, "ab"), ConfigurationError),
+], ids=["edge", "member", "max_iter", "k", "max_iter-bool", "k-bool"])
 def test_non_integral_ids_and_counts_are_rejected_where_they_enter(make, error):
     with pytest.raises(error, match="integer"):
         make()
@@ -463,6 +467,15 @@ class TestConvergenceReport:
         done = power_iteration(self.step, 2, tol=1e-12, max_iter=1000)
         assert abs(done.iterations - 10 - more) <= 1
         assert done.steps_to(1e-12) == 0
+
+    def test_rate_zero_needs_one_more_step(self):
+        got = RankResult(scores=np.array([0.5, 0.5]), iterations=3, residual=1e-3,
+                         converged=False, rate=0.0)
+        assert got.steps_to(1e-9) == 1
+
+    def test_rate_after_a_zero_residual_is_zero(self):
+        # a window that starts at an exact fixed point divides by nothing
+        assert _rate(deque([0.0, 0.0, 0.0])) == 0.0
 
     def test_rate_needs_two_steps(self):
         got = power_iteration(self.step, 2, tol=1e-12, max_iter=1)
