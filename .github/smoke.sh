@@ -16,6 +16,17 @@ blockrank rank --graph smoke.edges --blocks smoke.blocks --dangling uniform --et
 blockrank compare --graph smoke.edges --blocks smoke.blocks
 blockrank compare --graph smoke.edges --blocks smoke.blocks --format json
 blockrank materialize --graph smoke.edges --blocks smoke.blocks
+# mu = 0 without teleportation leaves the hyperlink chain alone, which the
+# indicator matrix does not decide: refused with one error line, exit 1, no
+# traceback; --no-strict ranks it
+status=0
+blockrank rank --graph smoke.edges --blocks smoke.blocks --eta 1 --mu 0 2> mu0.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < mu0.err)" -eq 1
+grep -q '^error: ' mu0.err
+if grep -q Traceback mu0.err; then cat mu0.err; exit 1; fi
+blockrank rank --graph smoke.edges --blocks smoke.blocks --eta 1 --mu 0 --no-strict > mu0.tsv
+test "$(wc -l < mu0.tsv)" -eq 5
 # a flag the command does not read is an input error, reported under the
 # command's own usage line
 status=0

@@ -29,13 +29,14 @@ from .ranker import (
     WEIGHT_TOL,
     RankParams,
     RankResult,
+    admissible,
     compare,
     fmt,
     order_by_score,
     pagerank,
     rank,
 )
-from .spectra import CheckReport, teleportation_free_check
+from .spectra import teleportation_free_check
 
 DEFAULT_TOP_K = 10
 
@@ -122,16 +123,15 @@ def _read(path: str) -> str | bytes:
         raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
-def _load(args) -> tuple[Graph, Decomposition, ProximityFactors, CheckReport]:
+def _load(args) -> tuple[Graph, Decomposition, ProximityFactors]:
     g = parse_edge_list(_read(args.graph))
     d = parse_blocks(_read(args.blocks), g)
-    f = build_factors(d, g)
-    return g, d, f, teleportation_free_check(indicator(f))
+    return g, d, build_factors(d, g)
 
 
-def _prelude(args) -> tuple[Graph, ProximityFactors, CheckReport, HyperlinkOperator, RankParams]:
+def _prelude(args) -> tuple[Graph, ProximityFactors, bool, HyperlinkOperator, RankParams]:
     """Shared start of ``rank`` and ``compare``: check the flags, load,
-    refuse teleport-free ranking on a reducible indicator unless
+    refuse a teleport-free model that is not admissible unless
     ``--no-strict``, and only then build ``H``."""
     params = RankParams(eta=args.eta, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
     if args.teleport is not None:
@@ -142,10 +142,9 @@ def _prelude(args) -> tuple[Graph, ProximityFactors, CheckReport, HyperlinkOpera
             raise ConfigurationError(f"eta + mu + teleport must equal 1, got {total!r}")
     if args.top is not None and args.top < 1:
         raise ConfigurationError(f"--top must be a positive integer, got {args.top}")
-    g, d, f, report = _load(args)
-    if params.teleport == 0.0 and not args.no_strict:
-        report.require_irreducible(d.block_labels)
-    return g, f, report, build_hyperlink(g, DanglingPolicy(args.dangling), d), params
+    g, d, f = _load(args)
+    verdict = admissible(f, params, d.block_labels, strict=not args.no_strict)
+    return g, f, verdict, build_hyperlink(g, DanglingPolicy(args.dangling), d), params
 
 
 def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
@@ -160,7 +159,8 @@ def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
 
 
 def cmd_check(args) -> int:
-    _, d, _, report = _load(args)
+    _, d, f = _load(args)
+    report = teleportation_free_check(indicator(f))
     components = [[d.block_labels[b] for b in comp] for comp in report.blocking_components]
     if args.output_format == "json":
         payload = {
@@ -182,7 +182,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    g, f, report, h, params = _prelude(args)
+    g, f, verdict, h, params = _prelude(args)
     result = rank(h, f, params, strict=False)
     order = order_by_score(result.scores, g.labels)[:args.top]
     labels, scores = g.labels, result.scores.tolist()
@@ -197,7 +197,7 @@ def cmd_rank(args) -> int:
                 "eta": params.eta,
                 "mu": params.mu,
                 "teleport": params.teleport,
-                "admissible": report.irreducible,
+                "admissible": verdict,
             },
         }
         print(json.dumps(payload))
@@ -257,7 +257,7 @@ def _print_block(name: str, matrix: np.ndarray, out: list[str]) -> None:
 
 
 def cmd_materialize(args) -> int:
-    g, d, f, _ = _load(args)
+    g, d, f = _load(args)
     dense = {  # H and M refuse (CapExceededError) above the cap
         "H": build_hyperlink(g, DanglingPolicy(args.dangling), d).to_dense(),
         "M": materialize_m(f),

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, CoverageError, ParseError
-from .graph import Graph, ones, ones_at, pattern, require_dense
+from .graph import Graph, ones, ones_at, require_dense
 from .tokens import Interner, codes, tokenize_pairs
 
 __all__ = [
@@ -135,14 +135,14 @@ def parse_blocks(text: str | bytes, g: Graph) -> Decomposition:
 class ProximityFactors:
     """Sparse pair (R: n x K, A: K x n) whose product is the proximity matrix.
 
-    ``N_u = np.diff(R.indptr)[u]`` counts the proximal blocks of u.
-    Partition form: ``[R]_{uJ} = 1/(N_u * |D_J|)`` on the proximal blocks of
-    u and A has plain 0/1 block-indicator rows.  Cover form: R rows carry
-    ``1/N_u`` and A rows ``1/|D_k|``, both individually row-stochastic.
-    The product R @ A is row-stochastic in either form.
+    ``R`` is the CSC view of the CSR ``R^T`` the surfing step reads; u has
+    ``N_u = np.bincount(R.indices)[u]`` proximal blocks.  Partition form:
+    ``[R]_{uJ} = 1/(N_u * |D_J|)`` on them and A has plain 0/1
+    block-indicator rows.  Cover form: R rows carry ``1/N_u`` and A rows
+    ``1/|D_k|``, both row-stochastic, as is R @ A in either form.
     """
 
-    R: sparse.csr_array
+    R: sparse.csc_array
     A: sparse.csr_array
 
     @property
@@ -190,23 +190,23 @@ def build_factors(
     n, K = g.n, d.K
 
     by_block = d.B.T.tocsr()  # B^T: block k's row lists its members
-    # Gamma = pattern((I + G) @ B): row u marks u's proximal blocks.  The
-    # graph stores G^T, so G, like B (by_block's transpose), is a CSC view.
-    G = sparse.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n)).T
-    gamma = pattern((G @ by_block.T + by_block.T).tocsr())
-    N = np.diff(gamma.indptr)
+    # Gamma^T = B^T (I + G^T) on booleans; ones_at sorts its rows faster than sort_indices
+    g_t = sparse.csr_array((np.ones(g.indices.size, bool), g.indices, g.indptr), shape=(n, n))
+    b_t = by_block.astype(bool, copy=False)
+    gamma_t = b_t @ g_t + b_t
+    gamma_t = ones_at(np.repeat(np.arange(K), np.diff(gamma_t.indptr)), gamma_t.indices, (K, n))
     sizes = np.diff(by_block.indptr)
+    r_data = (1.0 / np.bincount(gamma_t.indices, minlength=n))[gamma_t.indices]  # 1/N_u
     if form is FactorForm.PARTITION:
         # R = Gamma @ Diag(sizes)^-1: per-entry (1/N_u) * (1/|D_J|)
-        r_data = (1.0 / np.repeat(N, N)) * (1.0 / sizes[gamma.indices])
+        r_data *= np.repeat(1.0 / sizes, np.diff(gamma_t.indptr))
         a_data = by_block.data
     else:
-        r_data = 1.0 / np.repeat(N, N)
         a_data = np.repeat(1.0 / sizes, sizes)
-    R = sparse.csr_array((r_data, gamma.indices, gamma.indptr), shape=(n, K))
+    R_t = sparse.csr_array((r_data, gamma_t.indices, gamma_t.indptr), shape=(K, n))
     A = sparse.csr_array((a_data, by_block.indices, by_block.indptr), shape=(K, n))
 
-    return ProximityFactors(R=R, A=A)
+    return ProximityFactors(R=R_t.T, A=A)
 
 
 def materialize_m(f: ProximityFactors) -> np.ndarray:
@@ -216,5 +216,5 @@ def materialize_m(f: ProximityFactors) -> np.ndarray:
 
 
 def indicator(f: ProximityFactors) -> IndicatorMatrix:
-    """The K x K indicator matrix ``A @ R``, kept sparse."""
-    return IndicatorMatrix(matrix=f.A @ f.R)
+    """The K x K indicator matrix ``A @ R`` as ``(R^T A^T)^T``, kept sparse."""
+    return IndicatorMatrix(matrix=(f.R.T @ f.A.T).T.tocsr())

@@ -51,8 +51,9 @@ class ConvergenceError(BlockRankError):
 
 
 class ReducibleModelError(BlockRankError):
-    """Strict-mode refusal: no-teleportation ranking requested but the block
-    indicator matrix is reducible, so the ranking vector may be ill-defined."""
+    """Strict-mode refusal of no-teleportation ranking whose ranking vector
+    may be ill-defined: a reducible block indicator matrix, whose blocking
+    ``components`` it carries, or ``mu = 0``, which that matrix does not decide."""
 
     def __init__(self, message: str, components: tuple[tuple[int, ...], ...]):
         super().__init__(message)

@@ -2,8 +2,8 @@
 
 The step ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t * v``, with
 ``t = 1 - eta - mu``, forms neither the dense proximity matrix nor the
-``OWN_BLOCK`` dangling rows and reads every operand row-wise in CSR (``H^T``;
-``R^T``, built once per run): a row gather beats a column scatter and sums
+``OWN_BLOCK`` dangling rows and reads every operand row-wise in CSR, as
+stored (``H^T``, ``R^T``): a row gather beats a column scatter and sums
 in the same order.  A step costs O(nnz(G) + n + nnz(Q) + nnz(R) + nnz(A)),
 ``Q`` being ``HyperlinkOperator.reach``.
 
@@ -28,7 +28,7 @@ from scipy import sparse
 
 from . import tokens
 from .decomp import ProximityFactors, indicator
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, ReducibleModelError
 from .graph import DanglingPolicy, HyperlinkOperator, hyperlink_apply
 from .spectra import teleportation_free_check
 
@@ -66,7 +66,8 @@ class RankParams:
 
     ``teleport`` is derived as ``1 - eta - mu`` (clamped to exactly 0 when
     within :data:`WEIGHT_TOL`).  Whenever it is positive the personalization
-    vector must be strictly positive; ``None`` means uniform.
+    vector must be strictly positive; ``None`` means uniform.  Without
+    teleportation nothing reads it, so it must be ``None``.
     """
 
     eta: float = 0.85
@@ -85,6 +86,8 @@ class RankParams:
         if rest < -WEIGHT_TOL:
             raise ConfigurationError(f"eta + mu exceeds 1 by {-rest:.3e}")
         object.__setattr__(self, "teleport", 0.0 if abs(rest) <= WEIGHT_TOL else rest)
+        if self.teleport == 0.0 and self.personalization is not None:
+            raise ConfigurationError("personalization is read only when teleport > 0")
         _check_stop_rule(self.tol, self.max_iter)
 
 
@@ -308,8 +311,8 @@ def _runs(m: sparse.csr_array, order: np.ndarray, rank: np.ndarray, agg: np.ndar
     """The entries of ``m`` (CSR over nodes) in runs of one row and one
     aggregate, as the rows of a CSR matrix, nodes ascending, and the runs'
     keys ``row * k + aggregate``.  ``order`` lists the nodes by aggregate,
-    then id; ``rank`` inverts it."""
-    m = sparse.csr_array((m.data, rank[m.indices], m.indptr), shape=m.shape)
+    then id; ``rank`` inverts it.  ``m`` is left as it was."""
+    m = sparse.csr_array((m.data.copy(), rank[m.indices], m.indptr), shape=m.shape)
     m.sort_indices()
     nodes = order[m.indices]
     to = agg[nodes]
@@ -368,7 +371,7 @@ def block_aggregation(
     del e, first
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
-    proximity, z_key = _runs(R.T.tocsr(), order, rank, agg, k)
+    proximity, z_key = _runs(R.T, order, rank, agg, k)
     ae_key = _rows(ae.indptr, 0, ae.nnz) * np.int64(k) + ae.indices
     at = np.minimum(np.searchsorted(z_key, ae_key), z_key.size - 1)
     hit = z_key[at] == ae_key
@@ -457,7 +460,7 @@ def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
     """The step ``x -> eta * (x @ H) + mu * ((x @ R) @ A) + teleport * v``
     without its zero terms."""
     if mu != 0.0:
-        R_t, A_t = f.R.T.tocsr(), f.A.T
+        R_t, A_t = f.R.T, f.A.T
     if teleport != 0.0:
         jump = teleport * v
 
@@ -472,6 +475,25 @@ def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
     return step
 
 
+def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = True) -> bool:
+    """The one admissibility gate: whether ranking without teleportation is
+    well-defined, i.e. ``mu > 0`` and ``W`` is irreducible (the paper's
+    theorem; at ``mu = 0`` the operator is ``H`` alone, which ``W`` does not
+    decide); ``W``'s verdict alone when ``teleport > 0``.  Under ``strict`` a
+    teleport-free model that fails raises :class:`ReducibleModelError`,
+    naming block ``b`` as ``names[b]``."""
+    if params.teleport == 0.0 and params.mu == 0.0:
+        if strict:
+            raise ReducibleModelError(
+                "mu = 0 without teleportation leaves the hyperlink chain alone, "
+                "which the indicator matrix does not decide", components=())
+        return False
+    report = teleportation_free_check(indicator(f))
+    if strict and params.teleport == 0.0:
+        report.require_irreducible(names)
+    return report.irreducible
+
+
 def rank(
     h: HyperlinkOperator,
     f: ProximityFactors,
@@ -480,12 +502,11 @@ def rank(
 ) -> RankResult:
     """Ranking vector of the block-aware surfing operator.
 
-    With ``teleport == 0`` and ``strict`` (the default) a reducible
-    indicator matrix raises :class:`ReducibleModelError` naming the
-    blocking components; ``strict=False`` proceeds and reports how the run
-    converged.  Non-convergence is reported, not raised.  Weakly coupled
-    blocks get corrections (:func:`block_aggregation`) under the same
-    stop rule.
+    With ``teleport == 0`` and ``strict`` (the default) a model that
+    :func:`admissible` refuses raises :class:`ReducibleModelError`;
+    ``strict=False`` proceeds and reports how the run converged.
+    Non-convergence is reported, not raised.  Weakly coupled blocks get
+    corrections (:func:`block_aggregation`) under the same stop rule.
     """
     n = h.n
     if f.n != n:
@@ -495,7 +516,7 @@ def rank(
     if params.teleport > 0.0:
         v = _validate_personalization(params.personalization, n)
     elif strict:
-        teleportation_free_check(indicator(f)).require_irreducible(range(f.K))
+        admissible(f, params, range(f.K))
     step = _surfing_step(h, params.eta, params.mu, params.teleport, v, f)
     return power_iteration(step, n, params.tol, params.max_iter,
                            block_aggregation(h, f, params))

@@ -15,8 +15,9 @@ exactly when its pattern raised to k^2 - 2k + 2 is entrywise positive.
 Magnitudes never enter, so repeated boolean squaring is exact and
 overflow-free.
 
-:meth:`CheckReport.require_irreducible` is the one admissibility gate; the
-CLI and :func:`blockrank.ranker.rank` both refuse through it.
+:meth:`CheckReport.require_irreducible` refuses a reducible indicator for
+:func:`blockrank.ranker.admissible`, the gate that the CLI and
+:func:`blockrank.ranker.rank` share.
 """
 
 from __future__ import annotations

@@ -232,7 +232,7 @@ def test_gate_off_runs_are_bit_identical_to_the_plain_kernel(case, policy):
 
     params = RankParams(eta=eta, mu=mu, tol=1e-12, max_iter=3000)
     assert block_aggregation(h, f, params) is None
-    got = rank(h, f, params)
+    got = rank(h, f, params, strict=case != "mu-zero")
     scores, iterations = reference_power_iteration(plain_step(h, f, params), g.n, params.tol,
                                                    params.max_iter)
     assert got.corrections == 0
@@ -404,9 +404,10 @@ def test_corrector_build_peaks_within_16_bytes_per_stored_entry(policy):
     assert peak <= 16 * stored_entries(coarse)
 
 
-def int64_copy(m: sparse.csr_array) -> sparse.csr_array:
-    return sparse.csr_array((m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)),
-                            shape=m.shape)
+def int64_copy(m):
+    """``m`` (CSR or CSC) with int64 index arrays."""
+    return type(m)((m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)),
+                   shape=m.shape)
 
 
 @pytest.mark.parametrize("cover", [False, True], ids=["partition", "cover"])
@@ -430,6 +431,21 @@ def test_operands_hold_int32_indices_and_rank_as_int64_copies_do(policy, cover):
     assert got.corrections > 0
     assert (got.iterations, got.corrections) == (want.iterations, want.corrections)
     assert np.array_equal(got.scores, want.scores)
+
+
+def test_the_step_and_the_corrector_read_the_stored_r_in_place():
+    g, d = ncd_instance(np.random.default_rng(31), 300, 6, 0.01, cover=True, dangling=0.05)
+    h, f = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d), build_factors(d, g)
+    stored = [a.copy() for a in (f.R.data, f.R.indices, f.R.indptr)]
+    r_t = _surfing_step(h, ETA, MU, 0.0, None, f).__closure__  # the step's R^T
+    r_t = next(c.cell_contents for c in r_t if isinstance(c.cell_contents, sparse.csr_array))
+    assert np.shares_memory(r_t.data, f.R.data) and np.shares_memory(r_t.indices, f.R.indices)
+
+    params = RankParams(eta=ETA, mu=MU, tol=1e-12)
+    assert block_aggregation(h, f, params) is not None
+    assert rank(h, f, params).corrections > 0
+    for got, want in zip((f.R.data, f.R.indices, f.R.indptr), stored):
+        assert np.array_equal(got, want)
 
 
 def reference_link_leaks(g: Graph, d: Decomposition, policy: DanglingPolicy) -> np.ndarray:

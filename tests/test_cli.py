@@ -163,6 +163,14 @@ class TestImports:
         assert linear_algebra(probe["imported"]) == []
         assert probe["csgraph"]
 
+    def test_materialize_runs_no_check(self, split_files):
+        # W is dense output here, not a verdict: a reducible one leaves the
+        # components pass unimported
+        graph, blocks = split_files
+        printed, probe = probe_imports(["materialize", "--graph", graph, "--blocks", blocks])
+        assert probe["code"] == 0 and "# W" in printed
+        assert linear_algebra(probe["checked"]) == []
+
 
 FILES = ["--graph", "g", "--blocks", "b"]
 MODEL_FLAGS = [["--eta", "0.5"], ["--mu", "0.5"], ["--teleport", "0"], ["--tol", "1e-6"],
@@ -257,6 +265,24 @@ class TestRank:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+    def test_mu_zero_without_teleport_is_refused(self, tmp_path, capsys):
+        # the gate decides P = eta H + mu R A through mu R A alone; with
+        # mu = 0 it cannot, though W (X = {a, b, c}, Y = {c, d}) is irreducible
+        graph, blocks = tmp_path / "cycles.edges", tmp_path / "cycles.blocks"
+        graph.write_text("a b\nb a\nc d\nd c\n", encoding="utf-8")
+        blocks.write_text("a X\nb X\nc X\nc Y\nd Y\n", encoding="utf-8")
+        files = ["--graph", str(graph), "--blocks", str(blocks)]
+        assert run(["check", *files]) == 0
+        capsys.readouterr()
+        for command in ("rank", "compare"):
+            assert run([command, *files, "--eta", "1", "--mu", "0"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert run(["rank", *files, "--eta", "1", "--mu", "0", "--no-strict",
+                    "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["admissible"] is False
 
     def test_json_meta(self, g4_files, capsys):
         graph, blocks = g4_files
@@ -357,14 +383,14 @@ class TestRank:
             assert got[label] == pytest.approx(base.scores[i], abs=1e-12)
 
     def test_non_convergence_exits_three(self, tmp_path, capsys):
-        # periodic pure-link chain with a single block passes the gate but
-        # oscillates forever
+        # periodic pure-link chain with a single block, run past the gate
+        # (which refuses mu = 0 without teleportation): it oscillates forever
         graph = tmp_path / "periodic.edges"
         blocks = tmp_path / "periodic.blocks"
         graph.write_text("a b\nb a\nb c\nc b\n", encoding="utf-8")
         blocks.write_text("a B\nb B\nc B\n", encoding="utf-8")
         code = run(["rank", "--graph", str(graph), "--blocks", str(blocks),
-                    "--eta", "1.0", "--mu", "0", "--max-iter", "50"])
+                    "--eta", "1.0", "--mu", "0", "--max-iter", "50", "--no-strict"])
         captured = capsys.readouterr()
         assert code == 3
         assert "warning" in captured.err

@@ -87,7 +87,8 @@ class TestParseBlocks:
 
 def proximal_rows(f) -> list[set[int]]:
     """Row patterns of ``R``: the proximal blocks of each node."""
-    return [set(f.R.indices[lo:hi].tolist()) for lo, hi in zip(f.R.indptr, f.R.indptr[1:])]
+    r = f.R.tocsr()
+    return [set(r.indices[lo:hi].tolist()) for lo, hi in zip(r.indptr, r.indptr[1:])]
 
 
 class TestProximalSet:
@@ -118,7 +119,7 @@ class TestBuildFactors:
         expected_a = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
         np.testing.assert_allclose(f.R.toarray(), expected_r, atol=1e-15)
         np.testing.assert_array_equal(f.A.toarray(), expected_a)
-        assert np.diff(f.R.indptr).tolist() == [1, 2, 1, 2]
+        assert np.diff(f.R.tocsr().indptr).tolist() == [1, 2, 1, 2]
 
     def test_single_block(self):
         g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
@@ -272,7 +273,7 @@ class TestFactorProperties:
             f = build_factors(d, g)
             # every node keeps at least one proximal block; every block keeps
             # its members, so no zero rows in R and no zero columns in A
-            assert np.diff(f.R.indptr).min() >= 1
+            assert np.diff(f.R.tocsr().indptr).min() >= 1
             assert (np.asarray(np.abs(f.A).sum(axis=0)) > 0).all()
 
     def test_zero_proximity_entry_dominates_hyperlink(self):

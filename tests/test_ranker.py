@@ -20,11 +20,13 @@ from blockrank import (
     build_hyperlink,
     compare,
     dense_stationary,
+    indicator,
     materialize_m,
     pagerank,
     parse_blocks,
     parse_edge_list,
     rank,
+    teleportation_free_check,
 )
 from blockrank.errors import (
     ConfigurationError,
@@ -32,7 +34,7 @@ from blockrank.errors import (
     DimensionError,
     ReducibleModelError,
 )
-from blockrank.ranker import _rate, order_by_score, power_iteration
+from blockrank.ranker import _rate, admissible, order_by_score, power_iteration
 
 from helpers import random_graph, random_instance, random_partition, reference_order_by_score
 
@@ -80,6 +82,13 @@ class TestRankParams:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             RankParams(**{field: value})
+
+    def test_personalization_without_teleport_rejected(self):
+        # nothing would read it, so it is not silently dropped
+        v = np.full(4, 0.25)
+        with pytest.raises(ConfigurationError, match="teleport"):
+            RankParams(eta=0.85, mu=0.15, personalization=v)
+        assert RankParams(eta=0.6, mu=0.2, personalization=v).personalization is v
 
 
 class TestRank:
@@ -134,6 +143,20 @@ class TestRank:
         assert excinfo.value.components == ((0,), (1,))
         assert str(excinfo.value).endswith("blocking components: 0 1")
 
+    def test_strict_mode_refuses_mu_zero_without_teleport(self):
+        # W is irreducible, but with mu = 0 the operator is H alone: two
+        # closed cycles, any mix of which is stationary
+        g = parse_edge_list("a b\nb a\nc d\nd c")
+        d = parse_blocks("a X\nb X\nc X\nc Y\nd Y", g)
+        h, f = _model(g, d)
+        assert teleportation_free_check(indicator(f)).irreducible
+        params = RankParams(eta=1.0, mu=0.0)
+        with pytest.raises(ReducibleModelError, match="mu = 0") as excinfo:
+            rank(h, f, params)
+        assert excinfo.value.components == ()
+        assert not admissible(f, params, range(f.K), strict=False)
+        assert rank(h, f, params, strict=False).converged
+
     def test_override_proceeds_and_reports_honestly(self):
         g = parse_edge_list("a b\nb a\nc d\nd c")
         d = parse_blocks("a B1\nb B1\nc B2\nd B2", g)
@@ -155,7 +178,7 @@ class TestRank:
         g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 0), (1, 2), (2, 1)])
         d = Decomposition.from_members([[0, 1, 2]], n=3)
         h, f = _model(g, d)
-        result = rank(h, f, RankParams(eta=1.0, mu=0.0, tol=1e-9, max_iter=40))
+        result = rank(h, f, RankParams(eta=1.0, mu=0.0, tol=1e-9, max_iter=40), strict=False)
         assert not result.converged
         assert result.iterations == 40
         assert result.residual > 1e-9
@@ -485,6 +508,6 @@ class TestConvergenceReport:
         g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 0), (1, 2), (2, 1)])
         d = Decomposition.from_members([[0, 1, 2]], n=3)
         h, f = _model(g, d)
-        result = rank(h, f, RankParams(eta=1.0, mu=0.0, tol=1e-9, max_iter=40))
+        result = rank(h, f, RankParams(eta=1.0, mu=0.0, tol=1e-9, max_iter=40), strict=False)
         assert result.rate == pytest.approx(1.0)
         assert result.steps_to(1e-9) == math.inf
