@@ -8,6 +8,16 @@ set -euo pipefail
 cd "$(mktemp -d)"
 printf 'a b\nb c\nc d\nd a\nd é\né a\n' > smoke.edges
 printf 'a X\r\nb X\r\nc Y\r\nd Y\r\né Y\r\n' > smoke.blocks
+# the top-level parser: help names every command; no command is a usage
+# error (exit 2); a command's help comes from its own parser
+blockrank --help > help.out
+for command in check rank compare materialize; do grep -q "^    $command " help.out; done
+status=0
+blockrank 2> usage.err || status=$?
+test "$status" -eq 2
+grep -q '^usage: blockrank' usage.err
+blockrank rank --help > rank_help.out
+grep -q '^usage: blockrank rank' rank_help.out
 blockrank check --graph smoke.edges --blocks smoke.blocks
 blockrank rank --graph smoke.edges --blocks smoke.blocks | tee rank.tsv
 test "$(wc -l < rank.tsv)" -eq 5

@@ -37,6 +37,7 @@ from .ranker import (
     rank,
 )
 from .spectra import teleportation_free_check
+from .tokens import Interner
 
 DEFAULT_TOP_K = 10
 
@@ -66,48 +67,60 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extra
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # Each command takes only the flags it reads: check reads the files,
-    # materialize also the dangling policy, rank and compare the model too.
-    files = argparse.ArgumentParser(add_help=False)
-    files.add_argument("--graph", required=True, help="edge-list file (\"src dst\" per line)")
-    files.add_argument("--blocks", required=True, help="block file (\"node block\" per line)")
-    files.add_argument("--format", choices=["tsv", "json"], default="tsv", dest="output_format")
-    dangling = argparse.ArgumentParser(add_help=False)
-    dangling.add_argument("--dangling", choices=[p.value for p in DanglingPolicy],
-                          default=DanglingPolicy.OWN_BLOCK.value,
-                          help="dangling-row policy: uniform over own block(s) or over all nodes")
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--eta", type=float, default=RankParams.eta,
-                       help="link-following weight (default %(default)s)")
-    model.add_argument("--mu", type=float, default=RankParams.mu,
-                       help="block-proximity weight (default %(default)s)")
-    model.add_argument("--teleport", type=float, default=None,
-                       help="teleportation weight (default 1 - eta - mu)")
-    model.add_argument("--tol", type=float, default=RankParams.tol,
-                       help="L1 convergence tolerance (default %(default)s)")
-    model.add_argument("--max-iter", type=int, default=RankParams.max_iter,
-                       help="iteration cap (default %(default)s)")
-    model.add_argument("--top", type=int, default=None, help="truncate output / overlap depth")
-    model.add_argument("--no-strict", action="store_true",
-                       help="rank even when the admissibility check fails")
+# The flag table: (group, flag, add_argument options).  A command takes only
+# the groups it reads (_COMMANDS).
+_FLAGS = (
+    ("files", "--graph", dict(required=True, help="edge-list file (\"src dst\" per line)")),
+    ("files", "--blocks", dict(required=True, help="block file (\"node block\" per line)")),
+    ("files", "--format", dict(choices=["tsv", "json"], default="tsv", dest="output_format")),
+    ("dangling", "--dangling", dict(
+        choices=[p.value for p in DanglingPolicy], default=DanglingPolicy.OWN_BLOCK.value,
+        help="dangling-row policy: uniform over own block(s) or over all nodes")),
+    ("model", "--eta", dict(type=float, default=RankParams.eta,
+                            help="link-following weight (default %(default)s)")),
+    ("model", "--mu", dict(type=float, default=RankParams.mu,
+                           help="block-proximity weight (default %(default)s)")),
+    ("model", "--teleport", dict(type=float, default=None,
+                                 help="teleportation weight (default 1 - eta - mu)")),
+    ("model", "--tol", dict(type=float, default=RankParams.tol,
+                            help="L1 convergence tolerance (default %(default)s)")),
+    ("model", "--max-iter", dict(type=int, default=RankParams.max_iter,
+                                 help="iteration cap (default %(default)s)")),
+    ("model", "--top", dict(type=int, default=None, help="truncate output / overlap depth")),
+    ("model", "--no-strict", dict(action="store_true",
+                                  help="rank even when the admissibility check fails")),
+)
 
+
+def _add_flags(parser: _CommandParser, command: str) -> _CommandParser:
+    """``parser`` with ``command``'s flags and defaults."""
+    run, groups, _ = _COMMANDS[command]
+    for group, flag, options in _FLAGS:
+        if group in groups:
+            parser.add_argument(flag, **options)
+    parser.set_defaults(command=command, run=run)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, holding every command's."""
     parser = argparse.ArgumentParser(
         prog="blockrank",
         description="Block-aware graph ranking with a decidable no-teleportation mode.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for name, parents, run, text in (
-        ("check", [files], cmd_check,
-         "decide whether ranking without teleportation is well-defined"),
-        ("rank", [files, dangling, model], cmd_rank, "compute the ranking vector"),
-        ("compare", [files, dangling, model], cmd_compare,
-         "compare the block-aware ranking against the PageRank baseline"),
-        ("materialize", [files, dangling], cmd_materialize,
-         "dump dense H, M, R, A, W (small graphs only)"),
-    ):
-        sub.add_parser(name, parents=parents, help=text).set_defaults(run=run)
+    for command, (_, _, text) in _COMMANDS.items():
+        _add_flags(sub.add_parser(command, help=text), command)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by its command's parser alone; the top-level parser,
+    which builds all four, only when no command comes first."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_flags(_CommandParser(prog=f"blockrank {argv[0]}"), argv[0])
+        return parser.parse_args(argv[1:])
+    return _build_parser().parse_args(argv)
 
 
 def _read(path: str) -> str | bytes:
@@ -124,8 +137,12 @@ def _read(path: str) -> str | bytes:
 
 
 def _load(args) -> tuple[Graph, Decomposition, ProximityFactors]:
-    g = parse_edge_list(_read(args.graph))
-    d = parse_blocks(_read(args.blocks), g)
+    # The blocks parse looks node labels up in the edge parse's table, which
+    # is then dropped: the later stages do not hold it.
+    labels = Interner(1)
+    g = parse_edge_list(_read(args.graph), labels=labels)
+    d = parse_blocks(_read(args.blocks), g, labels=labels)
+    del labels
     return g, d, build_factors(d, g)
 
 
@@ -279,8 +296,20 @@ def cmd_materialize(args) -> int:
     return EXIT_OK
 
 
+# command: (its function, the flag groups it reads, its top-level help line)
+_COMMANDS = {
+    "check": (cmd_check, ("files",),
+              "decide whether ranking without teleportation is well-defined"),
+    "rank": (cmd_rank, ("files", "dangling", "model"), "compute the ranking vector"),
+    "compare": (cmd_compare, ("files", "dangling", "model"),
+                "compare the block-aware ranking against the PageRank baseline"),
+    "materialize": (cmd_materialize, ("files", "dangling"),
+                    "dump dense H, M, R, A, W (small graphs only)"),
+}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.run(args)
     except ReducibleModelError as exc:

@@ -91,7 +91,8 @@ class Decomposition:
         return FactorForm.PARTITION if single else FactorForm.COVER
 
 
-def parse_blocks(text: str | bytes, g: Graph) -> Decomposition:
+def parse_blocks(text: str | bytes, g: Graph, *, labels: Interner | None = None
+                 ) -> Decomposition:
     """Parse block-membership text ("node_label block_label" per line;
     ``str``, or ``bytes`` of UTF-8).
 
@@ -99,12 +100,16 @@ def parse_blocks(text: str | bytes, g: Graph) -> Decomposition:
     cover.  Unknown node labels and graph nodes missing from every block
     are hard errors.  Like :func:`~blockrank.graph.parse_edge_list`, it
     reads one window at a time.
+
+    Node tokens are looked up in ``labels``, the table that
+    ``parse_edge_list(..., labels=...)`` filled for ``g``, when given (and
+    added to it); otherwise in one built from ``g.labels``.
     """
     code = codes(text)
     # The graph's labels are interned first and are distinct, so they hold
     # ids 0..n-1: a node token's id is its node's, or n and above for an
     # unknown label.
-    nodes = Interner.of(g.labels, code.itemsize)
+    nodes = Interner.of(g.labels) if labels is None else labels
     blocks = Interner(code.itemsize)
     pairs = np.empty((code.size // 4 + 1, 2), dtype=np.int32)  # a line per 4 codes
     used = 0

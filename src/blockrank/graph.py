@@ -148,7 +148,7 @@ def pattern(m: sparse.csr_array) -> sparse.csr_array:
     return m
 
 
-def parse_edge_list(text: str | bytes) -> Graph:
+def parse_edge_list(text: str | bytes, *, labels: Interner | None = None) -> Graph:
     """Parse edge-list text (``str``, or ``bytes`` of UTF-8) into a :class:`Graph`.
 
     One edge per line, ``src dst`` separated by whitespace; blank lines and
@@ -164,9 +164,15 @@ def parse_edge_list(text: str | bytes) -> Graph:
     key; ASCII ``bytes`` are read without a copy.  Working memory is thus
     the codes, the distinct labels, 4 bytes per token and one window's
     temporaries.
+
+    The node labels are interned into ``labels``, an empty
+    :class:`~blockrank.tokens.Interner` when given (a new one otherwise),
+    in which node ``i`` then has id ``i``: a caller that passes one can
+    hand it on to :func:`~blockrank.decomp.parse_blocks`.
     """
     code = codes(text)
-    labels = Interner(code.itemsize)
+    if labels is None:
+        labels = Interner(code.itemsize)
     ids = np.empty(code.size // 2 + 1, dtype=np.int32)  # a token and a space per 2 codes
     used = 0
     for window, _, error in tokenize_pairs(code, "src dst"):

@@ -201,9 +201,10 @@ class BlockAggregation:
     exact: bool
 
     def correct(self, x: np.ndarray, residual: float) -> np.ndarray | None:
-        """``x`` with each aggregate's mass set to the stationary vector of
-        ``Diag(1/xi) C``, ``xi = E^T x``, or ``None`` when that fails or is
-        not positive.  ``residual`` is the L1 change of the last step."""
+        """``x``, each aggregate's mass set in place to the stationary vector
+        of ``Diag(1/xi) C``, ``xi = E^T x``; or ``None``, ``x`` untouched,
+        when that fails or is not positive.  ``residual`` is the L1 change
+        of the last step."""
         xi = np.bincount(self.agg, weights=x)
         if not (xi > 0.0).all():
             return None
@@ -218,9 +219,9 @@ class BlockAggregation:
             scale = pi / xi
         if not ((pi > 0.0).all() and np.isfinite(scale).all()):
             return None
-        y = x * scale[self.agg]
-        y /= y.sum()
-        return y
+        x *= scale[self.agg]
+        x /= x.sum()
+        return x
 
     def coupled(self, x: np.ndarray) -> sparse.csr_array:
         """``C^T`` without the ``UNIFORM_ALL`` rank-one term."""
@@ -428,6 +429,8 @@ def power_iteration(
     stopping at an L1 change ``<= tol``.  With ``coarse``, ``x`` is
     corrected before each step until a correction fails or a corrected
     step contracts the residual by less than ``1 - coarse.leak``.
+    ``step`` must return a new vector: ``x``, corrected in place, then
+    takes the change, so two vectors live besides the step's temporaries.
     """
     x = np.full(n, 1.0 / n)
     residual = np.inf
@@ -435,15 +438,14 @@ def power_iteration(
     corrections = 0
     for it in range(1, max_iter + 1):
         if coarse is not None:
-            corrected = coarse.correct(x, residual)
-            if corrected is None:
+            if coarse.correct(x, residual) is None:
                 coarse = None
             else:
-                x = corrected
                 corrections += 1
         y = step(x)
         y /= y.sum()
-        previous, residual = residual, float(np.abs(y - x).sum())
+        np.subtract(y, x, out=x)  # the last x, no longer read, holds the change
+        previous, residual = residual, float(np.abs(x, out=x).sum())
         x = y
         history.append(residual)
         if residual <= tol:
@@ -465,9 +467,12 @@ def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
         jump = teleport * v
 
     def step(x: np.ndarray) -> np.ndarray:
-        y = eta * hyperlink_apply(h, x)
+        y = hyperlink_apply(h, x)
+        y *= eta
         if mu != 0.0:
-            y += mu * (A_t @ (R_t @ x))
+            proximity = A_t @ (R_t @ x)
+            proximity *= mu
+            y += proximity
         if teleport != 0.0:
             y += jump
         return y

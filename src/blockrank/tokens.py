@@ -314,13 +314,12 @@ class Interner:
         self.slot_id = np.full(64, -1, dtype=np.int32)
 
     @classmethod
-    def of(cls, labels: Sequence[str], itemsize: int) -> Interner:
+    def of(cls, labels: Sequence[str]) -> Interner:
         """An interner holding ``labels``, distinct strings of any
-        characters, as ids ``0, 1, ...``, at the wider of ``itemsize`` and
-        their own code width, their codes stored as they are."""
+        characters, as ids ``0, 1, ...``, their codes stored as they are."""
         code = codes(" ".join(labels) + " " * 8)
-        interner = cls(max(itemsize, code.itemsize))
-        interner.code = code.astype(interner.code.dtype, copy=False)
+        interner = cls(code.itemsize)
+        interner.code = code
         interner.start = np.zeros(len(labels) + 1, dtype=np.int64)
         space = np.flatnonzero(code == 0x20)
         if space.size == len(labels) + 7:  # no label holds a space: the first n end them
@@ -340,8 +339,13 @@ class Interner:
         return _decode(self.code[:self.start[self.count]])
 
     def add(self, tokens: Tokens) -> np.ndarray:
-        """Each token's id (int32), new sequences taking the next ids."""
-        if tokens.code.itemsize < self.code.itemsize:
+        """Each token's id (int32), new sequences taking the next ids.
+        Tokens of wider codes than the table's first widen it (and rekey
+        it): an interner of ASCII labels takes any text."""
+        if tokens.code.itemsize > self.code.itemsize:
+            self.code = self.code.astype(tokens.code.dtype)
+            self._rehash(self.salt)
+        elif tokens.code.itemsize < self.code.itemsize:
             tokens = Tokens(tokens.code.astype(self.code.dtype), tokens.start, tokens.end)
         ids = np.empty(tokens.start.size, dtype=np.int32)
         for lo in range(0, ids.size, BATCH):

@@ -404,6 +404,23 @@ def test_corrector_build_peaks_within_16_bytes_per_stored_entry(policy):
     assert peak <= 16 * stored_entries(coarse)
 
 
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_corrected_iteration_keeps_three_vectors(policy):
+    """Corrections and the step's scaling work in place and the last ``x``
+    takes the change, so a corrected step holds ``x``, its result and one
+    product or temporary: a traced peak of 3.02 vectors of ``n`` floats,
+    against 5.01 when each of them made a new vector."""
+    g, d = large_instance(20_000, 40, 6, 0.01, 8)
+    h, f = build_hyperlink(g, policy, d), build_factors(d, g)
+    params = RankParams(eta=ETA, mu=MU, tol=1e-12, max_iter=5)
+    coarse = block_aggregation(h, f, params)
+    step = _surfing_step(h, ETA, MU, 0.0, None, f)
+    result, peak = traced_peak(
+        lambda: power_iteration(step, h.n, params.tol, params.max_iter, coarse))
+    assert result.corrections == 5
+    assert peak <= 3.5 * 8 * g.n
+
+
 def int64_copy(m):
     """``m`` (CSR or CSC) with int64 index arrays."""
     return type(m)((m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)),

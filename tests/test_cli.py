@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ from blockrank import (
     parse_blocks,
     parse_edge_list,
 )
-from blockrank.cli import _build_parser, main
+from blockrank.cli import _build_parser, _parse_args, main
 from blockrank.ranker import block_aggregation, fmt
 
 from helpers import G4_BLOCKS, G4_EDGES
@@ -235,6 +236,85 @@ class TestFlags:
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
         assert outputs.pop().startswith(("a\t", "b\t", "c\t", "d\t"))
+
+
+# Exit code and SHA-256 of stdout and stderr of each argv that ends at the
+# parser, recorded from the top-level parser that held every command's, on
+# Python 3.11 at 80 columns.  argparse's layout may differ on other Python
+# releases, where only the comparison with that parser below runs.
+EMPTY = hashlib.sha256(b"").hexdigest()
+USAGE_PINS = {
+    ("--help",):
+        (0, "da676b5b70d5e864a02d2e27743e3eb9c360d1758ddd744a77760cfe0dac6702", EMPTY),
+    ():
+        (2, EMPTY, "a2be57c7ccfc1a95d62a8b4ee55d57127b03c8a3a44bb7235cd453268e23ec6a"),
+    ("bogus",):
+        (2, EMPTY, "860c4e83b652d8c2071c4cdd6553a2c82548e7c5b68a5730496f00ead04ecd7b"),
+    ("check", "--help"):
+        (0, "d2db0f629ab9b2a559785f064167e02c96b89c5a87b9c5151222a69511eab56b", EMPTY),
+    ("rank", "--help"):
+        (0, "7f8561470187290e969602d36f652a00de3f2e1f4ff955bbc5a409be13e93f4e", EMPTY),
+    ("compare", "--help"):
+        (0, "9d9afc2cd7e5b8896d7141f79f7d4b80995de27ced473dfe3708296aa5acc2b2", EMPTY),
+    ("materialize", "--help"):
+        (0, "aa7856ccbfbf7a61f7a8552875a77c33c38ef8cdfd1c64a08e7b6c39169585a2", EMPTY),
+    ("check", *FILES, "--bogus"):
+        (2, EMPTY, "bd61a5d241db8845cdcddd8080d51048b897b57b557b5240fab3ee94b36b9cfd"),
+    ("rank", *FILES, "--bogus"):
+        (2, EMPTY, "c9bc99021b35ba80ce01d8f0dcfc147cae21397874d2eab22595ce841d6bd658"),
+    ("compare", *FILES, "--bogus"):
+        (2, EMPTY, "52aede52c5273442d99a6849b898bcdc9b1cdecf9def5ca714917eb982a393aa"),
+    ("materialize", *FILES, "--bogus"):
+        (2, EMPTY, "e878fa8f6c3fa5791259fc8e0e7d46f821b2bf663021b5c5e982905150f83a13"),
+}
+USAGE_PINNED_ON = (3, 11)
+
+
+def parse_outcome(parse, argv, capsys) -> tuple[object, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestUsage:
+    @pytest.mark.skipif(sys.version_info[:2] != USAGE_PINNED_ON,
+                        reason="usage bytes were recorded with Python 3.11's argparse")
+    @pytest.mark.parametrize("argv", USAGE_PINS)
+    def test_usage_bytes_are_pinned(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = parse_outcome(main, argv, capsys)
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        assert (code, digest(out), digest(err)) == USAGE_PINS[argv]
+
+    @pytest.mark.parametrize("argv", [
+        *USAGE_PINS, ("rank",), ("compare", *FILES, "--t", "1"), ("check", *FILES, "--fo", "x"),
+        ("materialize", "--graph"), ("rank", *FILES, "--max-iter", "1.5"), ("-h", "check"),
+    ])
+    def test_a_command_parses_as_inside_the_top_level_parser(self, argv, capsys, monkeypatch):
+        # main builds only the named command's parser
+        monkeypatch.setenv("COLUMNS", "80")
+        got = parse_outcome(main, argv, capsys)
+        assert got == parse_outcome(_build_parser().parse_args, argv, capsys)
+
+    def test_a_command_builds_no_other_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        commands = ["check", "rank", "compare", "materialize"]
+        for command in commands:
+            built.clear()
+            _parse_args([command, *FILES])
+            assert built == [f"blockrank {command}"]
+        built.clear()
+        with pytest.raises(SystemExit):
+            _parse_args(["--help"])
+        assert built == ["blockrank", *(f"blockrank {command}" for command in commands)]
 
 
 @given(st.floats() | st.floats(min_value=-1e-300, max_value=1e-300))

@@ -8,6 +8,7 @@ here demands bit-identical output from the loop constructions they replaced
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 
 import numpy as np
@@ -23,6 +24,7 @@ from blockrank import (
     Graph,
     build_factors,
     build_hyperlink,
+    cli,
     parse_blocks,
     parse_edge_list,
 )
@@ -447,6 +449,86 @@ def assert_interning_is_exact(alphabet: str, fresh: dict) -> None:
     assert np.array_equal(h.reach[h.signature].toarray(), reach)
 
 
+def parsed(parse) -> tuple:
+    """``parse()``'s graph labels, block labels and ``B``, or its error."""
+    got, error = outcome(parse)
+    if error is not None:
+        return error
+    g, d = got
+    return g.labels, d.block_labels, d.B.shape, d.B.indptr.tolist(), d.B.indices.tolist()
+
+
+def cli_load(tmp_path, edges: str, blocks: str) -> tuple:
+    """The CLI's load, in which the blocks parse looks node labels up in the
+    edge parse's table (it must not build one), as :func:`parsed` gives it."""
+    graph_file, blocks_file = tmp_path / "handoff.edges", tmp_path / "handoff.blocks"
+    graph_file.write_text(edges, encoding="utf-8")
+    blocks_file.write_text(blocks, encoding="utf-8")
+
+    def rebuilt(*args):
+        raise AssertionError("the blocks parse rebuilt the label table")
+
+    def load():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Interner, "of", rebuilt)
+            g, d, _ = cli._load(argparse.Namespace(graph=str(graph_file),
+                                                   blocks=str(blocks_file)))
+        return g, d
+
+    return parsed(load)
+
+
+def plain_load(edges: str, blocks: str) -> tuple:
+    def load():
+        g = parse_edge_list(edges)
+        return g, parse_blocks(blocks, g)
+
+    return parsed(load)
+
+
+HANDOFF_CASES = {
+    "ascii graph, ascii blocks": ("a b\nb c\nc a\n", "a X\nb X\nc Y\nb Y\n"),
+    "ascii graph, wider blocks": ("a b\nb c\nc a\n", "a \u00c9\nb X\nc \u00c9\n"),
+    "wider graph, ascii blocks": ("# caf\u00e9\na b\nb c\n", "c X\na X\nb Y\n"),
+    "wider labels, wider blocks": ("\u00e9 a\na \u3042\n", "a X\n\u3042 X\n\u00e9 Y\n"),
+    "unknown ascii label": ("a b\nb c\n", "a X\nb X\nzz X\nc X\n"),
+    "unknown wider label": ("a b\nb c\n", "a X\n\u00e9 X\nb X\nc X\n"),
+    "unknown label in a wider graph": ("\u00e9 a\na b\n", "a X\nb X\nab X\n"),
+    "nodes missing from every block": ("a b\nb c\nc a\n", "b X\n"),
+    "wider nodes missing from every block": ("\u00e9 a\na b\n", "a X\n"),
+}
+
+
+@pytest.mark.parametrize("edges, blocks", HANDOFF_CASES.values(), ids=HANDOFF_CASES)
+def test_handed_off_label_table_parses_as_a_rebuilt_one(tmp_path, edges, blocks):
+    assert cli_load(tmp_path, edges, blocks) == plain_load(edges, blocks)
+
+
+@pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
+@pytest.mark.parametrize("blocks_alphabet", ["XYZ", "\u00c9XYZ"])
+def test_handed_off_label_table_is_exact_when_the_first_salt_collides(
+        tmp_path, alphabet, blocks_alphabet):
+    """Labels of a word or more under the forced collision of
+    :func:`colliding_until_rehash`: the edge parse's table draws one fresh
+    salt, which the blocks parse keeps (widening the table for a wider
+    blocks file), and the block table draws its own."""
+    rng = np.random.default_rng(5)
+    shortest = 9 if alphabet.isascii() else 3
+    labels = sorted({"".join(rng.choice(list(alphabet), size=rng.integers(shortest, 41)))
+                     for _ in range(30)})
+    edges = "".join(f"{u} {v}\n" for u, v in rng.choice(labels, size=(120, 2)))
+    names = ["".join(rng.choice(list(blocks_alphabet), size=12)) for _ in range(5)]
+    g = parse_edge_list(edges)
+    blocks = "".join(f"{u} {rng.choice(names)}\n" for u in g.labels)
+    for missing in (False, True):
+        text = blocks.split("\n", 1)[1] if missing else blocks
+        with colliding_until_rehash() as fresh:
+            got = cli_load(tmp_path, edges, text)
+            assert list(fresh.values()) == [1, 1]  # the edge parse's and the block table
+        assert got == plain_load(edges, text)
+        assert (got[0] is CoverageError) == missing
+
+
 def many_lines(count: int) -> list[str]:
     """``count`` edge lines over a few hundred repeating labels."""
     return [f"v{i % 997}\tv{i * 7 % 1009}\n" for i in range(count)]
@@ -487,7 +569,7 @@ def test_short_labels_cannot_crowd_the_table():
     crowded = chars[word * blockrank.tokens._MULTIPLIER >> np.uint64(59) == 0]
     labels = sorted({bytes(row.astype(np.uint8)).decode() for row in crowded})[:2000]
     assert len(labels) == 2000
-    taken = np.concatenate(([0], Interner.of(labels, 1).slot_id >= 0, [0]))
+    taken = np.concatenate(([0], Interner.of(labels).slot_id >= 0, [0]))
     runs = np.diff(np.flatnonzero(np.diff(taken)))[::2]
     assert runs.max() < 200
 
