@@ -81,6 +81,22 @@ blockrank check --graph url.edges --blocks url.blocks
 blockrank rank --graph url.edges --blocks url.blocks > url.tsv
 test "$(wc -l < url.tsv)" -eq 5002
 blockrank rank --graph url.edges --blocks url.blocks | cmp - url.tsv
+# a non-ASCII edge list over two parse windows (about 560 KB): a
+# byte-order mark, é and astral labels, U+3000 separators and CRLF line
+# ends; check, then rank twice to the same bytes, one row per node
+sp=$(printf '\343\200\200')
+{
+  printf '\357\273\277'
+  seq 0 29999 | awk -v sp="$sp" 'function label(x) { return (x % 2 ? "é" : "😀") x }
+    { u = $1 % 5000; printf "%s%s%s\r\n", label(u), sp, label((u + 1 + 37 * int($1 / 5000)) % 5000) }'
+} > wide.edges
+test "$(wc -c < wide.edges)" -gt 262144
+seq 0 4999 | awk 'function label(x) { return (x % 2 ? "é" : "😀") x }
+  { printf "%s\tb%d\n", label($1), $1 % 10 }' > wide.blocks
+blockrank check --graph wide.edges --blocks wide.blocks
+blockrank rank --graph wide.edges --blocks wide.blocks > wide.tsv
+test "$(wc -l < wide.tsv)" -eq 5000
+blockrank rank --graph wide.edges --blocks wide.blocks | cmp - wide.tsv
 awk 'NR == 59000 { print "v1 v2 v3"; next } { print }' big.edges > bad.edges
 status=0
 blockrank check --graph bad.edges --blocks big.blocks 2> bad_edges.err || status=$?

@@ -37,7 +37,7 @@ from .ranker import (
     rank,
 )
 from .spectra import teleportation_free_check
-from .tokens import Interner
+from .tokens import Interner, codes
 
 DEFAULT_TOP_K = 10
 
@@ -123,23 +123,21 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return _build_parser().parse_args(argv)
 
 
-def _read(path: str) -> str | bytes:
-    """A UTF-8 file: its bytes when they are ASCII (the parsers read those
-    without a copy), else its text, in which a leading byte-order mark is
-    not part of the first label."""
+def _read(path: str) -> bytes:
+    """A UTF-8 file's bytes, which the parsers read without a copy, less a
+    leading byte-order mark (not part of the first label)."""
     data = Path(path).read_bytes()
-    if data.isascii():
-        return data
     try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+        codes(data)  # raises on bytes that are not UTF-8, naming the offset
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return data.removeprefix(b"\xef\xbb\xbf")
 
 
 def _load(args) -> tuple[Graph, Decomposition, ProximityFactors]:
     # The blocks parse looks node labels up in the edge parse's table, which
     # is then dropped: the later stages do not hold it.
-    labels = Interner(1)
+    labels = Interner()
     g = parse_edge_list(_read(args.graph), labels=labels)
     d = parse_blocks(_read(args.blocks), g, labels=labels)
     del labels

@@ -105,15 +105,15 @@ def parse_blocks(text: str | bytes, g: Graph, *, labels: Interner | None = None
     ``parse_edge_list(..., labels=...)`` filled for ``g``, when given (and
     added to it); otherwise in one built from ``g.labels``.
     """
-    code = codes(text)
+    text = codes(text)
     # The graph's labels are interned first and are distinct, so they hold
     # ids 0..n-1: a node token's id is its node's, or n and above for an
     # unknown label.
     nodes = Interner.of(g.labels) if labels is None else labels
-    blocks = Interner(code.itemsize)
-    pairs = np.empty((code.size // 4 + 1, 2), dtype=np.int32)  # a line per 4 codes
+    blocks = Interner()
+    pairs = np.empty((len(text) // 4 + 1, 2), dtype=np.int32)  # a line per 4 bytes
     used = 0
-    for tokens, line_nos, error in tokenize_pairs(code, "node_label block_label"):
+    for tokens, line_nos, error in tokenize_pairs(text, "node_label block_label"):
         node = nodes.add(tokens[0::2])
         unknown = np.flatnonzero(node >= g.n)
         if unknown.size:

@@ -158,11 +158,11 @@ def parse_edge_list(text: str | bytes, *, labels: Interner | None = None) -> Gra
     Raises :class:`ParseError` on malformed lines (naming the line number)
     and on input without any edge ("empty graph").
 
-    The text is tokenized and interned one window at a time
+    The text's UTF-8 bytes are tokenized and interned one window at a time
     (:func:`tokenize_pairs`, :class:`Interner`), and each token keeps only
     its int32 id, which the CSR build then packs in place into the edge's
-    key; ASCII ``bytes`` are read without a copy.  Working memory is thus
-    the codes, the distinct labels, 4 bytes per token and one window's
+    key; ``bytes`` are read without a copy.  Working memory is thus the
+    text's bytes, the distinct labels, 4 bytes per token and one window's
     temporaries.
 
     The node labels are interned into ``labels``, an empty
@@ -170,12 +170,12 @@ def parse_edge_list(text: str | bytes, *, labels: Interner | None = None) -> Gra
     in which node ``i`` then has id ``i``: a caller that passes one can
     hand it on to :func:`~blockrank.decomp.parse_blocks`.
     """
-    code = codes(text)
+    text = codes(text)
     if labels is None:
-        labels = Interner(code.itemsize)
-    ids = np.empty(code.size // 2 + 1, dtype=np.int32)  # a token and a space per 2 codes
+        labels = Interner()
+    ids = np.empty(len(text) // 2 + 1, dtype=np.int32)  # a token and a space per 2 bytes
     used = 0
-    for window, _, error in tokenize_pairs(code, "src dst"):
+    for window, _, error in tokenize_pairs(text, "src dst"):
         if error is not None:
             raise error
         ids[used:used + window.start.size] = labels.add(window)
@@ -250,12 +250,14 @@ def build_hyperlink(
 
     # v lies in the union of dangling u's blocks when their block sets meet,
     # which depends on v only through its signature, its row of B interned
-    # as a sequence of block ids.  The union's size is then the number of
-    # nodes over the signatures that meet u's blocks.
+    # as the little-endian bytes of its int32 block ids (4 per id).  The
+    # union's size is then the number of nodes over the signatures that
+    # meet u's blocks.
     B = decomp.B
-    rows = Tokens(np.concatenate((B.indices, [0, 0]), dtype=np.uint32, casting="unsafe"),
-                  B.indptr[:-1], B.indptr[1:])
-    signature = Interner(4).add(rows).astype(np.int64)  # indexes every step
+    ids = np.concatenate((B.indices, [0, 0]), dtype="<i4", casting="unsafe").view(np.uint8)
+    offset = np.multiply(B.indptr, 4, dtype=np.int64)
+    rows = Tokens(ids, offset[:-1], offset[1:])
+    signature = Interner().add(rows).astype(np.int64)  # indexes every step
     first = np.flatnonzero(np.diff(np.maximum.accumulate(signature), prepend=-1))
     reach = pattern(B[first] @ B[dangling].T)
     size = reach.T @ np.bincount(signature)

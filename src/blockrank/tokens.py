@@ -1,10 +1,10 @@
 """From text to token ids: the windowed tokenizer and the interner that
 both parsers share.
 
-Text becomes one array of character codes (:func:`codes`), which is cut
-into windows of about ``WINDOW`` codes, each ending right after a ``'\\n'``.
+Text is read as its UTF-8 bytes (:func:`codes`), which are cut into
+windows of about ``WINDOW`` bytes, each ending right after a ``'\\n'``.
 :func:`tokenize_pairs` finds each window's tokens and lines as arrays, and
-an :class:`Interner` gives each token the id of its distinct code
+an :class:`Interner` gives each token the id of its distinct byte
 sequence (by a hash table salted at random, which no text can be written
 to slow), so that no Python string is made per token and the temporaries
 are bounded by the window.
@@ -12,6 +12,7 @@ are bounded by the window.
 
 from __future__ import annotations
 
+import codecs
 import secrets
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -28,9 +29,13 @@ LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 _IS_SPACE, _IS_BREAK = np.zeros((2, 0x110000), dtype=bool)
 _IS_SPACE[list(map(ord, WHITESPACE))] = True
 _IS_BREAK[list(map(ord, LINE_BREAKS))] = True
+# The bytes that lead the UTF-8 sequences of the other spaces: 2 bytes
+# after 0xC2 (U+0085, U+00A0), 3 after 0xE1, 0xE2 or 0xE3.
+_LEADS = np.zeros(256, dtype=bool)
+_LEADS[[0xC2, 0xE1, 0xE2, 0xE3]] = True
 
-# Codes per parse window (cut after a '\n').  The parsers tokenize and
-# intern one window at a time, so their per-code and per-token temporaries
+# Bytes per parse window (cut after a '\n').  The parsers tokenize and
+# intern one window at a time, so their per-byte and per-token temporaries
 # are bounded by the window, not the file.  256 KiB, as measured on the
 # benchmark's web-partition files (1.1 MB) and the n=1M generator probe
 # (116 MB of edges): a benchmark `rank` child peaks at 51.1 MiB with
@@ -45,34 +50,36 @@ WINDOW = 1 << 18
 BATCH = 1 << 16
 
 
-def codes(text: str | bytes) -> np.ndarray:
-    """The character codes of ``text``: one byte each when it is ASCII,
-    otherwise its code points as uint32.  ``bytes`` are UTF-8; ASCII bytes
-    are used as they are, without a copy."""
-    if isinstance(text, bytes):
-        if text.isascii():
-            return np.frombuffer(text, dtype=np.uint8)
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8 at byte {exc.start}") from None
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+def codes(text: str | bytes) -> bytes:
+    """The UTF-8 bytes of ``text``, the codes the parsers read.  A ``str``
+    is encoded once (a lone surrogate as its 3 bytes).  ``bytes`` are used
+    as they are, without a copy, once non-ASCII ones are checked by
+    decoding them a window at a time and dropping the text: those that
+    are not valid UTF-8 raise :class:`ParseError`."""
+    if isinstance(text, str):
+        return text.encode("utf-8", "surrogatepass")
+    if not text.isascii():
+        decoder, view = codecs.getincrementaldecoder("utf-8")(), memoryview(text)
+        for lo in range(0, len(text), WINDOW):
+            pending = len(decoder.getstate()[0])  # an unfinished sequence's bytes
+            try:
+                decoder.decode(view[lo:lo + WINDOW], final=lo + WINDOW >= len(text))
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not valid UTF-8 at byte {lo - pending + exc.start}") from None
+    return text
 
 
 def _decode(code: np.ndarray) -> list[str]:
     """The strings of ``code``, each followed by one space."""
-    encoding = "ascii" if code.itemsize == 1 else "utf-32-le"
-    return code.tobytes().decode(encoding, "surrogatepass").split(" ")[:-1]
+    return code.tobytes().decode("utf-8", "surrogatepass").split(" ")[:-1]
 
 
 @dataclass(frozen=True)
 class Tokens:
-    """Tokens as code offsets: token ``i`` is ``code[start[i]:end[i]]``.
+    """Tokens as byte offsets: token ``i`` is ``code[start[i]:end[i]]``.
 
-    ``code`` holds the codes, one byte each or four, and then at least 8
-    bytes, so that 8 bytes can be read at any token's end.
+    ``code`` holds the bytes (uint8), and then at least 8 more, so that 8
+    bytes can be read at any token's end.
     """
 
     code: np.ndarray
@@ -83,7 +90,7 @@ class Tokens:
         return Tokens(self.code, self.start[which], self.end[which])
 
     def joined(self) -> np.ndarray:
-        """The tokens' codes, each token followed by a space, gathered in
+        """The tokens' bytes, each token followed by a space, gathered in
         one piece (faster than slicing)."""
         size = self.end - self.start + 1
         stop = np.cumsum(size)
@@ -95,41 +102,47 @@ class Tokens:
         return _decode(self.joined())
 
 
-def _window_end(code: np.ndarray, lo: int) -> int:
+def _window_end(text: bytes, lo: int) -> int:
     """The end of the window that starts at ``lo``: right after the last
-    ``'\\n'`` in its first ``WINDOW`` codes, else right after the next
-    ``'\\n'``, else the end of the codes.  Both are looked for a page of
-    codes at a time, as the nearest one is usually a line away."""
+    ``'\\n'`` in its first ``WINDOW`` bytes, else right after the next
+    ``'\\n'``, else the end of the text."""
     hi = lo + WINDOW
-    if hi >= code.size:
-        return code.size
-    for stop in range(hi, lo, -4096):
-        newlines = np.flatnonzero(code[max(lo, stop - 4096):stop] == 0x0A)
-        if newlines.size:
-            return max(lo, stop - 4096) + int(newlines[-1]) + 1
-    for start in range(hi, code.size, 4096):
-        newlines = np.flatnonzero(code[start:start + 4096] == 0x0A)
-        if newlines.size:
-            return start + int(newlines[0]) + 1
-    return code.size
+    if hi >= len(text):
+        return len(text)
+    return text.rfind(b"\n", lo, hi) + 1 or text.find(b"\n", hi) + 1 or len(text)
+
+
+def _wide_spaces(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets of the bytes of the non-ASCII spaces in ``code[:size]``,
+    and a code point for each: its character's for a sequence's first byte,
+    ``' '`` for the others, so that only the first can end a line."""
+    lead = np.flatnonzero(_LEADS[code[:size]])
+    at = lead[:, None] + np.arange(3)  # up to 2 bytes past the window, in its padding
+    b = code[at].astype(np.int32) & 0x3F
+    two = b[:, 0] == 0x02  # led by 0xC2
+    point = np.where(two, b[:, 0] << 6 | b[:, 1], (b[:, 0] & 0x0F) << 12 | b[:, 1] << 6 | b[:, 2])
+    space = _IS_SPACE[point]
+    whole = (np.arange(3) < 3 - two[:, None])[space]  # the sequence's bytes
+    return at[space][whole], np.where(np.arange(3) == 0, point[:, None], 0x20)[space][whole]
 
 
 def _split(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The tokens of ``code[:size]``, the runs of non-space codes: their
+    """The tokens of ``code[:size]``, the runs of non-space bytes: their
     start and end offsets, the 0-based line of each, and the number of
     line breaks."""
     window = code[:size]
-    if code.itemsize == 1:  # every ASCII space is <= 32: look up only those
-        spaces = np.flatnonzero(window <= 32)
-        c = window[spaces]
-        space = _IS_SPACE[c]
-        if not space.all():
-            spaces, c = spaces[space], c[space]
-    else:
-        spaces = np.flatnonzero(_IS_SPACE[window])
-        c = window[spaces]
+    spaces = np.flatnonzero(window <= 32)  # every ASCII space is <= 32: look up only those
+    c = window[spaces]
+    space = _IS_SPACE[c]
+    if not space.all():
+        spaces, c = spaces[space], c[space]
+    if window.max() >= 0xC2:  # may hold a lead byte of another space
+        at, point = _wide_spaces(code, size)
+        spaces, c = np.concatenate((spaces, at)), np.concatenate((c, point))
+        order = np.argsort(spaces, kind="stable")  # a merge of the two sorted runs
+        spaces, c = spaces[order], c[order]
     # With a space before and after the window, a token lies between two
-    # spaces more than one code apart.
+    # spaces more than one byte apart.
     index = np.int32 if size < 2**31 else np.int64
     spaces = np.concatenate(([-1], spaces, [size]), dtype=index)
     c = np.concatenate((np.uint8([0x20]), c, np.uint8([0x20])))
@@ -144,16 +157,16 @@ def _split(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return starts, ends, line[gap], int(line[-1])
 
 
-def tokenize_pairs(code: np.ndarray, expected: str
+def tokenize_pairs(text: bytes, expected: str
                    ) -> Iterator[tuple[Tokens, np.ndarray, ParseError | None]]:
     """Tokens ``[left, right, left, right, ...]`` of the ``left right`` lines
-    of the codes (see :func:`codes`), one window at a time.
+    of the UTF-8 ``text`` (see :func:`codes`), one window at a time.
 
     Lines are those of ``str.splitlines``; blank lines and lines whose first
     token starts with ``#`` are skipped.  A window ends right after the
-    last ``'\\n'`` in its first ``WINDOW`` codes (or, when there is none,
+    last ``'\\n'`` in its first ``WINDOW`` bytes (or, when there is none,
     the next one), so it never splits a line, and a text without ``'\\n'``
-    is one window.  Each yields its tokens, over its codes followed by at
+    is one window.  Each yields its tokens, over its bytes followed by at
     least 8 more, as int32 offsets; the 1-based numbers of its lines; and
     the :class:`ParseError` for the first malformed line (or ``None``).
     That error ends the windows and drops its later lines: the caller
@@ -162,12 +175,13 @@ def tokenize_pairs(code: np.ndarray, expected: str
     Tokens are found from the window's whitespace positions, so no Python
     string is made per token or line.
     """
+    code = np.frombuffer(text, dtype=np.uint8)
     lo = lines = 0
     while lo < code.size:
-        hi = _window_end(code, lo)
+        hi = _window_end(text, lo)
         window = code[lo:hi + 8]
-        if hi + 8 > code.size:  # the text's last codes: pad with spaces
-            window = np.concatenate((window, np.full(hi + 8 - code.size, 0x20, code.dtype)))
+        if hi + 8 > code.size:  # the text's last bytes: pad with spaces
+            window = np.concatenate((window, np.full(hi + 8 - code.size, 0x20, np.uint8)))
         start, end, line, breaks = _split(window, hi - lo)
         opens = np.ones(line.size, dtype=bool)  # whether a token opens its line
         np.not_equal(line[1:], line[:-1], out=opens[1:])
@@ -192,20 +206,12 @@ def tokenize_pairs(code: np.ndarray, expected: str
         lo, lines = hi, lines + breaks
 
 
-def _word_tables(itemsize: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per number of codes left in a word (0 up to a whole word): the mask
-    that keeps them, and the terminator placed right after them."""
-    bits = 8 * itemsize
-    rests = range(8 // itemsize)
-    mask = [(1 << bits * r) - 1 for r in rests] + [2**64 - 1]
-    terminator = [1 << bits * r + bits - 1 for r in rests] + [0]
-    return np.array(mask, dtype=np.uint64), np.array(terminator, dtype=np.uint64)
-
-
-# The terminator is a code no character or int32 block id has (0x80 past
-# ASCII, 2**31 past Unicode), so a token's words also encode its length:
-# "a" != "a\x00".
-_WORD_TABLES = {itemsize: _word_tables(itemsize) for itemsize in (1, 4)}
+# Per number of bytes left in a word (0 up to 8, a whole word): the mask
+# that keeps them, and the terminator placed right after them.  Above the
+# terminator a word is 0, so its highest set bit marks where the token
+# ends, and a token's words also encode its length: "a" != "a\x00".
+_MASK = np.array([(1 << 8 * r) - 1 for r in range(8)] + [2**64 - 1], dtype=np.uint64)
+_TERMINATOR = np.array([1 << 8 * r + 7 for r in range(8)] + [0], dtype=np.uint64)
 _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -217,32 +223,29 @@ def _mix(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return h
 
 
-def _words(size: np.ndarray, itemsize: int) -> int:
-    """How many words the longest of tokens of ``size`` codes packs into:
-    a token of ``s`` codes has ``s // per_word + 1``, the last one
-    terminated."""
-    return int(size.max()) // (8 // itemsize) + 1 if size.size else 0
+def _words(size: np.ndarray) -> int:
+    """How many words the longest of tokens of ``size`` bytes packs into:
+    a token of ``s`` bytes has ``s // 8 + 1``, the last one terminated."""
+    return int(size.max()) // 8 + 1 if size.size else 0
 
 
 def _word(tokens: Tokens, j: int, pick: slice | np.ndarray) -> np.ndarray:
-    """Word ``j`` of the tokens ``pick``, each ``j * per_word`` codes or
-    longer, read at unaligned offsets: its codes, masked, then the
-    terminator when fewer than a word's worth are left."""
+    """Word ``j`` of the tokens ``pick``, each ``8 * j`` bytes or longer,
+    read at unaligned offsets: its bytes, masked, then the terminator when
+    fewer than 8 are left."""
     code = tokens.code
-    per_word = 8 // code.itemsize
-    view = np.ndarray((code.nbytes - 7,), dtype="<u8", buffer=code, strides=(1,))
-    mask, terminator = _WORD_TABLES[code.itemsize]
+    view = np.ndarray((code.size - 7,), dtype="<u8", buffer=code, strides=(1,))
     start = tokens.start[pick].astype(np.intp)
-    rest = np.minimum(tokens.end[pick] - start - j * per_word, per_word, dtype=np.intp)
-    w = view[start * code.itemsize + 8 * j]
-    w &= mask[rest]
-    w |= terminator[rest]
+    rest = np.minimum(tokens.end[pick] - start - 8 * j, 8, dtype=np.intp)
+    w = view[start + 8 * j]
+    w &= _MASK[rest]
+    w |= _TERMINATOR[rest]
     return w
 
 
 # A hash key has its top two bits set, which no word of a token shorter
-# than a word has (its top byte is 0x00 or 0x80, its top code 0 or 2**31),
-# so equal keys are equal words unless both are hashes.
+# than a word has (its top byte is 0x00 or the terminator 0x80), so equal
+# keys are equal words unless both are hashes.
 _HASHED = np.uint64(0xC000000000000000)
 
 
@@ -250,12 +253,11 @@ def _keys(tokens: Tokens, salt: np.uint64) -> np.ndarray:
     """Each token's key: its one word when it is shorter than a word, else
     a hash of ``salt`` and its words."""
     size = tokens.end - tokens.start
-    per_word = 8 // tokens.code.itemsize
     key = _word(tokens, 0, slice(None))
-    hashed = longer = np.flatnonzero(size >= per_word)
+    hashed = longer = np.flatnonzero(size >= 8)
     key[longer] = _mix(key[longer], salt)  # the salt, folded in with the first word
-    for j in range(1, _words(size, tokens.code.itemsize)):
-        longer = longer[size[longer] >= j * per_word]
+    for j in range(1, _words(size)):
+        longer = longer[size[longer] >= 8 * j]
         key[longer] = _mix(key[longer], _word(tokens, j, longer))
     key[hashed] |= _HASHED
     return key
@@ -267,9 +269,8 @@ def _same(a: Tokens, b: Tokens) -> bool:
     size = a.end - a.start
     if not np.array_equal(size, b.end - b.start):
         return False
-    per_word = 8 // a.code.itemsize
-    for j in range(_words(size, a.code.itemsize)):
-        longer = np.flatnonzero(size >= j * per_word)
+    for j in range(_words(size)):
+        longer = np.flatnonzero(size >= 8 * j)
         if not np.array_equal(_word(a, j, longer), _word(b, j, longer)):
             return False
     return True
@@ -286,27 +287,27 @@ def _grow(buffer: np.ndarray, size: int) -> np.ndarray:
 
 
 class Interner:
-    """Ids for distinct code sequences, in first-appearance order, given a
+    """Ids for distinct byte sequences, in first-appearance order, given a
     window of tokens at a time.
 
-    Each token is packed straight from its code array into 64-bit words (8
-    one-byte or 2 four-byte codes each, read at unaligned offsets) and a
-    terminator, so equal words mean equal sequences.  A token shorter than
-    a word is keyed by its word, a longer one by a hash of a random salt
-    and its words.  A batch of up to ``BATCH`` tokens is sorted by key,
-    equal neighbours form a group, and each group's key is looked up in an
-    open-addressing table of the keys seen before, whose slots the salt
-    also picks; a new group takes the next id, and its first token's codes
-    are stored, each sequence followed by a space.  Equal keys of longer
-    tokens are confirmed word by word, within the batch and against the
-    stored sequence; should two different sequences share one, a fresh
-    salt is drawn, the table rebuilt from the stored sequences' keys and
-    the batch interned again.  No string is made: the memory kept is the
-    distinct sequences and their keys.
+    Each token is packed straight from its byte array (UTF-8 for every text,
+    so one interner takes tokens of any text) into 64-bit words (8 bytes
+    each, read at unaligned offsets) and a terminator, so equal words mean
+    equal sequences.  A token shorter than a word is keyed by its word, a
+    longer one by a hash of a random salt and its words.  A batch of up to
+    ``BATCH`` tokens is sorted by key, equal neighbours form a group, and
+    each group's key is looked up in an open-addressing table of the keys
+    seen before, whose slots the salt also picks; a new group takes the next
+    id, and its first token's bytes are stored, each sequence followed by a
+    space.  Equal keys of longer tokens are confirmed word by word, within
+    the batch and against the stored sequence; should two different
+    sequences share one, a fresh salt is drawn, the table rebuilt from the
+    stored sequences' keys and the batch interned again.  No string is made:
+    the memory kept is the distinct sequences and their keys.
     """
 
-    def __init__(self, itemsize: int):
-        self.code = np.empty(64, dtype=np.uint8 if itemsize == 1 else np.uint32)
+    def __init__(self):
+        self.code = np.empty(64, dtype=np.uint8)
         self.start = np.zeros(64, dtype=np.int64)  # sequence i: code[start[i]:start[i + 1] - 1]
         self.count = 0
         self.salt = np.uint64(secrets.randbits(64))
@@ -316,16 +317,18 @@ class Interner:
     @classmethod
     def of(cls, labels: Sequence[str]) -> Interner:
         """An interner holding ``labels``, distinct strings of any
-        characters, as ids ``0, 1, ...``, their codes stored as they are."""
-        code = codes(" ".join(labels) + " " * 8)
-        interner = cls(code.itemsize)
+        characters, as ids ``0, 1, ...``, their UTF-8 bytes stored as they
+        are."""
+        code = np.frombuffer(codes(" ".join(labels) + " " * 8), dtype=np.uint8)
+        interner = cls()
         interner.code = code
         interner.start = np.zeros(len(labels) + 1, dtype=np.int64)
         space = np.flatnonzero(code == 0x20)
         if space.size == len(labels) + 7:  # no label holds a space: the first n end them
             interner.start[1:] = space[:len(labels)] + 1
         else:
-            np.cumsum(np.fromiter(map(len, labels), dtype=np.int64, count=len(labels)) + 1,
+            size = (len(codes(label)) for label in labels)
+            np.cumsum(np.fromiter(size, dtype=np.int64, count=len(labels)) + 1,
                       out=interner.start[1:])
         interner.count = len(labels)
         interner._rehash(interner.salt)
@@ -335,18 +338,14 @@ class Interner:
         return self.count
 
     def strings(self) -> list[str]:
-        """The distinct sequences, by id, as strings (each without spaces)."""
-        return _decode(self.code[:self.start[self.count]])
+        """The distinct sequences, by id, as strings (each without spaces),
+        decoded ``BATCH`` at a time: one wide character (4 bytes per
+        character in a str) widens the text of its batch only."""
+        bounds = self.start[:self.count:BATCH].tolist() + [int(self.start[self.count])]
+        return [s for lo, hi in zip(bounds, bounds[1:]) for s in _decode(self.code[lo:hi])]
 
     def add(self, tokens: Tokens) -> np.ndarray:
-        """Each token's id (int32), new sequences taking the next ids.
-        Tokens of wider codes than the table's first widen it (and rekey
-        it): an interner of ASCII labels takes any text."""
-        if tokens.code.itemsize > self.code.itemsize:
-            self.code = self.code.astype(tokens.code.dtype)
-            self._rehash(self.salt)
-        elif tokens.code.itemsize < self.code.itemsize:
-            tokens = Tokens(tokens.code.astype(self.code.dtype), tokens.start, tokens.end)
+        """Each token's id (int32), new sequences taking the next ids."""
         ids = np.empty(tokens.start.size, dtype=np.int32)
         for lo in range(0, ids.size, BATCH):
             batch = tokens[lo:lo + BATCH]

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from math import inf, nan
@@ -669,10 +670,25 @@ def _corpus(seed: int, n: int, k: int, overlap: float,
     return ("\r\n".join(lines) + "\r\n").encode(), ("\n".join(block_lines) + "\n").encode()
 
 
+def _unicode_corpus() -> tuple[bytes, bytes]:
+    """The cover corpus relabelled: node ``p<i>`` becomes ``\u00e9<i>`` for odd
+    ``i`` and ``\U0001f600<i>`` (4 UTF-8 bytes) for even ``i``; tabs become
+    U+3000 and double spaces U+00A0; and the edge file starts with a UTF-8
+    byte-order mark."""
+    def relabel(text: bytes) -> bytes:
+        text = re.sub(r"p(\d+)", lambda m: ("\u00e9" if int(m[1]) % 2 else "\U0001f600") + m[1],
+                      text.decode())
+        return text.replace("\t", "\u3000").replace("  ", "\u00a0").encode()
+
+    edges, blocks = _corpus(12, 300, 9, 0.15)
+    return b"\xef\xbb\xbf" + relabel(edges), relabel(blocks)
+
+
 CORPORA = {
     "g4": lambda: (G4_EDGES.encode(), G4_BLOCKS.encode()),
     "partition": lambda: _corpus(11, 300, 7, 0.0),
     "cover": lambda: _corpus(12, 300, 9, 0.15),
+    "unicode": _unicode_corpus,
 }
 
 GOLDEN_ARGS = {
@@ -710,6 +726,14 @@ GOLDEN = {
     "partition/rank": (0, "bef4392331c6a7ddef3ff8ee9596951f0725d40cb9e8aba9136d14faba5f6f76"),
     "partition/rank-json": (0, "52efd643fd8dca5bf89b210fd3140b722661e498b98cb6ce19b51824c120be4a"),
     "partition/rank-uniform": (0, "6f8e30457978d5690545188e32e50cc530cb5d76e60a439dc67c6d6f7ecde9c1"),
+    # recorded while text with a non-ASCII character was read as code points
+    "unicode/check": (0, "f2d20651cf05d04b7d693a8b16f3fe71dbacc1d959a0e481097a19d6373cf716"),
+    "unicode/check-json": (0, "66159abb403aa04c211e563b909ff7157dfe0bfa4a98e8eae567c49dab9076fd"),
+    "unicode/compare": (0, "c9899f0e0007037d768fb89aa525adc35ccc530f48d896281311aa51bcb3cde4"),
+    "unicode/compare-json": (0, "e14d6d04a3577f55ee952e2eba08fa0830b05b94463963047629174949f6862b"),
+    "unicode/rank": (0, "8f7feff211e315fe16e846090def2b12c58ef0e49dfc29a9e3d1ed225c54e6f9"),
+    "unicode/rank-json": (0, "f739de4dcbf1c4bce2bb99e7328b5426201d153697d631ec0d089363876e35eb"),
+    "unicode/rank-uniform": (0, "3a84df9191b6c126fc575b1bb6881a093dc69f37a37a53ed3d12700cdc389f98"),
 }
 
 

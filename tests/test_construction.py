@@ -155,12 +155,22 @@ def test_ascii_prefilter_keeps_every_ascii_space():
     assert all(ord(c) <= 32 for c in WHITESPACE + LINE_BREAKS if c.isascii())
 
 
+def test_every_other_space_is_a_short_sequence_with_a_known_lead_byte():
+    # the tokenizer decodes only the 2- and 3-byte UTF-8 sequences led by these
+    wide = [c.encode() for c in WHITESPACE + LINE_BREAKS if not c.isascii()]
+    assert all(len(b) in (2, 3) for b in wide)
+    assert {b[0] for b in wide} == {0xC2, 0xE1, 0xE2, 0xE3}
+    assert np.flatnonzero(blockrank.tokens._LEADS).tolist() == [0xC2, 0xE1, 0xE2, 0xE3]
+
+
 # Edge-list and block text: labels from a small alphabet so that they
 # repeat, separators and line ends from every class str.split and
 # str.splitlines know, comments, blank lines and malformed lines.
 LABELS = st.sampled_from(["a", "b", "c", "d10", "d9", "\u00e9", "#x", "x#"])
-SEPARATORS = st.sampled_from([" ", "\t", "  ", "\x1f", "\xa0", "\u2003", "\u3000"])
-ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+SEPARATORS = st.sampled_from([" ", "\t", "  ", "\x1f", "\xa0", "\u1680", "\u2003", "\u205f",
+                              "\u3000"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+                           "\u2029"])
 LEADING = st.sampled_from(["", " "])
 
 # ASCII-only text, which is read one byte per character: every ASCII
@@ -371,8 +381,8 @@ def colliding_until_rehash():
             key[key >= blockrank.tokens._HASHED] = blockrank.tokens._HASHED
         return key
 
-    def made(self, itemsize):
-        init(self, itemsize)
+    def made(self):
+        init(self)
         first.add(int(self.salt))
         fresh[self] = 0
 

@@ -6,8 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+import blockrank.tokens
 from blockrank import (
     DanglingPolicy,
     Decomposition,
@@ -18,6 +21,7 @@ from blockrank import (
 )
 from blockrank.errors import CapExceededError, ConfigurationError, DimensionError, ParseError
 from blockrank.graph import ones_at
+from blockrank.tokens import codes
 
 from helpers import dense_hyperlink, label_ids, out_neighbors, random_graph, random_partition
 
@@ -64,17 +68,22 @@ class TestParseEdgeList:
         windows) stays under 52 bytes per token.  41.8 were measured, of
         which 12.9 are the id buffer reserved at 2 bytes per code (4 bytes
         per token are written); 48.5 when the whole text was one window,
-        107 with a Python string per token."""
+        107 with a Python string per token.  The same holds with one
+        non-ASCII label on line 1 (42.9 measured), which took the whole
+        text to 4 bytes per character when it was read as code points
+        (71.3)."""
         rng = np.random.default_rng(11)
         src, dst = rng.integers(0, 20_000, (2, 100_000))
-        text = "".join(f"v{u}\tv{v}\n" for u, v in zip(src.tolist(), dst.tolist()))
-        tracemalloc.start()
-        try:
-            parse_edge_list(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 52 * 2 * src.size
+        edges = "".join(f"v{u}\tv{v}\n" for u, v in zip(src.tolist(), dst.tolist()))
+        rest = edges[edges.index("\t"):]
+        for text in (edges, "v\u00e9" + rest, "v\U0001f600" + rest):
+            tracemalloc.start()
+            try:
+                parse_edge_list(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 52 * 2 * src.size
 
     @pytest.mark.parametrize("text", ["a b\nb c\n", "\u00e9 a\r\na \U0001f600\n", "a b"])
     def test_utf8_bytes_parse_as_their_text(self, text):
@@ -85,6 +94,29 @@ class TestParseEdgeList:
     def test_bytes_that_are_not_utf8_rejected(self):
         with pytest.raises(ParseError, match="not valid UTF-8 at byte 4"):
             parse_edge_list(b"a b\n\xff a\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([b"a", b"\n", b" ", b"\xc3\xa9", b"\xe3\x80\x80",
+                                     b"\xf0\x9f\x98\x80", b"\xff", b"\x80", b"\xe2", b"\xf0\x9f",
+                                     b"\xed\xa0\x80", b"\xc0\xaf"]), max_size=16),
+           st.integers(1, 6))
+    def test_utf8_check_names_the_byte_that_decode_names(self, pieces, window):
+        """Bytes are checked a window at a time; the offset of the first
+        invalid byte is the one ``bytes.decode`` reports for the whole."""
+        text = b"".join(pieces)
+        try:
+            text.decode("utf-8")
+            want = None
+        except UnicodeDecodeError as exc:
+            want = f"not valid UTF-8 at byte {exc.start}"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blockrank.tokens, "WINDOW", window)
+            try:
+                assert codes(text) is text  # used as it is, without a copy
+                got = None
+            except ParseError as exc:
+                got = str(exc)
+        assert got == want
 
     def test_self_loop_kept_and_counted(self):
         g = parse_edge_list("a a\na b")
