@@ -65,6 +65,14 @@ blockrank rank --graph big.edges --blocks big.blocks | cmp - big.tsv
 blockrank compare --graph big.edges --blocks big.blocks --format json > big.json
 test "$(wc -l < big.json)" -eq 1
 blockrank compare --graph big.edges --blocks big.blocks --format json | cmp - big.json
+# --top k selects the top k before it orders them: the same bytes as the
+# head of the full output; compare clips a k above the node count, warns
+# and exits 0
+blockrank rank --graph big.edges --blocks big.blocks --top 3 > top3.tsv
+head -n 3 big.tsv | cmp - top3.tsv
+blockrank compare --graph big.edges --blocks big.blocks --top 6000 > clipped.out 2> clipped.err
+grep -q '^warning: top-k clipped to 5000$' clipped.err
+grep -q '^k	5000$' clipped.out
 # URL-like labels, long enough to be keyed by a hash, over several parse
 # windows (about 3 MB), under a pair that an unsalted hash of two words
 # keys alike on line 1: check, then rank twice to the same bytes

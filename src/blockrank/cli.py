@@ -199,12 +199,12 @@ def cmd_check(args) -> int:
 def cmd_rank(args) -> int:
     g, f, verdict, h, params = _prelude(args)
     result = rank(h, f, params, strict=False)
-    order = order_by_score(result.scores, g.labels)[:args.top]
-    labels, scores = g.labels, result.scores.tolist()
+    order = order_by_score(result.scores, g.labels, args.top)
+    labels, scores = g.labels, result.scores
 
     if args.output_format == "json":
         payload = {
-            "scores": {labels[i]: _jnum(scores[i]) for i in order},
+            "scores": {labels[i]: _jnum(x) for i, x in zip(order.tolist(), scores[order].tolist())},
             "meta": {
                 "iterations": result.iterations,
                 "residual": _jnum(result.residual),
@@ -217,12 +217,12 @@ def cmd_rank(args) -> int:
         }
         print(json.dumps(payload))
     else:  # 1024 lines per write, each chunk in one format call ("%.12g" is fmt)
-        for lo in range(0, len(order), 1024):
+        for lo in range(0, order.size, 1024):
             chunk = order[lo:lo + 1024]
-            values = [None] * (2 * len(chunk))
-            values[0::2] = map(labels.__getitem__, chunk)
-            values[1::2] = map(scores.__getitem__, chunk)
-            sys.stdout.write(("%s\t%.12g\n" * len(chunk)) % tuple(values))
+            values = [None] * (2 * chunk.size)
+            values[0::2] = map(labels.__getitem__, chunk.tolist())
+            values[1::2] = scores[chunk].tolist()
+            sys.stdout.write(("%s\t%.12g\n" * chunk.size) % tuple(values))
     if not result.converged:
         _warn_no_convergence("", result, params.tol)
         return EXIT_NO_CONVERGENCE

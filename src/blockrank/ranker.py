@@ -141,21 +141,30 @@ def fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def order_by_score(scores: np.ndarray, labels) -> list[int]:
-    """Node ids by descending score as printed (12 significant digits), ties
-    by ascending label.  Only scores within ``1e-11`` (relative) of a
-    neighbour can print alike, so only those are keyed by their print.
-    """
-    keys, which = np.unique(-np.asarray(scores, dtype=np.float64), return_inverse=True)
-    near = np.diff(keys) <= 1e-11 * np.abs(keys[1:])
+def order_by_score(scores: np.ndarray, labels, k: int | None = None) -> np.ndarray:
+    """The ids (an int array) of the ``k`` nodes (all by default) with the
+    highest scores as printed (12 significant digits), by descending score,
+    ties by ascending ``labels[id]``: the head of the full order.  Only
+    scores within ``1e-11`` (relative) of a neighbour can print alike, so
+    only those are keyed by their print, and only those within it of the
+    k-th largest score are ordered."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if k is not None and k < scores.size:
+        kth = np.partition(scores, -k)[-k]
+        order = np.flatnonzero(scores >= kth - 1e-11 * abs(kth))
+        order = order[np.argsort(-scores[order], kind="stable")]
+    else:
+        order = np.argsort(-scores, kind="stable")
+    keys = scores[order]
+    near = np.diff(keys) >= -1e-11 * np.abs(keys[1:])  # exact ties too: they print alike
     tied = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
-    keys[tied] = [float(fmt(x)) for x in keys[tied].tolist()]
-    order = np.argsort(keys[which], kind="stable")  # then labels, inside runs of equal keys
-    _, start, size = np.unique(keys[which[order]], return_index=True, return_counts=True)
-    order, runs = order.tolist(), size > 1
-    for lo, hi in zip(start[runs].tolist(), (start + size)[runs].tolist()):
-        order[lo:hi] = sorted(order[lo:hi], key=labels.__getitem__)
-    return order
+    value = keys[tied]
+    fresh = np.diff(value, prepend=np.nan) != 0  # each value printed once
+    keys[tied] = np.array([float(fmt(x)) for x in value[fresh].tolist()])[np.cumsum(fresh) - 1]
+    runs = np.flatnonzero(np.diff(np.concatenate(([False], keys[1:] == keys[:-1], [False]))))
+    for lo, hi in zip(runs[0::2].tolist(), (runs[1::2] + 1).tolist()):  # of equal keys
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=labels.__getitem__)
+    return order[:k]
 
 
 def _validate_personalization(v: np.ndarray | None, n: int) -> np.ndarray:
@@ -548,8 +557,9 @@ def pagerank(
 def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:
     """L1 distance and top-k overlap of two rankings over the same nodes.
 
-    Top-k lists order by descending score, ties by ascending label; ``k``
-    above the node count is clipped (and flagged).
+    Each top-k list is the labels of :func:`order_by_score`'s top ``k``,
+    the head of the order ``rank`` prints; ``k`` above the node count is
+    clipped (and flagged).
     """
     labels = tuple(labels)
     n = len(labels)
@@ -557,19 +567,9 @@ def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:
         raise DimensionError("rankings and labels must cover the same node universe")
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ConfigurationError(f"k must be a positive integer, got {k!r}")
-    clipped = k > n
     k_eff = min(k, n)
-
-    def top(scores: np.ndarray) -> tuple[str, ...]:
-        # only scores within the printed-tie margin of the k-th largest can
-        # place in the top k, so only those are ordered
-        kth = scores[np.argpartition(-scores, k_eff - 1)[k_eff - 1]]
-        pick = np.flatnonzero(scores >= kth - 1e-11 * abs(kth)).tolist()
-        order = order_by_score(scores[pick], [labels[i] for i in pick])
-        return tuple(labels[pick[i]] for i in order[:k_eff])
-
-    top_a, top_b = top(a.scores), top(b.scores)
-    overlap = len(set(top_a) & set(top_b)) / k_eff
-    l1 = float(np.abs(a.scores - b.scores).sum())
-    return ComparisonReport(l1=l1, overlap=overlap, top_a=top_a, top_b=top_b, k=k_eff,
-                            clipped=clipped)
+    top_a, top_b = (tuple(labels[i] for i in order_by_score(r.scores, labels, k).tolist())
+                    for r in (a, b))
+    return ComparisonReport(l1=float(np.abs(a.scores - b.scores).sum()),
+                            overlap=len(set(top_a) & set(top_b)) / k_eff,
+                            top_a=top_a, top_b=top_b, k=k_eff, clipped=k > n)

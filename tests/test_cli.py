@@ -737,14 +737,20 @@ GOLDEN = {
 }
 
 
-def _run_digest(args, corpus, tmp_path, capsys) -> tuple[int, str]:
-    """(exit code, sha256 of stdout) of ``args`` on the corpus's files."""
+def _run_stdout(args, corpus, tmp_path, capsys) -> tuple[int, str]:
+    """(exit code, stdout) of ``args`` on the corpus's files."""
     edges, blocks = corpus
     graph_path, blocks_path = tmp_path / "c.edges", tmp_path / "c.blocks"
     graph_path.write_bytes(edges)
     blocks_path.write_bytes(blocks)
     code = run(args + ["--graph", str(graph_path), "--blocks", str(blocks_path)])
-    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return code, capsys.readouterr().out
+
+
+def _run_digest(args, corpus, tmp_path, capsys) -> tuple[int, str]:
+    """(exit code, sha256 of stdout) of ``args`` on the corpus's files."""
+    code, out = _run_stdout(args, corpus, tmp_path, capsys)
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
@@ -752,6 +758,24 @@ def _run_digest(args, corpus, tmp_path, capsys) -> tuple[int, str]:
 def test_golden_stdout(corpus, command, tmp_path, capsys):
     got = _run_digest(GOLDEN_ARGS[command], CORPORA[corpus](), tmp_path, capsys)
     assert got == GOLDEN[f"{corpus}/{command}"]
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_rank_top_is_the_head_of_the_full_output(corpus, tmp_path, capsys):
+    # --top k selects the top k before it orders them; the output is the
+    # head of the full output, in TSV and in JSON
+    files = CORPORA[corpus]()
+    code, full = _run_stdout(["rank"], files, tmp_path, capsys)
+    lines = full.splitlines(keepends=True)
+    full_json = json.loads(_run_stdout(["rank", "--format", "json"], files, tmp_path, capsys)[1])
+    n = len(lines)
+    assert code == 0 and n == len(full_json["scores"])
+    for k in (1, n - 1, n, n + 3):
+        top = ["rank", "--top", str(k)]
+        assert _run_stdout(top, files, tmp_path, capsys) == (code, "".join(lines[:k]))
+        head = json.loads(_run_stdout(top + ["--format", "json"], files, tmp_path, capsys)[1])
+        assert list(head["scores"].items()) == list(full_json["scores"].items())[:k]
+        assert head["meta"] == full_json["meta"]
 
 
 def _ncd_corpus() -> tuple[bytes, bytes]:

@@ -298,7 +298,8 @@ LABEL_EDGE_CASES = [
     # labels that prefix each other
     ("v1 v10\nv10 v100\nv100 v1", "v10 X\nv1 X\nv100 Y"),
     ("v1 v10\nv10 v100\nv100 v1", "v10 X\nv1 X\nv1000 Y"),
-    # around the 64-bit word ends: 8 ASCII characters or 2 code points a word
+    # around the 64-bit word ends: a word is 8 UTF-8 bytes, 8 ASCII
+    # characters or 4 two-byte ones (E2 to E5 are 4 to 10 bytes)
     (f"{W8} {W9}\n{W16} {W17}\n{W17} {W8}", f"{W17} X\n{W9} Y\n{W16} X\n{W8} Y"),
     (f"{W8} {W9}\n{W16} {W17}", f"{W17} X\n{W9} Y\n{W16}i X\n{W8} Y"),
     (f"{E2} {E3}\n{E4} {E5}", f"{E5} X\n{E3} Y\n{E4} X\n{E2} Y"),
@@ -518,13 +519,12 @@ def test_handed_off_label_table_parses_as_a_rebuilt_one(tmp_path, edges, blocks)
 @pytest.mark.parametrize("blocks_alphabet", ["XYZ", "\u00c9XYZ"])
 def test_handed_off_label_table_is_exact_when_the_first_salt_collides(
         tmp_path, alphabet, blocks_alphabet):
-    """Labels of a word or more under the forced collision of
-    :func:`colliding_until_rehash`: the edge parse's table draws one fresh
-    salt, which the blocks parse keeps (widening the table for a wider
-    blocks file), and the block table draws its own."""
+    """Labels of a word or more (9 to 40 characters, so at least 9 UTF-8
+    bytes) under the forced collision of :func:`colliding_until_rehash`:
+    the edge parse's table draws one fresh salt, which the blocks parse
+    keeps, and the block table draws its own."""
     rng = np.random.default_rng(5)
-    shortest = 9 if alphabet.isascii() else 3
-    labels = sorted({"".join(rng.choice(list(alphabet), size=rng.integers(shortest, 41)))
+    labels = sorted({"".join(rng.choice(list(alphabet), size=rng.integers(9, 41)))
                      for _ in range(30)})
     edges = "".join(f"{u} {v}\n" for u, v in rng.choice(labels, size=(120, 2)))
     names = ["".join(rng.choice(list(blocks_alphabet), size=12)) for _ in range(5)]
@@ -637,10 +637,11 @@ def test_text_without_a_newline_is_one_window(ending, monkeypatch):
     assert_malformed_line("".join(lines), 322)
 
 
-@pytest.mark.parametrize("label", ["abcdefghijk", "abcdefgh", "ééé", "éé"])
+@pytest.mark.parametrize("label", ["abcdefghijk", "abcdefgh", "ééééé", "éééé"])
 def test_long_label_first_seen_in_a_later_window(label):
-    """A label of a word or more is keyed by a hash; it first appears in the
-    third window and again in the fifth, and keeps one id."""
+    """A label of a word (8 UTF-8 bytes) or more is keyed by a hash; it
+    first appears in the third window and again in the fifth, and keeps
+    one id."""
     text = f"a b\nb c\n{label} a\nc b\nc {label}\n{label}x {label}\n"
     with smallest_windows():
         assert_edge_parse_matches_reference(text)

@@ -309,17 +309,24 @@ class TestCompare:
         scores = np.array([0.5, 0.1234567890121, 0.1234567890119, 0.1])
         labels = ["w", "y", "x", "a"]
         assert format(scores[1], ".12g") == format(scores[2], ".12g")
-        assert order_by_score(scores, labels) == [0, 2, 1, 3]
-        assert order_by_score(scores[[0, 2, 1, 3]], ["w", "x", "y", "a"]) == [0, 1, 2, 3]
+        assert order_by_score(scores, labels).tolist() == [0, 2, 1, 3]
+        assert order_by_score(scores[[0, 2, 1, 3]], ["w", "x", "y", "a"]).tolist() == [0, 1, 2, 3]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
-           st.sampled_from(["exact", "printed", "none"]))
-    def test_order_matches_the_label_then_key_sort(self, seed, n, ties):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.data(),
+           st.sampled_from(["exact", "printed", "near", "none"]), st.booleans())
+    def test_order_matches_the_label_then_key_sort(self, seed, n, data, ties, descending):
+        # the top k are selected before they are ordered: tie groups, in
+        # printed key and then in label, often straddle the k-th place
+        k = data.draw(st.none() | st.integers(1, n + 10))
         rng = np.random.default_rng(seed)
         scores = _tied_scores(rng, n, ties)
         labels = [str(i) for i in rng.permutation(n)]  # "10" sorts before "9"
-        assert order_by_score(scores, labels) == reference_order_by_score(scores, labels)
+        if descending:
+            labels.sort(reverse=True)
+        order = order_by_score(scores, labels, k)
+        assert order.dtype.kind == "i"
+        assert order.tolist() == reference_order_by_score(scores, labels)[:k]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 70),
