@@ -400,13 +400,14 @@ def colliding_until_rehash():
 
 @pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
 def test_interning_is_exact_when_the_first_salt_collides(alphabet):
-    """Labels of one 64-bit word or more (8 ASCII characters, 2 otherwise)
-    are keyed by a salted hash of their words, and so are block signatures
-    of 2 or more blocks.  With every such key of an interner's first salt
-    forced to one value, the collision is found within a batch (for the
-    node interner of the blocks parse, the first batch looked up in the
-    graph's labels): each interner draws exactly one fresh salt, and each
-    distinct label and signature still gets its own id, in both parsers."""
+    """Labels of one 64-bit word or more (8 UTF-8 bytes) are keyed by a
+    salted hash of their words, and so are block signatures of 2 or more
+    blocks; these labels are 9 to 40 characters, so at least 9 bytes.
+    With every such key of an interner's first salt forced to one value,
+    the collision is found within a batch (for the node interner of the
+    blocks parse, the first batch looked up in the graph's labels): each
+    interner draws exactly one fresh salt, and each distinct label and
+    signature still gets its own id, in both parsers."""
     with colliding_until_rehash() as fresh:
         assert_interning_is_exact(alphabet, fresh)
 
@@ -423,8 +424,7 @@ def assert_interning_is_exact(alphabet: str, fresh: dict) -> None:
     """Both parsers and the signatures against their references, and, when
     each stage is done, one fresh salt drawn by each interner it made."""
     rng = np.random.default_rng(3)
-    shortest = 9 if alphabet.isascii() else 3
-    labels = sorted({"".join(rng.choice(list(alphabet), size=rng.integers(shortest, 41)))
+    labels = sorted({"".join(rng.choice(list(alphabet), size=rng.integers(9, 41)))
                      for _ in range(30)})
     labels += [labels[0] + "\x00", labels[0] + "\x00\x00",  # the same words, but longer
                labels[0][:-1] + "\x00"]  # the same length and first word
