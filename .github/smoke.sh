@@ -37,6 +37,21 @@ grep -q '^error: ' mu0.err
 if grep -q Traceback mu0.err; then cat mu0.err; exit 1; fi
 blockrank rank --graph smoke.edges --blocks smoke.blocks --eta 1 --mu 0 --no-strict > mu0.tsv
 test "$(wc -l < mu0.tsv)" -eq 5
+# a dangling node in the sink block of a reducible W: under --dangling
+# uniform its row reaches every node, so the model is admissible and ranks;
+# under --dangling block it is refused, one error line, exit 1, no traceback
+printf 'a b\n' > sink.edges
+printf 'a X\nb Y\n' > sink.blocks
+blockrank rank --graph sink.edges --blocks sink.blocks --dangling uniform --eta 0.7 --mu 0.3 \
+  --format json > sink.json
+grep -q '"admissible": true' sink.json
+status=0
+blockrank rank --graph sink.edges --blocks sink.blocks --dangling block --eta 0.7 --mu 0.3 \
+  2> sink.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < sink.err)" -eq 1
+grep -q '^error: ' sink.err
+if grep -q Traceback sink.err; then cat sink.err; exit 1; fi
 # a flag the command does not read is an input error, reported under the
 # command's own usage line
 status=0
@@ -105,6 +120,13 @@ blockrank check --graph wide.edges --blocks wide.blocks
 blockrank rank --graph wide.edges --blocks wide.blocks > wide.tsv
 test "$(wc -l < wide.tsv)" -eq 5000
 blockrank rank --graph wide.edges --blocks wide.blocks | cmp - wide.tsv
+# a 100,000-character label on line 1 of the edge list: check and rank
+long=$(printf '%0100000d' 0 | tr 0 x)
+{ printf '%s\tv0\n' "$long"; cat big.edges; } > long.edges
+{ printf '%s\tb0\n' "$long"; cat big.blocks; } > long.blocks
+blockrank check --graph long.edges --blocks long.blocks
+blockrank rank --graph long.edges --blocks long.blocks > long.tsv
+test "$(wc -l < long.tsv)" -eq 5001
 awk 'NR == 59000 { print "v1 v2 v3"; next } { print }' big.edges > bad.edges
 status=0
 blockrank check --graph bad.edges --blocks big.blocks 2> bad_edges.err || status=$?

@@ -37,7 +37,7 @@ from .ranker import (
     rank,
 )
 from .spectra import teleportation_free_check
-from .tokens import Interner, codes
+from .tokens import Interner
 
 DEFAULT_TOP_K = 10
 
@@ -123,23 +123,28 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return _build_parser().parse_args(argv)
 
 
-def _read(path: str) -> bytes:
-    """A UTF-8 file's bytes, which the parsers read without a copy, less a
-    leading byte-order mark (not part of the first label)."""
+def _parse(path: str, parse, *args, **kwargs):
+    """``parse`` of a UTF-8 file's bytes, less a leading byte-order mark
+    (not part of the first label).  The parser reads them without a copy
+    and checks that they are UTF-8; an error names the file and counts the
+    offset from its first byte."""
     data = Path(path).read_bytes()
+    mark = 3 * data.startswith(b"\xef\xbb\xbf")
+    data = data[mark:]
     try:
-        codes(data)  # raises on bytes that are not UTF-8, naming the offset
+        return parse(data, *args, **kwargs)
     except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return data.removeprefix(b"\xef\xbb\xbf")
+        if exc.byte is None:
+            raise
+        raise ParseError(f"{path}: not valid UTF-8 at byte {mark + exc.byte}") from None
 
 
 def _load(args) -> tuple[Graph, Decomposition, ProximityFactors]:
     # The blocks parse looks node labels up in the edge parse's table, which
     # is then dropped: the later stages do not hold it.
     labels = Interner()
-    g = parse_edge_list(_read(args.graph), labels=labels)
-    d = parse_blocks(_read(args.blocks), g, labels=labels)
+    g = _parse(args.graph, parse_edge_list, labels=labels)
+    d = _parse(args.blocks, parse_blocks, g, labels=labels)
     del labels
     return g, d, build_factors(d, g)
 
@@ -147,7 +152,8 @@ def _load(args) -> tuple[Graph, Decomposition, ProximityFactors]:
 def _prelude(args) -> tuple[Graph, ProximityFactors, bool, HyperlinkOperator, RankParams]:
     """Shared start of ``rank`` and ``compare``: check the flags, load,
     refuse a teleport-free model that is not admissible unless
-    ``--no-strict``, and only then build ``H``."""
+    ``--no-strict``, and only then build ``H``; under ``--dangling
+    uniform`` first, as that gate reads its dangling nodes."""
     params = RankParams(eta=args.eta, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
     if args.teleport is not None:
         if not math.isfinite(args.teleport):
@@ -158,8 +164,12 @@ def _prelude(args) -> tuple[Graph, ProximityFactors, bool, HyperlinkOperator, Ra
     if args.top is not None and args.top < 1:
         raise ConfigurationError(f"--top must be a positive integer, got {args.top}")
     g, d, f = _load(args)
-    verdict = admissible(f, params, d.block_labels, strict=not args.no_strict)
-    return g, f, verdict, build_hyperlink(g, DanglingPolicy(args.dangling), d), params
+    policy = DanglingPolicy(args.dangling)
+    h = build_hyperlink(g, policy, d) if policy is DanglingPolicy.UNIFORM_ALL else None
+    verdict = admissible(f, params, d.block_labels, not args.no_strict, h)
+    if h is None:
+        h = build_hyperlink(g, policy, d)
+    return g, f, verdict, h, params
 
 
 def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:

@@ -19,11 +19,14 @@ class BlockRankError(Exception):
 
 
 class ParseError(BlockRankError):
-    """Malformed or empty input text (edge lists, block files)."""
+    """Malformed or empty input text (edge lists, block files); ``line`` is
+    the malformed line's number, ``byte`` the offset of the first byte that
+    is not UTF-8, when either is the fault."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, byte: int | None = None):
         super().__init__(message)
         self.line = line
+        self.byte = byte
 
 
 class CoverageError(BlockRankError):

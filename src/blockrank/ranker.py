@@ -2,10 +2,12 @@
 
 The step ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t * v``, with
 ``t = 1 - eta - mu``, forms neither the dense proximity matrix nor the
-``OWN_BLOCK`` dangling rows and reads every operand row-wise in CSR, as
-stored (``H^T``, ``R^T``): a row gather beats a column scatter and sums
-in the same order.  A step costs O(nnz(G) + n + nnz(Q) + nnz(R) + nnz(A)),
-``Q`` being ``HyperlinkOperator.reach``.
+``OWN_BLOCK`` dangling rows.  It reads ``H^T`` and ``R^T`` row-wise in
+CSR, as stored: a row gather beats a column scatter and sums in the same
+order.  ``A`` is stored as CSR rows, one per block, and its part is
+applied through the CSC view ``A.T``, a column scatter of each block's
+mass over its members.  A step costs O(nnz(G) + n + nnz(Q) + nnz(R) +
+nnz(A)), ``Q`` being ``HyperlinkOperator.reach``.
 
 Without teleportation the iteration contracts at ``|lambda_2(P)|``, near 1
 when a block nearly decouples.  There :func:`rank` rescales ``x`` before
@@ -30,7 +32,7 @@ from . import tokens
 from .decomp import ProximityFactors, indicator
 from .errors import ConfigurationError, DimensionError, ReducibleModelError
 from .graph import DanglingPolicy, HyperlinkOperator, hyperlink_apply
-from .spectra import teleportation_free_check
+from .spectra import sinks_hold, teleportation_free_check
 
 __all__ = [
     "ComparisonReport",
@@ -489,23 +491,35 @@ def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
     return step
 
 
-def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = True) -> bool:
+def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = True,
+               h: HyperlinkOperator | None = None) -> bool:
     """The one admissibility gate: whether ranking without teleportation is
     well-defined, i.e. ``mu > 0`` and ``W`` is irreducible (the paper's
     theorem; at ``mu = 0`` the operator is ``H`` alone, which ``W`` does not
-    decide); ``W``'s verdict alone when ``teleport > 0``.  Under ``strict`` a
-    teleport-free model that fails raises :class:`ReducibleModelError`,
-    naming block ``b`` as ``names[b]``."""
+    decide); ``W``'s verdict alone when ``teleport > 0``.  Under ``h``'s
+    ``UNIFORM_ALL`` policy a dangling row links to every node, so a
+    reducible ``W`` also passes when every sink component of its
+    condensation holds a block of a dangling node: every node reaches such
+    a node, which reaches every node.  Without ``h`` the verdict is the
+    ``OWN_BLOCK`` policy's.  Under ``strict`` a teleport-free model that
+    fails raises :class:`ReducibleModelError`, naming block ``b`` as
+    ``names[b]``."""
     if params.teleport == 0.0 and params.mu == 0.0:
         if strict:
             raise ReducibleModelError(
                 "mu = 0 without teleportation leaves the hyperlink chain alone, "
                 "which the indicator matrix does not decide", components=())
         return False
-    report = teleportation_free_check(indicator(f))
-    if strict and params.teleport == 0.0:
+    w = indicator(f)
+    report = teleportation_free_check(w)
+    verdict = report.irreducible
+    if not verdict and h is not None and h.policy is DanglingPolicy.UNIFORM_ALL:
+        dangling = np.zeros(f.n)
+        dangling[h.dangling] = 1.0
+        verdict = sinks_hold(w, f.A @ dangling > 0)
+    if strict and params.teleport == 0.0 and not verdict:
         report.require_irreducible(names)
-    return report.irreducible
+    return verdict
 
 
 def rank(
@@ -530,7 +544,7 @@ def rank(
     if params.teleport > 0.0:
         v = _validate_personalization(params.personalization, n)
     elif strict:
-        admissible(f, params, range(f.K))
+        admissible(f, params, range(f.K), h=h)
     step = _surfing_step(h, params.eta, params.mu, params.teleport, v, f)
     return power_iteration(step, n, params.tol, params.max_iter,
                            block_aggregation(h, f, params))

@@ -162,6 +162,20 @@ def is_primitive(m) -> bool:
     return bool(_bool_power(positive.toarray(), exponent).all())
 
 
+def sinks_hold(w: IndicatorMatrix, held: np.ndarray) -> bool:
+    """Whether every sink component of the condensation of ``w``'s pattern
+    digraph (one that no edge leaves) holds a block ``b`` with ``held[b]``."""
+    from scipy.sparse import csgraph  # imports scipy.linalg
+
+    pattern = _positive_pattern(w.matrix)
+    count, label = csgraph.connected_components(pattern, directed=True, connection="strong")
+    rows, cols = (label[i] for i in pattern.nonzero())
+    left = np.zeros(count, dtype=bool)  # some edge leaves the component
+    left[rows[rows != cols]] = True
+    left[label[held]] = True
+    return bool(left.all())
+
+
 def teleportation_free_check(w: IndicatorMatrix) -> CheckReport:
     """Decide admissibility of no-teleportation ranking from the indicator matrix."""
     irreducible, components = is_irreducible(w.matrix)

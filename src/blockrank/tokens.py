@@ -5,9 +5,9 @@ Text is read as its UTF-8 bytes (:func:`codes`), which are cut into
 windows of about ``WINDOW`` bytes, each ending right after a ``'\\n'``.
 :func:`tokenize_pairs` finds each window's tokens and lines as arrays, and
 an :class:`Interner` gives each token the id of its distinct byte
-sequence (by a hash table salted at random, which no text can be written
-to slow), so that no Python string is made per token and the temporaries
-are bounded by the window.
+sequence (by a salted hash table that no text can be written to slow,
+its keys made in the same numpy calls at any token length), so no
+Python string is made per token and temporaries are bounded by the window.
 """
 
 from __future__ import annotations
@@ -65,13 +65,17 @@ def codes(text: str | bytes) -> bytes:
             try:
                 decoder.decode(view[lo:lo + WINDOW], final=lo + WINDOW >= len(text))
             except UnicodeDecodeError as exc:
-                raise ParseError(f"not valid UTF-8 at byte {lo - pending + exc.start}") from None
+                at = lo - pending + exc.start
+                raise ParseError(f"not valid UTF-8 at byte {at}", byte=at) from None
     return text
 
 
-def _decode(code: np.ndarray) -> list[str]:
-    """The strings of ``code``, each followed by one space."""
-    return code.tobytes().decode("utf-8", "surrogatepass").split(" ")[:-1]
+# Per number of bytes left in a word (0 up to 8, a whole word): the mask
+# that keeps them, and the terminator placed right after them.  Above the
+# terminator a word is 0, so its highest set bit marks where the token
+# ends, and a token's words also encode its length: "a" != "a\x00".
+_MASK = np.array([(1 << 8 * r) - 1 for r in range(8)] + [2**64 - 1], dtype=np.uint64)
+_TERMINATOR = np.array([1 << 8 * r + 7 for r in range(8)] + [0], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -89,27 +93,42 @@ class Tokens:
     def __getitem__(self, which: slice | np.ndarray) -> Tokens:
         return Tokens(self.code, self.start[which], self.end[which])
 
+    def read(self, at: np.ndarray, rest: np.ndarray | int) -> np.ndarray:
+        """The words at byte offsets ``at``, cut to ``rest`` bytes and terminated."""
+        view = np.ndarray((self.code.size - 7,), dtype="<u8", buffer=self.code, strides=(1,))
+        w = view[at]
+        w &= _MASK[rest]
+        w |= _TERMINATOR[rest]
+        return w
+
+    def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every word of the tokens, token after token, in one gather (a token
+        of ``s`` bytes has ``s // 8 + 1``, the last terminated, so equal words
+        mean equal tokens), where each token's words begin, and their count."""
+        size = self.end - self.start
+        count = size // 8 + 1
+        first = np.cumsum(count) - count
+        at = np.arange(0, 8 * count.sum(), 8)
+        at += np.repeat(self.start - 8 * first, count)
+        words, last = self.read(at, 8), first + count - 1
+        words[last] = self.read(at[last], size % 8)
+        return words, first, count
+
     def joined(self) -> np.ndarray:
-        """The tokens' bytes, each token followed by a space, gathered in
-        one piece (faster than slicing)."""
-        size = self.end - self.start + 1
+        """The tokens' bytes, each followed by a space, in one piece: gathered
+        by bytes, or when they average a word or more by words, each token's
+        last word cut after the byte that becomes its space."""
+        size = self.end - self.start + 1  # with the byte that becomes the space
         stop = np.cumsum(size)
-        chars = self.code[np.repeat(self.start - (stop - size), size) + np.arange(size.sum())]
+        if stop[-1] < 9 * size.size:
+            chars = self.code[np.repeat(self.start - stop + size, size) + np.arange(stop[-1])]
+        else:
+            words, first, count = self.words()
+            keep = np.full(words.size, 0x0101010101010101, dtype="<u8")  # 1 at each byte kept
+            keep[first + count - 1] &= _MASK[(size - 1) % 8 + 1]
+            chars = words.view(np.uint8)[keep.view(bool)]
         chars[stop - 1] = ord(" ")
         return chars
-
-    def strings(self) -> list[str]:
-        return _decode(self.joined())
-
-
-def _window_end(text: bytes, lo: int) -> int:
-    """The end of the window that starts at ``lo``: right after the last
-    ``'\\n'`` in its first ``WINDOW`` bytes, else right after the next
-    ``'\\n'``, else the end of the text."""
-    hi = lo + WINDOW
-    if hi >= len(text):
-        return len(text)
-    return text.rfind(b"\n", lo, hi) + 1 or text.find(b"\n", hi) + 1 or len(text)
 
 
 def _wide_spaces(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,15 +197,14 @@ def tokenize_pairs(text: bytes, expected: str
     code = np.frombuffer(text, dtype=np.uint8)
     lo = lines = 0
     while lo < code.size:
-        hi = _window_end(text, lo)
+        hi = min(lo + WINDOW, code.size)
+        if hi < code.size:
+            hi = text.rfind(b"\n", lo, hi) + 1 or text.find(b"\n", hi) + 1 or code.size
         window = code[lo:hi + 8]
         if hi + 8 > code.size:  # the text's last bytes: pad with spaces
             window = np.concatenate((window, np.full(hi + 8 - code.size, 0x20, np.uint8)))
         start, end, line, breaks = _split(window, hi - lo)
-        opens = np.ones(line.size, dtype=bool)  # whether a token opens its line
-        np.not_equal(line[1:], line[:-1], out=opens[1:])
-        first = np.flatnonzero(opens)  # the first token of each line
-        del opens
+        first = np.flatnonzero(np.concatenate((line[:1] >= 0, line[1:] != line[:-1])))
         count = np.diff(first, append=line.size)
         keep = window[start[first]] != ord("#")
         error = None
@@ -206,74 +224,46 @@ def tokenize_pairs(text: bytes, expected: str
         lo, lines = hi, lines + breaks
 
 
-# Per number of bytes left in a word (0 up to 8, a whole word): the mask
-# that keeps them, and the terminator placed right after them.  Above the
-# terminator a word is 0, so its highest set bit marks where the token
-# ends, and a token's words also encode its length: "a" != "a\x00".
-_MASK = np.array([(1 << 8 * r) - 1 for r in range(8)] + [2**64 - 1], dtype=np.uint64)
-_TERMINATOR = np.array([1 << 8 * r + 7 for r in range(8)] + [0], dtype=np.uint64)
-_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Fold word ``w`` into hash ``h`` (in place)."""
-    h ^= w
-    h *= _MULTIPLIER
-    h ^= h >> np.uint64(29)
-    return h
-
-
-def _words(size: np.ndarray) -> int:
-    """How many words the longest of tokens of ``size`` bytes packs into:
-    a token of ``s`` bytes has ``s // 8 + 1``, the last one terminated."""
-    return int(size.max()) // 8 + 1 if size.size else 0
-
-
-def _word(tokens: Tokens, j: int, pick: slice | np.ndarray) -> np.ndarray:
-    """Word ``j`` of the tokens ``pick``, each ``8 * j`` bytes or longer,
-    read at unaligned offsets: its bytes, masked, then the terminator when
-    fewer than 8 are left."""
-    code = tokens.code
-    view = np.ndarray((code.size - 7,), dtype="<u8", buffer=code, strides=(1,))
-    start = tokens.start[pick].astype(np.intp)
-    rest = np.minimum(tokens.end[pick] - start - 8 * j, 8, dtype=np.intp)
-    w = view[start + 8 * j]
-    w &= _MASK[rest]
-    w |= _TERMINATOR[rest]
-    return w
-
-
 # A hash key has its top two bits set, which no word of a token shorter
 # than a word has (its top byte is 0x00 or the terminator 0x80), so equal
 # keys are equal words unless both are hashes.
 _HASHED = np.uint64(0xC000000000000000)
+_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's step
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place: a bijection of words that spreads each bit."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def _keys(tokens: Tokens, salt: np.uint64) -> np.ndarray:
-    """Each token's key: its one word when it is shorter than a word, else
-    a hash of ``salt`` and its words."""
+    """Each token's key: its word when shorter than one, else a hash of ``salt``
+    and its words (see :class:`Interner`), for the whole batch at once."""
     size = tokens.end - tokens.start
-    key = _word(tokens, 0, slice(None))
-    hashed = longer = np.flatnonzero(size >= 8)
-    key[longer] = _mix(key[longer], salt)  # the salt, folded in with the first word
-    for j in range(1, _words(size)):
-        longer = longer[size[longer] >= 8 * j]
-        key[longer] = _mix(key[longer], _word(tokens, j, longer))
-    key[hashed] |= _HASHED
+    key = tokens.read(tokens.start, np.minimum(size, 8))
+    longer = np.flatnonzero(size >= 8)
+    if longer.size:
+        words, first, count = tokens[longer].words()
+        places = np.arange(1, count.max() + 1, dtype=np.uint64)
+        places *= _MULTIPLIER
+        places += salt
+        place = np.arange(words.size)
+        place -= np.repeat(first, count)
+        words ^= _mix(places)[place]
+        key[longer] = np.add.reduceat(_mix(words), first) | _HASHED
     return key
 
 
 def _same(a: Tokens, b: Tokens) -> bool:
-    """Whether ``a[i] == b[i]`` for every ``i``, for tokens with equal hash
-    keys: compared by size, then word by word."""
-    size = a.end - a.start
-    if not np.array_equal(size, b.end - b.start):
-        return False
-    for j in range(_words(size)):
-        longer = np.flatnonzero(size >= 8 * j)
-        if not np.array_equal(_word(a, j, longer), _word(b, j, longer)):
-            return False
-    return True
+    """Whether ``a[i] == b[i]`` for every ``i``: by size, then by all words at once."""
+    return (np.array_equal(a.end - a.start, b.end - b.start)
+            and np.array_equal(a.words()[0], b.words()[0]))
 
 
 def _grow(buffer: np.ndarray, size: int) -> np.ndarray:
@@ -291,19 +281,26 @@ class Interner:
     window of tokens at a time.
 
     Each token is packed straight from its byte array (UTF-8 for every text,
-    so one interner takes tokens of any text) into 64-bit words (8 bytes
-    each, read at unaligned offsets) and a terminator, so equal words mean
-    equal sequences.  A token shorter than a word is keyed by its word, a
-    longer one by a hash of a random salt and its words.  A batch of up to
-    ``BATCH`` tokens is sorted by key, equal neighbours form a group, and
-    each group's key is looked up in an open-addressing table of the keys
-    seen before, whose slots the salt also picks; a new group takes the next
-    id, and its first token's bytes are stored, each sequence followed by a
-    space.  Equal keys of longer tokens are confirmed word by word, within
-    the batch and against the stored sequence; should two different
-    sequences share one, a fresh salt is drawn, the table rebuilt from the
-    stored sequences' keys and the batch interned again.  No string is made:
-    the memory kept is the distinct sequences and their keys.
+    so one interner takes tokens of any text) into 64-bit words and a
+    terminator (:meth:`Tokens.words`).  A token shorter than a word is keyed
+    by its word; a longer one by the sum mod 2^64 of its words, each XORed
+    with the salt of its place in the token and mixed by a bijection
+    (:func:`_mix`), the place salts being splitmix64's outputs from a random
+    salt.  Two different sequences differ at some place, where their terms
+    differ; a sum of salted, mixed terms has no ring identity to cancel
+    that for every salt, as the Thue-Morse pairs have in a polynomial hash
+    mod 2^64 whatever its odd base.  So a fixed pair shares a key for a tiny
+    share of salts (2^-62 if the mix acts as a random function).
+
+    A batch of up to ``BATCH`` tokens is sorted by key, equal neighbours
+    form a group, and each group's key is looked up in an open-addressing
+    table of the keys seen before, whose slots the salt also picks; a new
+    group takes the next id, and its first token's bytes are stored, each
+    sequence followed by a space.  Equal hash keys are confirmed by their
+    words, within the batch and against the stored sequence; should two
+    different sequences share one, a fresh salt is drawn, the table rebuilt
+    from the stored sequences' keys and the batch interned again.  No string
+    is made: the memory kept is the distinct sequences and keys.
     """
 
     def __init__(self):
@@ -342,7 +339,9 @@ class Interner:
         decoded ``BATCH`` at a time: one wide character (4 bytes per
         character in a str) widens the text of its batch only."""
         bounds = self.start[:self.count:BATCH].tolist() + [int(self.start[self.count])]
-        return [s for lo, hi in zip(bounds, bounds[1:]) for s in _decode(self.code[lo:hi])]
+        text = (self.code[lo:hi].tobytes().decode("utf-8", "surrogatepass")
+                for lo, hi in zip(bounds, bounds[1:]))
+        return [s for batch in text for s in batch.split(" ")[:-1]]  # each ends in a space
 
     def add(self, tokens: Tokens) -> np.ndarray:
         """Each token's id (int32), new sequences taking the next ids."""
@@ -375,9 +374,7 @@ class Interner:
         key = _keys(batch, self.salt)
         order = np.argsort(key)
         key = key[order]
-        new = np.empty(key.size, dtype=bool)  # starts a group
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
+        new = np.concatenate(([True], key[1:] != key[:-1]))  # starts a group
         hashed = key[-1] >= _HASHED  # the batch has hash keys to confirm
         if hashed:
             same = np.flatnonzero(~new[1:] & (key[1:] >= _HASHED))
@@ -408,7 +405,9 @@ class Interner:
         apart when they are looked up, as a batch's are."""
         self.salt = np.uint64(secrets.randbits(64)) if salt is None else salt
         ids = np.arange(self.count, dtype=np.int32)
-        self._place(_keys(self._stored(ids), self.salt), ids)
+        key = [_keys(self._stored(ids[lo:lo + BATCH]), self.salt)  # a batch's temporaries
+               for lo in range(0, self.count, BATCH)]
+        self._place(np.concatenate([np.empty(0, np.uint64), *key]), ids)
 
     def _home(self, key: np.ndarray) -> np.ndarray:
         """Each key's home slot: the top bits of its product with the salt made odd."""

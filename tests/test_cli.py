@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from math import inf, nan
 
 import numpy as np
@@ -113,6 +115,29 @@ class TestCheck:
         code = run(["check", "--graph", files["graph"], "--blocks", files["blocks"]])
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 at byte 4\n"
+
+    def test_utf8_is_checked_once_and_counted_from_the_byte_order_mark(
+            self, tmp_path, g4_files, capsys, monkeypatch):
+        """A non-ASCII file is decoded once on its way to a parse, and the
+        offset of a byte that is not UTF-8 counts the byte-order mark."""
+        decoders = []
+
+        def counted(encoding):
+            decoders.append(encoding)
+            return codecs.getincrementaldecoder(encoding)
+
+        monkeypatch.setattr(blockrank.tokens, "codecs",
+                            types.SimpleNamespace(getincrementaldecoder=counted))
+        wide, blocks = tmp_path / "wide.edges", tmp_path / "wide.blocks"
+        wide.write_text("\ufeffa b\nb \u00e9\n\u00e9 a\n", encoding="utf-8")
+        blocks.write_text("a X\nb X\n\u00e9 X\n", encoding="utf-8")
+        assert run(["check", "--graph", str(wide), "--blocks", str(blocks)]) == 0
+        assert decoders == ["utf-8", "utf-8"]  # one per non-ASCII file
+        capsys.readouterr()
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"\xef\xbb\xbfa b\n\xff b\n")
+        assert run(["check", "--graph", str(bad), "--blocks", g4_files[1]]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 at byte 7\n"
 
 
 # Run in a fresh interpreter: what `import blockrank.cli`, and then a
@@ -364,6 +389,27 @@ class TestRank:
         assert run(["rank", *files, "--eta", "1", "--mu", "0", "--no-strict",
                     "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["meta"]["admissible"] is False
+
+    def test_uniform_dangling_gate_follows_the_policy(self, tmp_path, capsys):
+        # W is reducible (X -> Y, and Y is a sink), but b dangles in Y: under
+        # --dangling uniform P is primitive and ranks; under --dangling block
+        # it is refused, and check keeps that (the paper's) verdict
+        graph, blocks = tmp_path / "sink.edges", tmp_path / "sink.blocks"
+        graph.write_text("a b\n", encoding="utf-8")
+        blocks.write_text("a X\nb Y\n", encoding="utf-8")
+        files = ["--graph", str(graph), "--blocks", str(blocks), "--eta", "0.7", "--mu", "0.3"]
+        assert run(["rank", *files, "--dangling", "uniform", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["meta"]["admissible"] is True
+        assert payload["scores"] == {"b": 0.708333333299, "a": 0.291666666701}
+        assert run(["compare", *files, "--dangling", "uniform"]) == 0
+        capsys.readouterr()
+        for command in ("rank", "compare"):
+            assert run([command, *files, "--dangling", "block"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: indicator matrix is reducible; blocking components: X Y\n"
+        assert run(["check", *files[:4]]) == 1
 
     def test_json_meta(self, g4_files, capsys):
         graph, blocks = g4_files

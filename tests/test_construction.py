@@ -29,7 +29,7 @@ from blockrank import (
     parse_edge_list,
 )
 from blockrank.errors import BlockRankError, CoverageError, ParseError
-from blockrank.tokens import LINE_BREAKS, WHITESPACE, Interner, codes, tokenize_pairs
+from blockrank.tokens import LINE_BREAKS, WHITESPACE, Interner, Tokens, codes, tokenize_pairs
 
 from helpers import (
     block_sizes,
@@ -582,6 +582,73 @@ def test_short_labels_cannot_crowd_the_table():
     taken = np.concatenate(([0], Interner.of(labels).slot_id >= 0, [0]))
     runs = np.diff(np.flatnonzero(np.diff(taken)))[::2]
     assert runs.max() < 200
+
+
+def tokens_of(*sequences: bytes) -> Tokens:
+    """``sequences`` as tokens over one array of their bytes, each
+    followed by a space, and 8 more."""
+    code = np.frombuffer(b" ".join(sequences) + b" " * 9, dtype=np.uint8)
+    end = np.cumsum([len(s) + 1 for s in sequences]) - 1
+    return Tokens(code, end - [len(s) for s in sequences], end)
+
+
+def test_hash_rounds_do_not_grow_with_token_length(monkeypatch):
+    """A batch's hash keys take the same mixing rounds whatever its
+    tokens' lengths: all their words are gathered and mixed at once, not a
+    round per word (50,001 rounds for a 400,000-byte token)."""
+    mix, rounds = blockrank.tokens._mix, []
+
+    def counted(*args):
+        rounds.append(args[0].size)
+        return mix(*args)
+
+    monkeypatch.setattr(blockrank.tokens, "_mix", counted)
+    counts = []
+    for size in (8, 4_000, 400_000):
+        rounds.clear()
+        batch = tokens_of(b"x" * size, b"v1", b"y" * (size + 5), b"x" * size)
+        assert Interner().add(batch).tolist() == [0, 1, 2, 0]
+        counts.append(len(rounds))
+    assert counts[0] == counts[1] == counts[2] <= 4
+
+
+def thue_morse(order: int, a: bytes, b: bytes) -> bytes:
+    """The Thue-Morse word of ``2 ** order`` letters over ``a`` and ``b``."""
+    return b"".join(b if bin(i).count("1") % 2 else a for i in range(2 ** order))
+
+
+def test_crafted_pairs_keep_distinct_hash_keys_under_every_salt():
+    """Pairs made to collide in simple word hashes keep distinct keys under
+    each of 200 salts: Thue-Morse words over two words and their
+    complements (which collide in a polynomial hash mod 2^64 whatever its
+    odd base), swapped words, words that differ in their top bit at two
+    places, and sequences that differ only in length or in their last
+    byte."""
+    a, b = b"abcdefgh", b"hgfedcba"
+    flipped = a[:7] + bytes([a[7] ^ 0x80])
+    pairs = [(thue_morse(11, a, b), thue_morse(11, b, a)), (a + b, b + a),
+             (a + a + b, flipped + flipped + b), (a, a + b"\x00"), (a + b, a + b + b"\x00" * 8),
+             (a * 3 + b"x", a * 3 + b"y")]
+    tokens = tokens_of(*[s for pair in pairs for s in pair])
+    for salt in np.random.default_rng(13).integers(0, 2**63, 200, dtype=np.uint64):
+        key = blockrank.tokens._keys(tokens, salt)
+        assert np.all(key[0::2] != key[1::2])
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_long_labels_parse_as_the_reference(forced):
+    """Labels of 100,000 bytes above a few parse windows, one of them on
+    two lines and one differing from it only in its last byte, parse as
+    the per-line reference does, also when every hash key of the first
+    salt is one value (one fresh salt is drawn)."""
+    label = "x" * 99_999
+    text = f"{label}a v1\nv2 {label}b\n{label}a v3\n" + "".join(many_lines(30_000))
+    with colliding_until_rehash() if forced else contextlib.nullcontext({}) as fresh:
+        assert_edge_parse_matches_reference(text)
+        g = parse_edge_list(text)
+        assert list(fresh.values())[-1:] == ([1] if forced else [])
+    assert g.labels[:5] == (label + "a", "v1", "v2", label + "b", "v3")
+    assert_block_parse_matches_reference("".join(f"{u} {u[-1]}\n" for u in g.labels), g)
 
 
 @pytest.mark.parametrize("window, count", [(1, 300), (16, 600), (None, 60_000)])

@@ -7,7 +7,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockrank import (
@@ -21,6 +21,7 @@ from blockrank import (
     compare,
     dense_stationary,
     indicator,
+    is_primitive,
     materialize_m,
     pagerank,
     parse_blocks,
@@ -36,7 +37,13 @@ from blockrank.errors import (
 )
 from blockrank.ranker import _rate, admissible, order_by_score, power_iteration
 
-from helpers import random_graph, random_instance, random_partition, reference_order_by_score
+from helpers import (
+    random_cover,
+    random_graph,
+    random_instance,
+    random_partition,
+    reference_order_by_score,
+)
 
 
 def _model(g, d, policy=DanglingPolicy.OWN_BLOCK):
@@ -156,6 +163,41 @@ class TestRank:
         assert excinfo.value.components == ()
         assert not admissible(f, params, range(f.K), strict=False)
         assert rank(h, f, params, strict=False).converged
+
+    def test_uniform_dangling_rows_admit_a_reducible_indicator(self):
+        # W is reducible ({Y} is a sink), but b dangles in Y: under
+        # --dangling uniform its row reaches every node, so P is primitive;
+        # under --dangling block it stays in Y, which then absorbs every walk
+        g = parse_edge_list("a b")
+        d = parse_blocks("a X\nb Y", g)
+        params = RankParams(eta=0.7, mu=0.3)
+        h, f = _model(g, d, DanglingPolicy.UNIFORM_ALL)
+        assert not teleportation_free_check(indicator(f)).irreducible
+        assert admissible(f, params, d.block_labels, h=h)
+        result = rank(h, f, params)
+        assert result.converged and result.iterations == 14
+        assert np.allclose(result.scores, [0.291666666701, 0.708333333299], atol=1e-11)
+        h, f = _model(g, d, DanglingPolicy.OWN_BLOCK)
+        with pytest.raises(ReducibleModelError, match="blocking components: 0 1$"):
+            rank(h, f, params)
+        assert not admissible(f, params, d.block_labels, strict=False, h=h)
+        assert not admissible(f, params, d.block_labels, strict=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(list(DanglingPolicy)))
+    @example(seed=0, cover=False, policy=DanglingPolicy.UNIFORM_ALL)
+    def test_gate_matches_dense_primitivity(self, seed, cover, policy):
+        """The gate agrees with the dense Wielandt test on the teleport-free
+        operator 0.7 H + 0.3 R A under either dangling policy, on partitions
+        and covers of up to 12 nodes with some dangling nodes."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.35)))
+        d = random_cover(rng, n) if cover else random_partition(rng, n)
+        h, f = _model(g, d, policy)
+        primitive = is_primitive(0.7 * h.to_dense() + 0.3 * materialize_m(f))
+        params = RankParams(eta=0.7, mu=0.3)
+        assert admissible(f, params, range(f.K), strict=False, h=h) == primitive
 
     def test_override_proceeds_and_reports_honestly(self):
         g = parse_edge_list("a b\nb a\nc d\nd c")
