@@ -118,8 +118,7 @@ def parse_blocks(text: str | bytes, g: Graph, *, labels: Interner | None = None
         unknown = np.flatnonzero(node >= g.n)
         if unknown.size:
             i = unknown[0]
-            lo, hi = tokens.start[2 * i], tokens.end[2 * i]
-            label = tokens.code[lo:hi].tobytes().decode("utf-8", "surrogatepass")
+            label = tokens[2 * i:2 * i + 1].strings()[0]
             raise CoverageError(f"line {line_nos[i]}: node label {label!r} not in the graph")
         if error is not None:
             raise error

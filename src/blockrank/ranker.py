@@ -516,7 +516,7 @@ def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = Tr
     if not verdict and h is not None and h.policy is DanglingPolicy.UNIFORM_ALL:
         dangling = np.zeros(f.n)
         dangling[h.dangling] = 1.0
-        verdict = sinks_hold(w, f.A @ dangling > 0)
+        verdict = sinks_hold(report, w, f.A @ dangling > 0)
     if strict and params.teleport == 0.0 and not verdict:
         report.require_irreducible(names)
     return verdict

@@ -162,15 +162,15 @@ def is_primitive(m) -> bool:
     return bool(_bool_power(positive.toarray(), exponent).all())
 
 
-def sinks_hold(w: IndicatorMatrix, held: np.ndarray) -> bool:
+def sinks_hold(report: CheckReport, w: IndicatorMatrix, held: np.ndarray) -> bool:
     """Whether every sink component of the condensation of ``w``'s pattern
-    digraph (one that no edge leaves) holds a block ``b`` with ``held[b]``."""
-    from scipy.sparse import csgraph  # imports scipy.linalg
-
-    pattern = _positive_pattern(w.matrix)
-    count, label = csgraph.connected_components(pattern, directed=True, connection="strong")
-    rows, cols = (label[i] for i in pattern.nonzero())
-    left = np.zeros(count, dtype=bool)  # some edge leaves the component
+    digraph (one that no edge leaves) holds a block ``b`` with ``held[b]``,
+    the components being those ``report`` lists for a reducible ``w``."""
+    size = [len(comp) for comp in report.blocking_components]
+    label = np.empty(sum(size), dtype=np.intp)  # each block's component
+    label[np.concatenate(report.blocking_components)] = np.repeat(np.arange(len(size)), size)
+    rows, cols = (label[i] for i in _positive_pattern(w.matrix).nonzero())
+    left = np.zeros(len(size), dtype=bool)  # some edge leaves the component
     left[rows[rows != cols]] = True
     left[label[held]] = True
     return bool(left.all())

@@ -70,6 +70,11 @@ def codes(text: str | bytes) -> bytes:
     return text
 
 
+def _decode(code: np.ndarray) -> list[str]:
+    """The strings of ``code``, each followed by one space."""
+    return code.tobytes().decode("utf-8", "surrogatepass").split(" ")[:-1]
+
+
 # Per number of bytes left in a word (0 up to 8, a whole word): the mask
 # that keeps them, and the terminator placed right after them.  Above the
 # terminator a word is 0, so its highest set bit marks where the token
@@ -115,20 +120,27 @@ class Tokens:
         return words, first, count
 
     def joined(self) -> np.ndarray:
-        """The tokens' bytes, each followed by a space, in one piece: gathered
-        by bytes, or when they average a word or more by words, each token's
-        last word cut after the byte that becomes its space."""
-        size = self.end - self.start + 1  # with the byte that becomes the space
-        stop = np.cumsum(size)
-        if stop[-1] < 9 * size.size:
-            chars = self.code[np.repeat(self.start - stop + size, size) + np.arange(stop[-1])]
-        else:
-            words, first, count = self.words()
-            keep = np.full(words.size, 0x0101010101010101, dtype="<u8")  # 1 at each byte kept
-            keep[first + count - 1] &= _MASK[(size - 1) % 8 + 1]
-            chars = words.view(np.uint8)[keep.view(bool)]
-        chars[stop - 1] = ord(" ")
+        """The tokens' bytes, each followed by a space, in one piece: their
+        words, each token's last cut after the byte that becomes its space."""
+        words, first, count = self.words()
+        keep = np.full(words.size, 0x0101010101010101, dtype="<u8")  # 1 at each byte kept
+        keep[first + count - 1] &= _MASK[(self.end - self.start) % 8 + 1]
+        chars = words.view(np.uint8)[keep.view(bool)]
+        chars[np.cumsum(self.end - self.start + 1) - 1] = ord(" ")
         return chars
+
+    def strings(self) -> list[str]:
+        return _decode(self.joined())
+
+
+def _window_end(text: bytes, lo: int) -> int:
+    """The end of the window that starts at ``lo``: right after the last
+    ``'\\n'`` in its first ``WINDOW`` bytes, else right after the next
+    ``'\\n'``, else the end of the text."""
+    hi = lo + WINDOW
+    if hi >= len(text):
+        return len(text)
+    return text.rfind(b"\n", lo, hi) + 1 or text.find(b"\n", hi) + 1 or len(text)
 
 
 def _wide_spaces(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,14 +209,15 @@ def tokenize_pairs(text: bytes, expected: str
     code = np.frombuffer(text, dtype=np.uint8)
     lo = lines = 0
     while lo < code.size:
-        hi = min(lo + WINDOW, code.size)
-        if hi < code.size:
-            hi = text.rfind(b"\n", lo, hi) + 1 or text.find(b"\n", hi) + 1 or code.size
+        hi = _window_end(text, lo)
         window = code[lo:hi + 8]
         if hi + 8 > code.size:  # the text's last bytes: pad with spaces
             window = np.concatenate((window, np.full(hi + 8 - code.size, 0x20, np.uint8)))
         start, end, line, breaks = _split(window, hi - lo)
-        first = np.flatnonzero(np.concatenate((line[:1] >= 0, line[1:] != line[:-1])))
+        opens = np.ones(line.size, dtype=bool)  # whether a token opens its line
+        np.not_equal(line[1:], line[:-1], out=opens[1:])
+        first = np.flatnonzero(opens)  # the first token of each line
+        del opens
         count = np.diff(first, append=line.size)
         keep = window[start[first]] != ord("#")
         error = None
@@ -250,12 +263,11 @@ def _keys(tokens: Tokens, salt: np.uint64) -> np.ndarray:
     longer = np.flatnonzero(size >= 8)
     if longer.size:
         words, first, count = tokens[longer].words()
-        places = np.arange(1, count.max() + 1, dtype=np.uint64)
-        places *= _MULTIPLIER
-        places += salt
-        place = np.arange(words.size)
-        place -= np.repeat(first, count)
-        words ^= _mix(places)[place]
+        place = np.arange(1, words.size + 1, dtype=np.uint64)  # each word's place, from 1
+        place -= np.repeat(first.astype(np.uint64), count)
+        place *= _MULTIPLIER
+        place += salt
+        words ^= _mix(place)
         key[longer] = np.add.reduceat(_mix(words), first) | _HASHED
     return key
 
@@ -339,9 +351,7 @@ class Interner:
         decoded ``BATCH`` at a time: one wide character (4 bytes per
         character in a str) widens the text of its batch only."""
         bounds = self.start[:self.count:BATCH].tolist() + [int(self.start[self.count])]
-        text = (self.code[lo:hi].tobytes().decode("utf-8", "surrogatepass")
-                for lo, hi in zip(bounds, bounds[1:]))
-        return [s for batch in text for s in batch.split(" ")[:-1]]  # each ends in a space
+        return [s for lo, hi in zip(bounds, bounds[1:]) for s in _decode(self.code[lo:hi])]
 
     def add(self, tokens: Tokens) -> np.ndarray:
         """Each token's id (int32), new sequences taking the next ids."""
@@ -374,7 +384,9 @@ class Interner:
         key = _keys(batch, self.salt)
         order = np.argsort(key)
         key = key[order]
-        new = np.concatenate(([True], key[1:] != key[:-1]))  # starts a group
+        new = np.empty(key.size, dtype=bool)  # starts a group
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
         hashed = key[-1] >= _HASHED  # the batch has hash keys to confirm
         if hashed:
             same = np.flatnonzero(~new[1:] & (key[1:] >= _HASHED))

@@ -592,6 +592,21 @@ def tokens_of(*sequences: bytes) -> Tokens:
     return Tokens(code, end - [len(s) for s in sequences], end)
 
 
+def test_joined_bytes_of_every_length():
+    """Tokens of 0 to 40 bytes and one of 100,003, stored through their
+    words, give back their bytes, each followed by one space: apart, as a
+    window's labels are, and each ending where the next begins, as the rows
+    of ``B`` are."""
+    sequences = [bytes((7 * i + j) % 255 + 1 for j in range(i)) for i in range(41)]
+    sequences.append(b"z" * 100_003)
+    apart = tokens_of(*sequences[1:])
+    assert apart.joined().tobytes() == b" ".join(sequences[1:]) + b" "
+    size = np.array([len(s) for s in sequences])
+    code = np.frombuffer(b"".join(sequences) + b"\xff" * 8, dtype=np.uint8)
+    end = np.cumsum(size)
+    assert Tokens(code, end - size, end).joined().tobytes() == b" ".join(sequences) + b" "
+
+
 def test_hash_rounds_do_not_grow_with_token_length(monkeypatch):
     """A batch's hash keys take the same mixing rounds whatever its
     tokens' lengths: all their words are gathered and mixed at once, not a
