@@ -52,6 +52,22 @@ test "$status" -eq 1
 test "$(wc -l < sink.err)" -eq 1
 grep -q '^error: ' sink.err
 if grep -q Traceback sink.err; then cat sink.err; exit 1; fi
+# b links to itself, so no node dangles and the sink block Y holds none:
+# refused under --dangling uniform too, naming W's components on one line
+printf 'a b\nb b\n' > loop.edges
+status=0
+blockrank rank --graph loop.edges --blocks sink.blocks --dangling uniform 2> loop.err || status=$?
+test "$status" -eq 1
+test "$(cat loop.err)" = 'error: indicator matrix is reducible; blocking components: X Y'
+test "$(wc -l < loop.err)" -eq 1
+# one step observes no rate: exit 3 with one warning line, no traceback
+status=0
+blockrank rank --graph smoke.edges --blocks smoke.blocks --max-iter 1 > one.tsv 2> one.err \
+  || status=$?
+test "$status" -eq 3
+test "$(wc -l < one.err)" -eq 1
+grep -q '^warning: ' one.err
+if grep -q Traceback one.err; then cat one.err; exit 1; fi
 # a flag the command does not read is an input error, reported under the
 # command's own usage line
 status=0

@@ -174,13 +174,14 @@ def _prelude(args) -> tuple[Graph, ProximityFactors, bool, HyperlinkOperator, Ra
 
 def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
     """Say how far a run got, at what rate, and how many more steps that
-    rate projects."""
+    rate projects; a single step observes no rate."""
     more = result.steps_to(tol)
     projection = ("the residual is not shrinking" if math.isinf(more)
                   else f"about {more} more to reach tol {fmt(tol)}")
+    rate = ("one step gives no rate to project from" if math.isnan(result.rate)
+            else f"observed rate {fmt(result.rate)} per step; {projection}")
     print(f"warning: no convergence{subject} after {result.iterations} iterations "
-          f"(residual {fmt(result.residual)}, observed rate {fmt(result.rate)} per step; "
-          f"{projection})", file=sys.stderr)
+          f"(residual {fmt(result.residual)}, {rate})", file=sys.stderr)
 
 
 def cmd_check(args) -> int:

@@ -32,7 +32,7 @@ from . import tokens
 from .decomp import ProximityFactors, indicator
 from .errors import ConfigurationError, DimensionError, ReducibleModelError
 from .graph import DanglingPolicy, HyperlinkOperator, hyperlink_apply
-from .spectra import sinks_hold, teleportation_free_check
+from .spectra import is_irreducible, teleportation_free_check
 
 __all__ = [
     "ComparisonReport",
@@ -499,11 +499,12 @@ def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = Tr
     decide); ``W``'s verdict alone when ``teleport > 0``.  Under ``h``'s
     ``UNIFORM_ALL`` policy a dangling row links to every node, so a
     reducible ``W`` also passes when every sink component of its
-    condensation holds a block of a dangling node: every node reaches such
-    a node, which reaches every node.  Without ``h`` the verdict is the
-    ``OWN_BLOCK`` policy's.  Under ``strict`` a teleport-free model that
-    fails raises :class:`ReducibleModelError`, naming block ``b`` as
-    ``names[b]``."""
+    condensation holds a block of a dangling node (every node reaches such
+    a node, which reaches every node), that is, when ``W`` plus a hub that
+    each such block links to, and that links to every block, is
+    irreducible.  Without ``h`` the verdict is the ``OWN_BLOCK`` policy's.
+    Under ``strict`` a teleport-free model that fails raises
+    :class:`ReducibleModelError`, naming block ``b`` as ``names[b]``."""
     if params.teleport == 0.0 and params.mu == 0.0:
         if strict:
             raise ReducibleModelError(
@@ -516,7 +517,9 @@ def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = Tr
     if not verdict and h is not None and h.policy is DanglingPolicy.UNIFORM_ALL:
         dangling = np.zeros(f.n)
         dangling[h.dangling] = 1.0
-        verdict = sinks_hold(report, w, f.A @ dangling > 0)
+        held = f.A @ dangling > 0
+        verdict, _ = is_irreducible(sparse.bmat([[w.matrix, held[:, None]],
+                                                 [np.ones((1, f.K)), None]]))
     if strict and params.teleport == 0.0 and not verdict:
         report.require_irreducible(names)
     return verdict

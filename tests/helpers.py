@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from blockrank import CoverageError, DanglingPolicy, Decomposition, FactorForm, Graph, ParseError
 
@@ -132,6 +133,40 @@ def ncd_instance(
             blocks[(block[u] + 1) % k].append(u)
     g = Graph.from_edges([f"n{u}" for u in range(n)], edges)
     return g, Decomposition.from_members(blocks, n=n)
+
+
+def block_digraph_instance(
+    rng: np.random.Generator,
+    n: int,
+    k: int,
+    cover: bool = False,
+) -> tuple[Graph, Decomposition]:
+    """Sparse instance whose block graph is a random digraph, so ``W`` is
+    often reducible: k blocks of near-equal size, three links a node inside
+    its block, and a few links along each pair of a random block pattern
+    (each ordered pair with one probability drawn per instance).  About half
+    the blocks hold a few dangling nodes; with ``cover`` about one node in
+    fifty also joins a random block."""
+    block = rng.permutation(np.arange(n) % k)
+    order = np.argsort(block, kind="stable")  # the nodes, block by block
+    size = np.bincount(block, minlength=k)
+    start = np.cumsum(size) - size
+    homes = [order[a:a + m] for a, m in zip(start, size)]
+    pattern = rng.random((k, k)) < rng.uniform(0.05, 0.5)
+    np.fill_diagonal(pattern, False)
+    dangling = rng.random(n) < np.where(rng.random(k) < 0.5, 0.02, 0.0)[block]
+    sources = np.repeat(np.flatnonzero(~dangling), 3)
+    pick = (rng.random(sources.size) * size[block[sources]]).astype(np.int64)
+    edges = [np.column_stack([sources, order[start[block[sources]] + pick]])]
+    for a, b in zip(*np.nonzero(pattern)):
+        links = rng.choice(homes[a][~dangling[homes[a]]], 3), rng.choice(homes[b], 3)
+        edges.append(np.column_stack(links))
+    blocks = [list(m) for m in homes]
+    if cover:
+        for u in np.flatnonzero(rng.random(n) < 0.02).tolist():
+            blocks[int(rng.integers(k))].append(u)
+    g = Graph.from_edges([f"n{u}" for u in range(n)], np.concatenate(edges))
+    return g, Decomposition.from_members([sorted(set(m)) for m in blocks], n=n)
 
 
 def dense_hyperlink(
@@ -260,6 +295,31 @@ def reference_strong_components(adjacency: np.ndarray) -> list[list[int]]:
             seen.update(component)
             components.append(component)
     return components
+
+
+def links_strongly_connected(g: Graph, d: Decomposition, policy: DanglingPolicy) -> bool:
+    """Whether ``P = eta H + mu M`` (``eta, mu > 0``) is irreducible, read off
+    the links and the blocks alone (oracle beyond the dense cap): strong
+    connectivity of a digraph on the n nodes, the K blocks and, under
+    ``UNIFORM_ALL`` with some dangling node, one hub.  Its edges are the
+    links, node to each block of its proximal set, block to each member, and
+    each dangling node to the hub and the hub to every node, so node ``u``
+    reaches node ``v`` in it exactly when ``P`` has a path from ``u`` to
+    ``v``.  ``M``'s diagonal is positive, so irreducible is primitive."""
+    n = g.n
+    targets = np.repeat(np.arange(n), np.diff(g.indptr))
+    links = sparse.csr_array((np.ones(targets.size), (g.indices, targets)), shape=(n, n))
+    member = sparse.csr_array(d.B, dtype=np.float64)  # node to its own blocks
+    proximal = member + links @ member
+    blocks = [[links, proximal], [member.T, None]]
+    dangling = np.flatnonzero(g.out_degree == 0)
+    if policy is DanglingPolicy.UNIFORM_ALL and dangling.size:
+        to_hub = sparse.csr_array((np.ones(dangling.size), (dangling, 0 * dangling)),
+                                  shape=(n, 1))
+        blocks = [blocks[0] + [to_hub], blocks[1] + [None], [np.ones((1, n)), None, None]]
+    digraph = sparse.bmat(blocks, format="csr")
+    count, _ = csgraph.connected_components(digraph, directed=True, connection="strong")
+    return count == 1
 
 
 # Per-node reference builders: the loop constructions the vectorized

@@ -530,6 +530,20 @@ class TestRank:
         assert "observed rate" in captured.err and "more to reach tol 1e-09" in captured.err
         assert "rate" not in captured.out
 
+    @pytest.mark.parametrize("command", ["rank", "compare"])
+    def test_one_step_projects_no_rate(self, g4_files, command, capsys):
+        # a single step observes no residual ratio: no rate, no projection
+        graph, blocks = g4_files
+        code = run([command, "--graph", graph, "--blocks", blocks, "--max-iter", "1",
+                    "--top", "2"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(lines) == (1 if command == "rank" else 2)
+        for line in lines:
+            assert line.startswith("warning: no convergence")
+            assert line.endswith("after 1 iterations (residual 0.2125, "
+                                 "one step gives no rate to project from)")
+
     def test_compare_names_the_run_that_did_not_converge(self, g4_files, capsys):
         graph, blocks = g4_files
         code = run(["compare", "--graph", graph, "--blocks", blocks, "--max-iter", "3"])

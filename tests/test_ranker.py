@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
@@ -35,9 +36,12 @@ from blockrank.errors import (
     DimensionError,
     ReducibleModelError,
 )
+from blockrank.graph import MATERIALIZE_CAP
 from blockrank.ranker import _rate, admissible, order_by_score, power_iteration
 
 from helpers import (
+    block_digraph_instance,
+    links_strongly_connected,
     random_cover,
     random_graph,
     random_instance,
@@ -245,6 +249,68 @@ class TestRank:
         bad = np.array([np.nan, 0.5, 0.25, 0.25])
         with pytest.raises(ConfigurationError):
             rank(h, f, RankParams(eta=0.5, mu=0.3, personalization=bad))
+
+
+class TestGateOracle:
+    """The gate against strong connectivity of the links-and-blocks digraph
+    (``helpers.links_strongly_connected``), which needs no dense matrix."""
+
+    PARAMS = RankParams(eta=0.7, mu=0.3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(list(DanglingPolicy)))
+    def test_oracle_matches_dense_primitivity(self, seed, cover, policy):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.35)))
+        d = random_cover(rng, n) if cover else random_partition(rng, n)
+        h, f = _model(g, d, policy)
+        primitive = is_primitive(0.7 * h.to_dense() + 0.3 * materialize_m(f))
+        assert links_strongly_connected(g, d, policy) == primitive
+
+    def test_gate_matches_the_oracle_beyond_the_dense_cap(self):
+        """60 instances of 2,001 to 5,000 nodes and 2 to 8 blocks, partitions
+        and covers, under both policies (about 1 s): a quarter or more have
+        a reducible W, and some of those pass under UNIFORM_ALL."""
+        reducible = admitted = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(MATERIALIZE_CAP + 1, 5001))
+            g, d = block_digraph_instance(rng, n, int(rng.integers(2, 9)), cover=seed % 2 == 1)
+            f = build_factors(d, g)
+            w_irreducible = teleportation_free_check(indicator(f)).irreducible
+            reducible += not w_irreducible
+            for policy in DanglingPolicy:
+                h = build_hyperlink(g, policy, d)
+                verdict = admissible(f, self.PARAMS, range(f.K), strict=False, h=h)
+                assert verdict == links_strongly_connected(g, d, policy), (seed, policy)
+                admitted += verdict and not w_irreducible
+        assert reducible >= 15 and admitted >= 3
+
+    def test_uniform_gate_on_every_small_block_digraph(self):
+        """Every off-diagonal block pattern for K <= 3 under every set of
+        blocks holding a dangling node (530 cases): one node per block,
+        linked along the pattern or to itself, and one more, dangling, in
+        each held block."""
+        cases = admitted = 0
+        for k in range(1, 4):
+            pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+            for links in itertools.product((False, True), repeat=len(pairs)):
+                edges = [pair for pair, on in zip(pairs, links) if on]
+                edges += [(b, b) for b in range(k) if all(a != b for a, _ in edges)]
+                for held in itertools.product((False, True), repeat=k):
+                    extra = [b for b in range(k) if held[b]]
+                    g = Graph.from_edges([f"v{u}" for u in range(k + len(extra))], edges)
+                    d = Decomposition.from_members(
+                        [[b] + [k + i for i, e in enumerate(extra) if e == b] for b in range(k)],
+                        n=g.n)
+                    h, f = _model(g, d, DanglingPolicy.UNIFORM_ALL)
+                    verdict = admissible(f, self.PARAMS, range(k), strict=False, h=h)
+                    assert verdict == is_primitive(
+                        0.7 * h.to_dense() + 0.3 * materialize_m(f)), (edges, held)
+                    cases += 1
+                    admitted += verdict
+        assert (cases, admitted) == (530, 333)
 
 
 class TestPagerank:
