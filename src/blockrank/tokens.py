@@ -320,8 +320,7 @@ class Interner:
         self.start = np.zeros(64, dtype=np.int64)  # sequence i: code[start[i]:start[i + 1] - 1]
         self.count = 0
         self.salt = np.uint64(secrets.randbits(64))
-        self.slot_key = np.zeros(64, dtype=np.uint64)
-        self.slot_id = np.full(64, -1, dtype=np.int32)
+        self._empty()
 
     @classmethod
     def of(cls, labels: Sequence[str]) -> Interner:
@@ -413,26 +412,31 @@ class Interner:
 
     def _rehash(self, salt: np.uint64 | None = None) -> None:
         """Rebuild the table from every stored sequence's key under ``salt``,
-        by default a fresh random one.  Keys two sequences share are told
-        apart when they are looked up, as a batch's are."""
+        by default a fresh random one.  A key two sequences share is held for
+        one of them: a lookup of the other is told apart by its words, as a
+        batch's is, and draws a fresh salt."""
         self.salt = np.uint64(secrets.randbits(64)) if salt is None else salt
         ids = np.arange(self.count, dtype=np.int32)
         key = [_keys(self._stored(ids[lo:lo + BATCH]), self.salt)  # a batch's temporaries
                for lo in range(0, self.count, BATCH)]
-        self._place(np.concatenate([np.empty(0, np.uint64), *key]), ids)
+        self._empty()
+        self._put(np.concatenate([np.empty(0, np.uint64), *key]), ids, None)
 
-    def _home(self, key: np.ndarray) -> np.ndarray:
-        """Each key's home slot: the top bits of its product with the salt made odd."""
-        shift = np.uint64(65 - self.slot_id.size.bit_length())
-        return (key * (self.salt | np.uint64(1)) >> shift).astype(np.intp)
+    def _empty(self) -> None:
+        """Make the table an empty one over twice the stored count."""
+        size = max(64, 1 << (2 * self.count).bit_length())
+        self.slot_key = np.zeros(size, dtype=np.uint64)
+        self.slot_id = np.full(size, -1, dtype=np.int32)
 
     def _slots(self, key: np.ndarray, slot: np.ndarray | None) -> np.ndarray:
         """Each key's slot in the table: the one holding it, or the free one
         where linear probing for it stops, probing from ``slot`` (by default
-        the key's home slot)."""
+        the key's home slot, the top bits of its product with the salt made
+        odd)."""
         mask = self.slot_id.size - 1
         if slot is None:
-            slot = self._home(key)
+            shift = np.uint64(65 - self.slot_id.size.bit_length())
+            slot = (key * (self.salt | np.uint64(1)) >> shift).astype(np.intp)
         todo = np.arange(key.size)
         while todo.size:
             at = slot[todo]
@@ -446,11 +450,14 @@ class Interner:
         """Put new keys at the free slots found for them (found here when
         ``slot`` is None); of keys that found the same one the last takes
         it, and the others probe on.  A table that would be over half full
-        is rebuilt instead, from its keys and the new ones."""
+        is first replaced by a larger empty one, and its keys put with the
+        new ones."""
         if 2 * self.count > self.slot_id.size:
             held = self.slot_id >= 0
-            return self._place(np.concatenate((self.slot_key[held], key)),
-                               np.concatenate((self.slot_id[held], ids)))
+            key = np.concatenate((self.slot_key[held], key))
+            ids = np.concatenate((self.slot_id[held], ids))
+            self._empty()
+            slot = None
         if slot is None:
             slot = self._slots(key, None)
         while key.size:
@@ -459,20 +466,3 @@ class Interner:
             lost = self.slot_key[slot] != key
             key, ids = key[lost], ids[lost]
             slot = self._slots(key, slot[lost])
-
-    def _place(self, key: np.ndarray, ids: np.ndarray) -> None:
-        """A new table, over twice the stored count, of ``key`` and ``ids``: by
-        home slot, each key takes the first slot from its home that those
-        before it left free; those that run past the end probe on from 0."""
-        size = max(64, 1 << (2 * self.count).bit_length())
-        self.slot_key = np.zeros(size, dtype=np.uint64)
-        self.slot_id = np.full(size, -1, dtype=np.int32)
-        home = self._home(key)
-        order = np.argsort(home)
-        rank = np.arange(key.size)
-        at = np.maximum.accumulate(home[order] - rank) + rank
-        fits = at < size
-        self.slot_key[at[fits]] = key[order[fits]]
-        self.slot_id[at[fits]] = ids[order[fits]]
-        rest = order[~fits]
-        self._put(key[rest], ids[rest], None)

@@ -584,6 +584,54 @@ def test_short_labels_cannot_crowd_the_table():
     assert runs.max() < 200
 
 
+def assert_table_holds_every_id(interner: Interner) -> None:
+    """At most half the slots are taken, by the stored ids alone, no key
+    sits in two of them, and each id is at the slot its key probes to."""
+    taken = np.flatnonzero(interner.slot_id >= 0)
+    assert taken.size == len(interner) and 2 * taken.size <= interner.slot_id.size
+    assert np.unique(interner.slot_key[taken]).size == taken.size
+    ids = np.arange(len(interner), dtype=np.int32)
+    key = blockrank.tokens._keys(interner._stored(ids), interner.salt)
+    assert np.array_equal(interner.slot_id[interner._slots(key, None)], ids)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("alphabet", ["abcdefgh\x00", "ab\u00e9\x00\u3042"])
+def test_table_invariants_through_growth_and_rehash(alphabet, forced):
+    """Labels of 1 to 40 UTF-8 bytes, added in batches of random sizes
+    through at least three table growths, keep the table's invariants after
+    every batch; under the forced collision of :func:`colliding_until_rehash`
+    also right after the fresh salt is drawn.  The labels shorter than a
+    word come first, so the table is rebuilt with ids in it."""
+    rng = np.random.default_rng(17)
+    pool = {"".join(rng.choice(list(alphabet), size=rng.integers(1, 41))) for _ in range(1500)}
+    labels = sorted((s for s in pool if len(s.encode()) <= 40), key=lambda s: len(s.encode()) >= 8)
+    stream = labels + list(rng.choice(labels, size=1000))
+    sizes, rehashed = set(), []
+    with colliding_until_rehash() if forced else contextlib.nullcontext({}) as fresh, \
+            pytest.MonkeyPatch.context() as patch:
+        rehash = Interner._rehash
+
+        def checked_rehash(self, salt=None):
+            rehash(self, salt)
+            assert_table_holds_every_id(self)
+            rehashed.append(len(self))
+
+        patch.setattr(Interner, "_rehash", checked_rehash)
+        interner, ids, lo = Interner(), [], 0
+        while lo < len(stream):
+            batch = stream[lo:lo + int(rng.integers(1, 200))]
+            ids += interner.add(tokens_of(*(s.encode() for s in batch))).tolist()
+            assert_table_holds_every_id(interner)
+            sizes.add(interner.slot_id.size)
+            lo += len(batch)
+    first = first_appearance(stream)
+    assert ids == [first[s] for s in stream]
+    assert len(sizes) >= 4 and interner.strings() == labels
+    assert list(fresh.values()) == ([1] if forced else [])
+    assert (len(rehashed) == 1 and rehashed[0] > 32) if forced else not rehashed
+
+
 def tokens_of(*sequences: bytes) -> Tokens:
     """``sequences`` as tokens over one array of their bytes, each
     followed by a space, and 8 more."""

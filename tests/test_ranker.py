@@ -191,9 +191,11 @@ class TestRank:
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(list(DanglingPolicy)))
     @example(seed=0, cover=False, policy=DanglingPolicy.UNIFORM_ALL)
     def test_gate_matches_dense_primitivity(self, seed, cover, policy):
-        """The gate agrees with the dense Wielandt test on the teleport-free
-        operator 0.7 H + 0.3 R A under either dangling policy, on partitions
-        and covers of up to 12 nodes with some dangling nodes."""
+        """The gate, and the links-and-blocks oracle of
+        ``helpers.links_strongly_connected``, agree with the dense Wielandt
+        test on the teleport-free operator 0.7 H + 0.3 R A under either
+        dangling policy, on partitions and covers of up to 12 nodes with
+        some dangling nodes."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 13))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.35)))
@@ -202,6 +204,7 @@ class TestRank:
         primitive = is_primitive(0.7 * h.to_dense() + 0.3 * materialize_m(f))
         params = RankParams(eta=0.7, mu=0.3)
         assert admissible(f, params, range(f.K), strict=False, h=h) == primitive
+        assert links_strongly_connected(g, d, policy) == primitive
 
     def test_override_proceeds_and_reports_honestly(self):
         g = parse_edge_list("a b\nb a\nc d\nd c")
@@ -253,20 +256,10 @@ class TestRank:
 
 class TestGateOracle:
     """The gate against strong connectivity of the links-and-blocks digraph
-    (``helpers.links_strongly_connected``), which needs no dense matrix."""
+    (``helpers.links_strongly_connected``), which needs no dense matrix;
+    ``TestRank.test_gate_matches_dense_primitivity`` checks that oracle."""
 
     PARAMS = RankParams(eta=0.7, mu=0.3)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(list(DanglingPolicy)))
-    def test_oracle_matches_dense_primitivity(self, seed, cover, policy):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 13))
-        g = random_graph(rng, n, float(rng.uniform(0.05, 0.35)))
-        d = random_cover(rng, n) if cover else random_partition(rng, n)
-        h, f = _model(g, d, policy)
-        primitive = is_primitive(0.7 * h.to_dense() + 0.3 * materialize_m(f))
-        assert links_strongly_connected(g, d, policy) == primitive
 
     def test_gate_matches_the_oracle_beyond_the_dense_cap(self):
         """60 instances of 2,001 to 5,000 nodes and 2 to 8 blocks, partitions
