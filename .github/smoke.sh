@@ -96,6 +96,16 @@ blockrank rank --graph big.edges --blocks big.blocks | cmp - big.tsv
 blockrank compare --graph big.edges --blocks big.blocks --format json > big.json
 test "$(wc -l < big.json)" -eq 1
 blockrank compare --graph big.edges --blocks big.blocks --format json | cmp - big.json
+# the same with teleportation (eta + mu < 1), whose uniform jump the step
+# adds each iteration: one row per node, and a rerun gives the same bytes
+blockrank rank --graph big.edges --blocks big.blocks --eta 0.6 --mu 0.3 --teleport 0.1 > tele.tsv
+test "$(wc -l < tele.tsv)" -eq 5000
+blockrank rank --graph big.edges --blocks big.blocks --eta 0.6 --mu 0.3 --teleport 0.1 \
+  | cmp - tele.tsv
+blockrank compare --graph big.edges --blocks big.blocks --eta 0.6 --mu 0.3 --format json > tele.json
+test "$(wc -l < tele.json)" -eq 1
+blockrank compare --graph big.edges --blocks big.blocks --eta 0.6 --mu 0.3 --format json \
+  | cmp - tele.json
 # --top k selects the top k before it orders them: the same bytes as the
 # head of the full output; compare clips a k above the node count, warns
 # and exits 0

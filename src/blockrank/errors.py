@@ -34,7 +34,7 @@ class CoverageError(BlockRankError):
 
 
 class ConfigurationError(BlockRankError):
-    """Invalid parameter combination (policies, weights, personalization)."""
+    """Invalid parameter combination (policies, weights, stop rule)."""
 
 
 class DimensionError(BlockRankError):

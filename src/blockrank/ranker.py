@@ -1,8 +1,8 @@
 """Ranking vectors by sparse power iteration on the factored surfing operator.
 
-The step ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t * v``, with
-``t = 1 - eta - mu``, forms neither the dense proximity matrix nor the
-``OWN_BLOCK`` dangling rows.  It reads ``H^T`` and ``R^T`` row-wise in
+The step ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t / n``, with
+``t = 1 - eta - mu`` (teleportation is uniform), forms neither the dense
+proximity matrix nor the ``OWN_BLOCK`` dangling rows.  It reads ``H^T`` and ``R^T`` row-wise in
 CSR, as stored: a row gather beats a column scatter and sums in the same
 order.  ``A`` is stored as CSR rows, one per block, and its part is
 applied through the CSC view ``A.T``, a column scatter of each block's
@@ -67,14 +67,11 @@ class RankParams:
     """Weights and iteration controls for :func:`rank`.
 
     ``teleport`` is derived as ``1 - eta - mu`` (clamped to exactly 0 when
-    within :data:`WEIGHT_TOL`).  Whenever it is positive the personalization
-    vector must be strictly positive; ``None`` means uniform.  Without
-    teleportation nothing reads it, so it must be ``None``.
+    within :data:`WEIGHT_TOL`), the weight of a uniform jump.
     """
 
     eta: float = 0.85
     mu: float = 0.15
-    personalization: np.ndarray | None = None
     tol: float = 1e-9
     max_iter: int = 1000
     teleport: float = field(init=False)
@@ -88,8 +85,6 @@ class RankParams:
         if rest < -WEIGHT_TOL:
             raise ConfigurationError(f"eta + mu exceeds 1 by {-rest:.3e}")
         object.__setattr__(self, "teleport", 0.0 if abs(rest) <= WEIGHT_TOL else rest)
-        if self.teleport == 0.0 and self.personalization is not None:
-            raise ConfigurationError("personalization is read only when teleport > 0")
         _check_stop_rule(self.tol, self.max_iter)
 
 
@@ -167,21 +162,6 @@ def order_by_score(scores: np.ndarray, labels, k: int | None = None) -> np.ndarr
     for lo, hi in zip(runs[0::2].tolist(), (runs[1::2] + 1).tolist()):  # of equal keys
         order[lo:hi] = sorted(order[lo:hi].tolist(), key=labels.__getitem__)
     return order[:k]
-
-
-def _validate_personalization(v: np.ndarray | None, n: int) -> np.ndarray:
-    if v is None:
-        return np.full(n, 1.0 / n)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (n,):
-        raise DimensionError(f"personalization has shape {v.shape}, expected ({n},)")
-    if not np.isfinite(v).all():
-        raise ConfigurationError("personalization must be finite")
-    if v.min() <= 0.0:
-        raise ConfigurationError("personalization must be entrywise positive")
-    if abs(v.sum() - 1.0) > 1e-9:
-        raise ConfigurationError("personalization must sum to 1")
-    return v
 
 
 @dataclass(frozen=True)
@@ -469,13 +449,12 @@ def power_iteration(
 
 
 def _surfing_step(h: HyperlinkOperator, eta: float, mu: float, teleport: float,
-                  v: np.ndarray | None, f: ProximityFactors | None = None):
-    """The step ``x -> eta * (x @ H) + mu * ((x @ R) @ A) + teleport * v``
+                  f: ProximityFactors | None = None):
+    """The step ``x -> eta * (x @ H) + mu * ((x @ R) @ A) + teleport / n``
     without its zero terms."""
     if mu != 0.0:
         R_t, A_t = f.R.T, f.A.T
-    if teleport != 0.0:
-        jump = teleport * v
+    jump = teleport * (1.0 / h.n)  # not teleport / n: times the uniform vector's entry
 
     def step(x: np.ndarray) -> np.ndarray:
         y = hyperlink_apply(h, x)
@@ -543,12 +522,9 @@ def rank(
     if f.n != n:
         raise DimensionError(f"factors are for {f.n} nodes but the operator has {n}")
 
-    v = None
-    if params.teleport > 0.0:
-        v = _validate_personalization(params.personalization, n)
-    elif strict:
+    if params.teleport == 0.0 and strict:
         admissible(f, params, range(f.K), h=h)
-    step = _surfing_step(h, params.eta, params.mu, params.teleport, v, f)
+    step = _surfing_step(h, params.eta, params.mu, params.teleport, f)
     return power_iteration(step, n, params.tol, params.max_iter,
                            block_aggregation(h, f, params))
 
@@ -556,19 +532,17 @@ def rank(
 def pagerank(
     h: HyperlinkOperator,
     alpha: float = 0.85,
-    v: np.ndarray | None = None,
     tol: float = RankParams.tol,
     max_iter: int = RankParams.max_iter,
 ) -> RankResult:
-    """PageRank baseline: stationary vector of ``alpha * H + (1 - alpha) * e v^T``,
+    """PageRank baseline: stationary vector of ``alpha * H + (1 - alpha) / n * e e^T``,
     by :func:`rank`'s step with ``mu = 0``.  ``alpha = 1`` is rejected: without
     teleportation convergence is not guaranteed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ConfigurationError(f"alpha must be in [0, 1), got {alpha}")
     _check_stop_rule(tol, max_iter)
-    v = _validate_personalization(v, h.n)
-    return power_iteration(_surfing_step(h, alpha, 0.0, 1.0 - alpha, v), h.n, tol, max_iter)
+    return power_iteration(_surfing_step(h, alpha, 0.0, 1.0 - alpha), h.n, tol, max_iter)
 
 
 def compare(a: RankResult, b: RankResult, k: int, labels) -> ComparisonReport:

@@ -414,7 +414,7 @@ def test_corrected_iteration_keeps_three_vectors(policy):
     h, f = build_hyperlink(g, policy, d), build_factors(d, g)
     params = RankParams(eta=ETA, mu=MU, tol=1e-12, max_iter=5)
     coarse = block_aggregation(h, f, params)
-    step = _surfing_step(h, ETA, MU, 0.0, None, f)
+    step = _surfing_step(h, ETA, MU, 0.0, f)
     result, peak = traced_peak(
         lambda: power_iteration(step, h.n, params.tol, params.max_iter, coarse))
     assert result.corrections == 5
@@ -434,7 +434,7 @@ def test_operands_hold_int32_indices_and_rank_as_int64_copies_do(policy, cover):
     h, f = build_hyperlink(g, policy, d), build_factors(d, g)
     params = RankParams(eta=ETA, mu=MU, tol=1e-12)
     coarse = block_aggregation(h, f, params)
-    r_t = _surfing_step(h, ETA, MU, 0.0, None, f).__closure__  # the step's R^T
+    r_t = _surfing_step(h, ETA, MU, 0.0, f).__closure__  # the step's R^T
     r_t = next(c.cell_contents for c in r_t if isinstance(c.cell_contents, sparse.csr_array))
     operands = [h.base_t, r_t, coarse.links, coarse.proximity, coarse.pairs, coarse.c_t]
     operands += [h.reach] if policy is DanglingPolicy.OWN_BLOCK else []
@@ -454,7 +454,7 @@ def test_the_step_and_the_corrector_read_the_stored_r_in_place():
     g, d = ncd_instance(np.random.default_rng(31), 300, 6, 0.01, cover=True, dangling=0.05)
     h, f = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d), build_factors(d, g)
     stored = [a.copy() for a in (f.R.data, f.R.indices, f.R.indptr)]
-    r_t = _surfing_step(h, ETA, MU, 0.0, None, f).__closure__  # the step's R^T
+    r_t = _surfing_step(h, ETA, MU, 0.0, f).__closure__  # the step's R^T
     r_t = next(c.cell_contents for c in r_t if isinstance(c.cell_contents, sparse.csr_array))
     assert np.shares_memory(r_t.data, f.R.data) and np.shares_memory(r_t.indices, f.R.indices)
 

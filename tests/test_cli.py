@@ -116,6 +116,24 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 at byte 4\n"
 
+    @pytest.mark.parametrize("which, text, err", [
+        ("graph", b"a b\nb c d\n", "line 2: expected 'src dst', got 3 token(s)"),
+        ("graph", b"\xef\xbb\xbfa b\nb c d\n", "line 2: expected 'src dst', got 3 token(s)"),
+        ("blocks", b"a B1\nb B1 B2\n", "line 2: expected 'node_label block_label', got 3 token(s)"),
+        ("graph", b"# comment\n\n  \n# another\n", "empty graph"),
+    ], ids=["edges", "edges-with-mark", "blocks", "comments-only"])
+    def test_malformed_file_exits_two_naming_its_line(self, tmp_path, g4_files, capsys,
+                                                      which, text, err):
+        """A parse error that counts lines, not bytes, passes through as
+        raised; a byte-order mark is not a line."""
+        files = dict(zip(("graph", "blocks"), g4_files))
+        bad = tmp_path / f"bad.{which}"
+        bad.write_bytes(text)
+        files[which] = str(bad)
+        code = run(["check", "--graph", files["graph"], "--blocks", files["blocks"]])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     def test_utf8_is_checked_once_and_counted_from_the_byte_order_mark(
             self, tmp_path, g4_files, capsys, monkeypatch):
         """A non-ASCII file is decoded once on its way to a parse, and the

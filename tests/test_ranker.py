@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -94,12 +96,11 @@ class TestRankParams:
         with pytest.raises(ConfigurationError):
             RankParams(**{field: value})
 
-    def test_personalization_without_teleport_rejected(self):
-        # nothing would read it, so it is not silently dropped
-        v = np.full(4, 0.25)
-        with pytest.raises(ConfigurationError, match="teleport"):
-            RankParams(eta=0.85, mu=0.15, personalization=v)
-        assert RankParams(eta=0.6, mu=0.2, personalization=v).personalization is v
+    def test_weights_and_stop_rule_are_the_only_settings(self):
+        # teleportation is uniform: there is no jump vector to set
+        assert [f.name for f in fields(RankParams) if f.init] == ["eta", "mu", "tol", "max_iter"]
+        with pytest.raises(TypeError):
+            RankParams(eta=0.6, mu=0.2, personalization=np.full(4, 0.25))
 
 
 class TestRank:
@@ -240,19 +241,6 @@ class TestRank:
         with pytest.raises(DimensionError):
             rank(h3, f, RankParams())
 
-    def test_positive_personalization_required_with_teleport(self, g4, g4_decomp):
-        h, f = _model(g4, g4_decomp)
-        bad = np.array([0.5, 0.5, 0.0, 0.0])
-        with pytest.raises(ConfigurationError):
-            rank(h, f, RankParams(eta=0.5, mu=0.3, personalization=bad))
-
-    def test_nan_personalization_rejected_with_teleport(self, g4, g4_decomp):
-        # nan <= 0 and |nan - 1| > tol are both False: only a finiteness test catches it
-        h, f = _model(g4, g4_decomp)
-        bad = np.array([np.nan, 0.5, 0.25, 0.25])
-        with pytest.raises(ConfigurationError):
-            rank(h, f, RankParams(eta=0.5, mu=0.3, personalization=bad))
-
 
 class TestGateOracle:
     """The gate against strong connectivity of the links-and-blocks digraph
@@ -307,12 +295,11 @@ class TestGateOracle:
 
 
 class TestPagerank:
-    def test_alpha_zero_returns_personalization(self, g4, g4_decomp):
+    def test_alpha_zero_returns_uniform(self, g4, g4_decomp):
         h, _ = _model(g4, g4_decomp)
-        v = np.array([0.5, 0.25, 0.125, 0.125])  # sums to 1.0 exactly
-        result = pagerank(h, alpha=0.0, v=v)
+        result = pagerank(h, alpha=0.0)
         assert result.converged
-        np.testing.assert_array_equal(result.scores, v)
+        np.testing.assert_array_equal(result.scores, np.full(h.n, 1.0 / h.n))
 
     def test_symmetric_cycle(self):
         g = parse_edge_list("a b\nb a")
@@ -344,19 +331,11 @@ class TestPagerank:
         with pytest.raises(ConfigurationError, match="max_iter"):
             pagerank(h, max_iter=0)
 
-    def test_personalization_validated(self, g4, g4_decomp):
+    def test_jump_vector_is_not_a_parameter(self, g4, g4_decomp):
         h, _ = _model(g4, g4_decomp)
-        with pytest.raises(ConfigurationError):
-            pagerank(h, v=np.array([0.7, 0.1, 0.1, 0.0]))
-        with pytest.raises(ConfigurationError):
-            pagerank(h, v=np.array([0.7, 0.2, 0.2, 0.2]))
-        with pytest.raises(DimensionError):
-            pagerank(h, v=np.array([0.5, 0.5]))
-
-    def test_nan_personalization_rejected(self, g4, g4_decomp):
-        h, _ = _model(g4, g4_decomp)
-        with pytest.raises(ConfigurationError):
-            pagerank(h, v=np.array([np.nan, 0.5, 0.25, 0.25]))
+        assert list(inspect.signature(pagerank).parameters) == ["h", "alpha", "tol", "max_iter"]
+        with pytest.raises(TypeError):
+            pagerank(h, v=np.full(h.n, 0.25))
 
 
 def _result(scores) -> RankResult:

@@ -139,7 +139,7 @@ def test_scores_are_bit_identical_to_explicit_step(instance, weights, alpha):
         assert got.iterations == iterations
 
         # one step: PageRank is rank's step with mu = 0 and teleport = 1 - alpha
-        same = rank(h, f, RankParams(eta=alpha, mu=0.0, personalization=v, tol=params.tol,
+        same = rank(h, f, RankParams(eta=alpha, mu=0.0, tol=params.tol,
                                      max_iter=params.max_iter), strict=False)
         assert np.array_equal(got.scores, same.scores)
         assert got.iterations == same.iterations
