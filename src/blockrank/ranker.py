@@ -169,26 +169,26 @@ class BlockAggregation:
     """Aggregation-disaggregation corrector for ``P = eta * H + mu * R @ A``.
 
     Node ``u`` belongs to aggregate ``agg[u]``, the renumbered lowest block
-    containing it (``E`` is the ``n x k`` 0/1 matrix).  ``c_t`` holds
-    ``C^T``, ``C = E^T Diag(x) P E``, on a fixed pattern, its entries
-    rewritten by each correction: ``links @ x`` gives those of
-    ``E^T Diag(x) eta H E``, and ``pairs`` adds to the entry ``(i, j)`` of
-    ``C`` the entry ``(i, b)`` of ``Z = E^T Diag(x) R`` (``proximity @ x``)
-    times the entry ``(b, j)`` of ``mu * A E`` (for a cover ``R @ A E`` can
-    hold ``n x k`` entries).  ``UNIFORM_ALL`` dangling rows are ``spread``.
-    ``leak`` is the weakest aggregate's.  With ``exact`` (``K^2 <= n``)
-    ``C`` is solved densely, else by power steps.  A correction costs
-    O(nnz(H E) + nnz(R) + nnz(pairs)) plus ``K^3`` or ``steps * nnz(C)``.
+    containing it (``E`` is the ``n x k`` 0/1 matrix).  The coupled chain
+    ``C = E^T Diag(x) P E`` stays factored as ``P`` does: ``C = L + Z (mu A
+    E)``, with ``L = E^T Diag(x) eta H E`` and ``Z = E^T Diag(x) R`` (for a
+    cover ``Z A E`` can hold ``k^2`` entries).  ``f`` stacks ``L^T`` over
+    ``Z^T`` on a fixed pattern whose entries each correction rewrites as
+    ``runs @ x``, and ``ae_t`` is ``mu (A E)^T``, so ``C^T = f[:k] + ae_t @
+    f[k:]``.  ``UNIFORM_ALL`` dangling rows are ``spread``.  ``leak`` is the
+    weakest aggregate's.  With ``exact`` (``K^2 <= n``) ``C`` is formed and
+    solved densely, else applied through the factors by power steps.  A
+    correction costs O(nnz(H E) + nnz(R)) plus ``K^3`` or ``steps *
+    (nnz(L) + nnz(Z) + nnz(A E))``.
     """
 
     agg: np.ndarray
     leak: float
     dangling: np.ndarray | None
     spread: np.ndarray | None
-    links: sparse.csr_array
-    proximity: sparse.csr_array
-    pairs: sparse.csr_array
-    c_t: sparse.csr_array
+    runs: sparse.csr_array
+    f: sparse.csr_array
+    ae_t: sparse.csr_array
     exact: bool
 
     def correct(self, x: np.ndarray, residual: float) -> np.ndarray | None:
@@ -215,18 +215,20 @@ class BlockAggregation:
         return x
 
     def coupled(self, x: np.ndarray) -> sparse.csr_array:
-        """``C^T`` without the ``UNIFORM_ALL`` rank-one term."""
-        np.add(self.links @ x, self.pairs @ (self.proximity @ x), out=self.c_t.data)
-        return self.c_t
+        """``f``, ``L^T`` over ``Z^T``, at ``x``."""
+        self.f.data[:] = self.runs @ x
+        return self.f
 
     def _solve(self, xi, mass):
-        system = self.c_t.toarray()
+        k = xi.size
+        f = self.f.toarray()  # at most 2n entries: k <= K and K^2 <= n
+        system = self.ae_t @ f[k:] + f[:k]
         if mass is not None:
             system += np.outer(self.spread, mass)
         # pi (Diag(1/xi) C - I) = 0 with the last equation replaced by sum(pi) = 1
-        system = system / xi - np.eye(xi.size)
+        system = system / xi - np.eye(k)
         system[-1] = 1.0
-        rhs = np.zeros(xi.size)
+        rhs = np.zeros(k)
         rhs[-1] = 1.0
         try:
             return np.linalg.solve(system, rhs)
@@ -238,10 +240,12 @@ class BlockAggregation:
         last correction's ``pi`` carried through one step) until one moves
         ``pi`` by at most :data:`COARSE_STOP` times ``residual``, or
         :data:`COARSE_STEPS` of them."""
+        k = xi.size
         pi, stop = xi, COARSE_STOP * residual
         for _ in range(COARSE_STEPS):
             q = pi / xi
-            new = self.c_t @ q
+            v = self.f @ q
+            new = self.ae_t @ v[k:] + v[:k]
             if mass is not None:
                 new += (mass @ q) * self.spread
             change = np.abs(new - pi).sum()
@@ -331,9 +335,9 @@ def block_aggregation(
     ``A`` and the links ``tokens.BATCH`` entries at a time (so a refusal
     takes O(n + batch) scratch memory, O(n + nnz(R)) after the links) and
     keeps nothing.  The corrector holds O(nnz(G) + nnz(Q) + nnz(R) +
-    nnz(pairs) + n) entries with int32 indices, the pairs being at most
-    ``nnz(E^T R)`` times the most aggregates one block meets; its build
-    takes scratch memory for O(n) entries and two copies of ``H E``.
+    nnz(A) + n) entries with int32 indices, ``C`` being kept factored; its
+    build takes scratch memory for O(n + nnz(R)) entries and two copies of
+    ``H E``.
     """
     n, K = h.n, f.K
     if params.teleport != 0.0 or params.mu == 0.0:
@@ -373,34 +377,23 @@ def block_aggregation(
     if leaks.min() > LEAK:
         return None
 
-    # C^T's entries: the link runs (j, i), and each entry (b, i) of Z^T
-    # paired with each entry (b, j) of A E
-    z_block, z_agg = np.divmod(z_key, k)
-    start = ae.indptr[z_block]
-    count = ae.indptr[z_block + 1] - start
-    pair_z = np.repeat(np.arange(z_key.size, dtype=np.int32), count)
-    pair_a = np.arange(pair_z.size) + np.repeat(start - np.cumsum(count) + count, count)
-    pair_key = ae.indices[pair_a] * np.int64(k) + z_agg[pair_z]
+    # f's rows: L^T's, the link runs (j, i), over Z^T's, the proximity runs
+    # (b, i); runs @ x writes f's entries in that order
     links, link_key = _runs(_aggregated_links(h, agg, order, size), order, rank, agg, k)
     del order, rank
-    c_key = np.concatenate((link_key, pair_key))
-    c_key.sort()
-    c_key = c_key[np.append(True, c_key[1:] != c_key[:-1])]
-    count = np.zeros(c_key.size + 1, dtype=np.int32)
-    count[np.searchsorted(c_key, link_key) + 1] = np.diff(links.indptr)
     links.data *= eta
+    f_key = np.concatenate((link_key, z_key + k * k))
+    ae_t = ae.T.tocsr()
+    ae_t.data *= mu
     uniform = h.policy is DanglingPolicy.UNIFORM_ALL and h.dangling.size > 0
     return BlockAggregation(
         agg=agg,
         leak=float(leaks.min()),
         dangling=h.dangling if uniform else None,
         spread=eta * size / n if uniform else None,
-        links=sparse.csr_array((links.data, links.indices, np.cumsum(count, dtype=np.int32)),
-                               shape=(c_key.size, n)),
-        proximity=proximity,
-        pairs=_csr(mu * ae.data[pair_a], np.searchsorted(c_key, pair_key), pair_z,
-                   (c_key.size, z_key.size)),
-        c_t=_csr(np.zeros(c_key.size), c_key // k, c_key % k, (k, k)),
+        runs=sparse.vstack((links, proximity), format="csr"),
+        f=_csr(np.zeros(f_key.size), f_key // k, f_key % k, (k + K, k)),
+        ae_t=ae_t,
         exact=K * K <= n,
     )
 

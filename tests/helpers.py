@@ -169,6 +169,19 @@ def block_digraph_instance(
     return g, Decomposition.from_members([sorted(set(m)) for m in blocks], n=n)
 
 
+def singleton_cover_instance(rng: np.random.Generator, n: int) -> tuple[Graph, Decomposition]:
+    """Adversarial cover for the corrector's size: node ``v<i>`` links to
+    itself, and ``v1 ...`` also link to one random node each; each node's
+    singleton block is listed first, then one block of all the nodes.  So
+    no node dangles, every node is its own aggregate (``k = n``), ``v0``'s
+    is closed under ``H``, and the all-node block meets all ``n`` of them."""
+    nodes = np.arange(n)
+    edges = np.concatenate([np.column_stack([nodes, nodes]),
+                            np.column_stack([nodes[1:], rng.integers(0, n, n - 1)])])
+    g = Graph.from_edges([f"v{u}" for u in range(n)], edges)
+    return g, Decomposition.from_members([[u] for u in range(n)] + [nodes], n=n)
+
+
 def dense_hyperlink(
     g: Graph,
     policy: DanglingPolicy = DanglingPolicy.OWN_BLOCK,
