@@ -2,7 +2,8 @@
 # Console-script smoke test: every subcommand of the installed `blockrank`
 # on a 5-node graph with a non-ASCII label and a blocks file with CRLF line
 # ends, then `check`, `rank` and `compare` on an edge list of several parse
-# windows, and `rank` on a cover where one block meets every aggregate.
+# windows, and `rank` on a cover where one block meets every aggregate, with
+# and without a dangling node.
 # Needs `pip install -e .`, `seq`, `awk` and `timeout`; runs in a scratch
 # directory, removed on exit.
 set -euo pipefail
@@ -174,3 +175,12 @@ seq 0 3999 | awk '{ printf "v%d\tv%d\n", $1, $1; if ($1) printf "v%d\tv%d\n", $1
 } > cover.blocks
 timeout 10 blockrank rank --graph cover.edges --blocks cover.blocks --eta 0.9 --mu 0.1 > cover.tsv
 test "$(wc -l < cover.tsv)" -eq 4000
+# the same cover without v1's links: v1 dangles but is still a target, v0
+# stays closed, and under --dangling uniform the dangling row is the
+# corrector's hub block; one row per node, and a rerun gives the same bytes
+awk '$1 != "v1"' cover.edges > hub.edges
+timeout 10 blockrank rank --graph hub.edges --blocks cover.blocks --dangling uniform \
+  --eta 0.9 --mu 0.1 > hub.tsv
+test "$(wc -l < hub.tsv)" -eq 4000
+timeout 10 blockrank rank --graph hub.edges --blocks cover.blocks --dangling uniform \
+  --eta 0.9 --mu 0.1 | cmp - hub.tsv

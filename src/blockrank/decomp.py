@@ -189,6 +189,8 @@ def build_factors(
         raise ConfigurationError(f"decomposition covers {d.n} nodes but the graph has {g.n}")
     if form is None:
         form = d.kind
+    elif not isinstance(form, FactorForm):
+        raise ConfigurationError(f"form must be a FactorForm or None, got {form!r}")
     elif form is FactorForm.PARTITION and d.kind is not FactorForm.PARTITION:
         raise ConfigurationError("overlapping cover cannot use the partition factor form")
 

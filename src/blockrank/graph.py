@@ -233,6 +233,8 @@ def build_hyperlink(
     row is uniform over the union of the node's own blocks (``OWN_BLOCK``,
     which requires ``decomp``) or uniform over all nodes (``UNIFORM_ALL``).
     """
+    if not isinstance(policy, DanglingPolicy):
+        raise ConfigurationError(f"policy must be a DanglingPolicy, got {policy!r}")
     if policy is DanglingPolicy.OWN_BLOCK:
         if decomp is None:
             raise ConfigurationError("OWN_BLOCK dangling policy requires a decomposition")

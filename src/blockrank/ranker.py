@@ -172,20 +172,21 @@ class BlockAggregation:
     containing it (``E`` is the ``n x k`` 0/1 matrix).  The coupled chain
     ``C = E^T Diag(x) P E`` stays factored as ``P`` does: ``C = L + Z (mu A
     E)``, with ``L = E^T Diag(x) eta H E`` and ``Z = E^T Diag(x) R`` (for a
-    cover ``Z A E`` can hold ``k^2`` entries).  ``f`` stacks ``L^T`` over
-    ``Z^T`` on a fixed pattern whose entries each correction rewrites as
-    ``runs @ x``, and ``ae_t`` is ``mu (A E)^T``, so ``C^T = f[:k] + ae_t @
-    f[k:]``.  ``UNIFORM_ALL`` dangling rows are ``spread``.  ``leak`` is the
-    weakest aggregate's.  With ``exact`` (``K^2 <= n``) ``C`` is formed and
-    solved densely, else applied through the factors by power steps.  A
-    correction costs O(nnz(H E) + nnz(R)) plus ``K^3`` or ``steps *
-    (nnz(L) + nnz(Z) + nnz(A E))``.
+    cover ``Z A E`` can hold ``k^2`` entries).  Under ``UNIFORM_ALL`` with
+    some dangling node, the dangling rows are one more block of that form, a
+    hub: ``Z`` gains a column of each aggregate's dangling mass and ``mu A
+    E`` a row ``eta * size / n``.  ``f`` stacks ``L^T`` over ``Z^T`` on a
+    fixed pattern whose entries each correction rewrites as ``runs @ x``,
+    and ``ae_t`` is ``mu (A E)^T`` (with the hub's column), so ``C^T =
+    f[:k] + ae_t @ f[k:]``.  ``leak`` is the weakest aggregate's.  With
+    ``exact`` (``K^2 <= n``) ``C`` is formed and solved densely, else
+    applied through the factors by power steps.  A correction costs
+    O(nnz(H E) + nnz(R) + n) plus ``K^3`` or ``steps * (nnz(L) + nnz(Z) +
+    nnz(A E))``.
     """
 
     agg: np.ndarray
     leak: float
-    dangling: np.ndarray | None
-    spread: np.ndarray | None
     runs: sparse.csr_array
     f: sparse.csr_array
     ae_t: sparse.csr_array
@@ -199,11 +200,8 @@ class BlockAggregation:
         xi = np.bincount(self.agg, weights=x)
         if not (xi > 0.0).all():
             return None
-        mass = None
-        if self.dangling is not None:
-            mass = np.bincount(self.agg[self.dangling], weights=x[self.dangling], minlength=xi.size)
         self.coupled(x)
-        pi = self._solve(xi, mass) if self.exact else self._power_steps(xi, mass, residual)
+        pi = self._solve(xi) if self.exact else self._power_steps(xi, residual)
         if pi is None:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -219,12 +217,10 @@ class BlockAggregation:
         self.f.data[:] = self.runs @ x
         return self.f
 
-    def _solve(self, xi, mass):
+    def _solve(self, xi):
         k = xi.size
-        f = self.f.toarray()  # at most 2n entries: k <= K and K^2 <= n
+        f = self.f.toarray()  # at most 2n + k entries: k <= K, K^2 <= n, and a hub row
         system = self.ae_t @ f[k:] + f[:k]
-        if mass is not None:
-            system += np.outer(self.spread, mass)
         # pi (Diag(1/xi) C - I) = 0 with the last equation replaced by sum(pi) = 1
         system = system / xi - np.eye(k)
         system[-1] = 1.0
@@ -235,7 +231,7 @@ class BlockAggregation:
         except np.linalg.LinAlgError:
             return None
 
-    def _power_steps(self, xi, mass, residual):
+    def _power_steps(self, xi, residual):
         """Power steps on the stochastic ``Diag(1/xi) C`` from ``xi`` (the
         last correction's ``pi`` carried through one step) until one moves
         ``pi`` by at most :data:`COARSE_STOP` times ``residual``, or
@@ -243,11 +239,8 @@ class BlockAggregation:
         k = xi.size
         pi, stop = xi, COARSE_STOP * residual
         for _ in range(COARSE_STEPS):
-            q = pi / xi
-            v = self.f @ q
+            v = self.f @ (pi / xi)
             new = self.ae_t @ v[k:] + v[:k]
-            if mass is not None:
-                new += (mass @ q) * self.spread
             change = np.abs(new - pi).sum()
             pi = new
             if change <= stop:
@@ -285,30 +278,32 @@ def _link_leaks(h: HyperlinkOperator, agg: np.ndarray, size: np.ndarray) -> np.n
 
 
 def _aggregated_links(h: HyperlinkOperator, agg: np.ndarray, order: np.ndarray,
-                      size: np.ndarray) -> sparse.csr_array:
-    """``(H E)^T`` as ``E^T H^T``.  ``OWN_BLOCK`` dangling node i sends
-    ``share[i] * (nodes of signature s)`` to aggregate ``agg(s)`` for each
-    signature s its row reaches; ``UNIFORM_ALL`` ones are left out."""
+                      size: np.ndarray, eta: float) -> sparse.csr_array:
+    """``eta (H E)^T`` as ``eta E^T H^T``.  ``OWN_BLOCK`` dangling node i
+    sends ``share[i] * (nodes of signature s)`` to aggregate ``agg(s)`` for
+    each signature s its row reaches; ``UNIFORM_ALL`` ones are left out."""
     n, k = h.n, size.size
     e_t = sparse.csr_array((np.ones(n), order, np.append(0, np.cumsum(size)).astype(np.int32)),
                            shape=(k, n))
     he_t = e_t @ h.base_t
     del e_t
-    if h.policy is not DanglingPolicy.OWN_BLOCK:
-        return he_t
-    sig_agg = np.empty(h.reach.shape[0], dtype=np.int32)
-    sig_agg[h.signature] = agg
-    reach = h.reach.tocoo()
-    return he_t + _csr(h.share[reach.col] * np.bincount(h.signature)[reach.row],
-                       h.dangling[reach.col], sig_agg[reach.row], (n, k)).T
+    if h.policy is DanglingPolicy.OWN_BLOCK:
+        sig_agg = np.empty(h.reach.shape[0], dtype=np.int32)
+        sig_agg[h.signature] = agg
+        reach = h.reach.tocoo()
+        he_t = he_t + _csr(h.share[reach.col] * np.bincount(h.signature)[reach.row],
+                           h.dangling[reach.col], sig_agg[reach.row], (n, k)).T
+    he_t.data *= eta
+    return he_t
 
 
 def _runs(m: sparse.csr_array, order: np.ndarray, rank: np.ndarray, agg: np.ndarray, k: int):
     """The entries of ``m`` (CSR over nodes) in runs of one row and one
     aggregate, as the rows of a CSR matrix, nodes ascending, and the runs'
     keys ``row * k + aggregate``.  ``order`` lists the nodes by aggregate,
-    then id; ``rank`` inverts it.  ``m`` is left as it was."""
-    m = sparse.csr_array((m.data.copy(), rank[m.indices], m.indptr), shape=m.shape)
+    then id; ``rank`` inverts it.  The runs take over ``m.data``, sorted in
+    place, so ``m`` must be a temporary."""
+    m = sparse.csr_array((m.data, rank[m.indices], m.indptr), shape=m.shape)
     m.sort_indices()
     nodes = order[m.indices]
     to = agg[nodes]
@@ -335,9 +330,10 @@ def block_aggregation(
     ``A`` and the links ``tokens.BATCH`` entries at a time (so a refusal
     takes O(n + batch) scratch memory, O(n + nnz(R)) after the links) and
     keeps nothing.  The corrector holds O(nnz(G) + nnz(Q) + nnz(R) +
-    nnz(A) + n) entries with int32 indices, ``C`` being kept factored; its
-    build takes scratch memory for O(n + nnz(R)) entries and two copies of
-    ``H E``.
+    nnz(A) + n) entries with int32 indices, ``C`` being kept factored.  Its
+    build stacks ``eta (H E)^T``, ``R^T`` and the ``UNIFORM_ALL`` hub's row
+    and puts their entries in runs in one pass, so it takes scratch memory
+    for O(n + nnz(R)) entries and one copy of ``H E``.
     """
     n, K = h.n, f.K
     if params.teleport != 0.0 or params.mu == 0.0:
@@ -357,43 +353,36 @@ def block_aggregation(
     leaks = eta * _link_leaks(h, agg, size)
     if leaks.min() > LEAK:
         return None
-    # A E, and the proximity rows: R^T's entries in runs of one block b and
-    # one aggregate i, which sum to Z^T = R^T E.  Where both hold (b, j),
-    # that share of block b returns to aggregate j.
+    # from the uniform vector on aggregate j, block b takes (R^T E)[b, j] / size[j]
+    # and gives (A E)[b, j] of it back
     e = sparse.csr_array((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)), shape=(n, k))
     ae = A @ e
-    ae.sort_indices()
-    order = e.T.tocsr().indices  # the nodes by aggregate, then id
-    del e, first
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    proximity, z_key = _runs(R.T, order, rank, agg, k)
-    ae_key = _rows(ae.indptr, 0, ae.nnz) * np.int64(k) + ae.indices
-    at = np.minimum(np.searchsorted(z_key, ae_key), z_key.size - 1)
-    hit = z_key[at] == ae_key
-    stay = np.bincount(ae.indices[hit], weights=ae.data[hit] * (proximity @ np.ones(n))[at[hit]],
-                       minlength=k)
+    stay = ((R.T @ e) * ae).sum(axis=0)
     leaks += mu * (1.0 - stay / size)
     if leaks.min() > LEAK:
         return None
 
-    # f's rows: L^T's, the link runs (j, i), over Z^T's, the proximity runs
-    # (b, i); runs @ x writes f's entries in that order
-    links, link_key = _runs(_aggregated_links(h, agg, order, size), order, rank, agg, k)
-    del order, rank
-    links.data *= eta
-    f_key = np.concatenate((link_key, z_key + k * k))
-    ae_t = ae.T.tocsr()
-    ae_t.data *= mu
-    uniform = h.policy is DanglingPolicy.UNIFORM_ALL and h.dangling.size > 0
+    # f's rows: L^T's, the link runs (j, i); Z^T's, the proximity runs (b, i);
+    # and the hub's, the dangling nodes' runs; runs @ x writes f's entries in
+    # that order
+    order = e.T.tocsr().indices  # the nodes by aggregate, then id
+    del e, first
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    ae.data *= mu
+    hub = []
+    if h.policy is DanglingPolicy.UNIFORM_ALL and h.dangling.size > 0:
+        hub = [sparse.csr_array((np.ones(h.dangling.size), h.dangling,
+                                 np.array([0, h.dangling.size], dtype=np.int32)), shape=(1, n))]
+        ae = sparse.vstack((ae, sparse.csr_array(eta * size[None, :] / n)), format="csr")
+    runs, key = _runs(sparse.vstack((_aggregated_links(h, agg, order, size, eta), R.T, *hub),
+                                    format="csr"), order, rank, agg, k)
     return BlockAggregation(
         agg=agg,
         leak=float(leaks.min()),
-        dangling=h.dangling if uniform else None,
-        spread=eta * size / n if uniform else None,
-        runs=sparse.vstack((links, proximity), format="csr"),
-        f=_csr(np.zeros(f_key.size), f_key // k, f_key % k, (k + K, k)),
-        ae_t=ae_t,
+        runs=runs,
+        f=_csr(np.zeros(key.size), key // k, key % k, (k + ae.shape[0], k)),
+        ae_t=ae.T.tocsr(),
         exact=K * K <= n,
     )
 
@@ -468,15 +457,16 @@ def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = Tr
     """The one admissibility gate: whether ranking without teleportation is
     well-defined, i.e. ``mu > 0`` and ``W`` is irreducible (the paper's
     theorem; at ``mu = 0`` the operator is ``H`` alone, which ``W`` does not
-    decide); ``W``'s verdict alone when ``teleport > 0``.  Under ``h``'s
-    ``UNIFORM_ALL`` policy a dangling row links to every node, so a
-    reducible ``W`` also passes when every sink component of its
-    condensation holds a block of a dangling node (every node reaches such
-    a node, which reaches every node), that is, when ``W`` plus a hub that
-    each such block links to, and that links to every block, is
-    irreducible.  Without ``h`` the verdict is the ``OWN_BLOCK`` policy's.
-    Under ``strict`` a teleport-free model that fails raises
-    :class:`ReducibleModelError`, naming block ``b`` as ``names[b]``."""
+    decide).  Under ``h``'s ``UNIFORM_ALL`` policy a dangling row links to
+    every node, so a reducible ``W`` also passes when every sink component
+    of its condensation holds a block of a dangling node (every node
+    reaches such a node, which reaches every node), that is, when ``W``
+    plus a hub that each such block links to, and that links to every
+    block, is irreducible.  Without ``h`` the verdict is the ``OWN_BLOCK``
+    policy's.  When ``teleport > 0`` the result is the same verdict under
+    ``h``'s policy, ``mu = 0`` included.  Under ``strict`` a teleport-free
+    model that fails raises :class:`ReducibleModelError`, naming block
+    ``b`` as ``names[b]``."""
     if params.teleport == 0.0 and params.mu == 0.0:
         if strict:
             raise ReducibleModelError(

@@ -182,6 +182,63 @@ def singleton_cover_instance(rng: np.random.Generator, n: int) -> tuple[Graph, D
     return g, Decomposition.from_members([[u] for u in range(n)] + [nodes], n=n)
 
 
+ADVERSARIAL_KINDS = ("hub", "all-first", "all-last", "nested", "closed")
+
+
+def adversarial_cover(rng: np.random.Generator, n: int, kind: str,
+                      dangling: bool) -> tuple[Graph, Decomposition]:
+    """Adversarial cover for the size contract, over ``n >= 4`` nodes:
+
+    - ``"hub"``: node 0 in every block, the others in random blocks of 1 to 8;
+    - ``"all-first"`` / ``"all-last"``: one all-node block listed before or
+      after the ``n`` singletons;
+    - ``"nested"``: blocks nested by size, innermost first, over a random
+      node order;
+    - ``"closed"``: random blocks of 1 to 8 and node 0 alone in its own,
+      linked only to itself.
+
+    Each other node sends two links, each into its lowest block with
+    probability 0.98 (0.5 for ``"closed"``) and otherwise to a random node;
+    with ``dangling`` about one node in ten (at least one, never node 0)
+    sends none."""
+    nodes = np.arange(n)
+
+    def random_blocks(ids):
+        cuts = np.cumsum(rng.integers(1, 9, ids.size))
+        return [list(part) for part in np.split(ids, cuts[cuts < ids.size]) if part.size]
+
+    if kind == "hub":
+        blocks = [[0] + part for part in random_blocks(rng.permutation(nodes[1:]))]
+    elif kind == "all-first":
+        blocks = [list(nodes)] + [[u] for u in range(n)]
+    elif kind == "all-last":
+        blocks = [[u] for u in range(n)] + [list(nodes)]
+    elif kind == "nested":
+        order = rng.permutation(nodes)
+        sizes = np.unique(np.append(rng.integers(1, n, int(rng.integers(1, 6))), n))
+        blocks = [list(order[:m]) for m in sizes]
+    elif kind == "closed":
+        blocks = [[0]] + random_blocks(rng.permutation(nodes[1:]))
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    home = np.empty(n, dtype=np.int64)
+    for b in reversed(range(len(blocks))):
+        home[blocks[b]] = b
+    sends = np.ones(n, dtype=bool)
+    if dangling:
+        sends[rng.choice(nodes[1:], max(1, n // 10), replace=False)] = False
+    eps, edges = 0.02, []
+    if kind == "closed":
+        eps, sends[0] = 0.5, False
+        edges.append((0, 0))
+    for u in nodes[sends].tolist():
+        for _ in range(2):
+            inside = rng.random() >= eps
+            edges.append((u, int(rng.choice(blocks[home[u]]) if inside else rng.integers(n))))
+    g = Graph.from_edges([f"v{u}" for u in range(n)], edges)
+    return g, Decomposition.from_members(blocks, n=n)
+
+
 def dense_hyperlink(
     g: Graph,
     policy: DanglingPolicy = DanglingPolicy.OWN_BLOCK,

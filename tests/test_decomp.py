@@ -155,6 +155,14 @@ class TestBuildFactors:
         with pytest.raises(ConfigurationError):
             build_factors(d, g4)
 
+    @pytest.mark.parametrize("members", [[[0, 1], [1]], [[0], [1]]], ids=["cover", "partition"])
+    def test_form_that_is_not_a_factor_form_rejected(self, members):
+        # "partition" would otherwise pass the cover check and take the cover form
+        g = Graph.from_edges(["a", "b"], [(0, 1), (1, 0)])
+        d = Decomposition.from_members(members, n=2)
+        with pytest.raises(ConfigurationError, match="FactorForm"):
+            build_factors(d, g, form="partition")
+
 
 class TestMaterialize:
     def test_reference_proximity_matrix(self, g4, g4_decomp):

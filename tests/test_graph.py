@@ -231,6 +231,13 @@ class TestBuildHyperlink:
         with pytest.raises(ConfigurationError):
             build_hyperlink(g4, DanglingPolicy.OWN_BLOCK, other)
 
+    def test_policy_that_is_not_a_dangling_policy_rejected(self):
+        # its value "block" would otherwise be read as UNIFORM_ALL
+        g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 2)])
+        d = Decomposition.from_members([[0, 1], [2]], n=3)
+        with pytest.raises(ConfigurationError, match="DanglingPolicy"):
+            build_hyperlink(g, "block", d)
+
     def test_uniform_all_dangling_row(self):
         g = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 0)])
         h = build_hyperlink(g, DanglingPolicy.UNIFORM_ALL)
