@@ -4,7 +4,7 @@
 # ends, then `check`, `rank` and `compare` on an edge list of several parse
 # windows, and `rank` on a cover where one block meets every aggregate, with
 # and without a dangling node.
-# Needs `pip install -e .`, `seq`, `awk` and `timeout`; runs in a scratch
+# Needs `pip install -e .`, `seq`, `awk`, `sed` and `timeout`; runs in a scratch
 # directory, removed on exit.
 set -euo pipefail
 dir=$(mktemp -d)
@@ -46,6 +46,11 @@ test "$(wc -l < mu0.tsv)" -eq 5
 # under --dangling block it is refused, one error line, exit 1, no traceback
 printf 'a b\n' > sink.edges
 printf 'a X\nb Y\n' > sink.blocks
+# b's row of H (line 3 of the dense view): uniform over both nodes, or b's own block
+blockrank materialize --graph sink.edges --blocks sink.blocks --dangling uniform > sink_uniform.txt
+test "$(sed -n 3p sink_uniform.txt)" = "$(printf '0.5\t0.5')"
+blockrank materialize --graph sink.edges --blocks sink.blocks --dangling block > sink_block.txt
+test "$(sed -n 3p sink_block.txt)" = "$(printf '0\t1')"
 blockrank rank --graph sink.edges --blocks sink.blocks --dangling uniform --eta 0.7 --mu 0.3 \
   --format json > sink.json
 grep -q '"admissible": true' sink.json

@@ -140,14 +140,6 @@ def ones_at(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> spars
     return ones(pairs, shape)
 
 
-def pattern(m: sparse.csr_array) -> sparse.csr_array:
-    """``m`` made canonical (sorted, no duplicates) with every stored entry
-    set to 1, in place."""
-    m.sum_duplicates()
-    m.data[:] = 1.0
-    return m
-
-
 def parse_edge_list(text: str | bytes, *, labels: Interner | None = None) -> Graph:
     """Parse edge-list text (``str``, or ``bytes`` of UTF-8) into a :class:`Graph`.
 
@@ -194,19 +186,19 @@ class HyperlinkOperator:
     ``base_t`` holds the normalized link rows (``1/d_u``; dangling rows are
     zero) transposed, in CSR on the graph's own pattern arrays: their part
     of ``x @ H`` is the row gather ``base_t @ x``.  The dangling rows are
-    kept apart: under ``UNIFORM_ALL`` as a uniform rank-one term; under
-    ``OWN_BLOCK`` by block signature (a node's set of blocks): dangling node
-    ``dangling[i]`` spreads ``share[i]`` (one over the size of the union of
-    its blocks) to every node ``v`` with ``reach[signature[v], i] == 1``,
-    ``reach`` holding a row per distinct signature (in first-appearance
-    order) with a one wherever it meets the dangling node's blocks.
+    kept apart, dangling node ``dangling[i]`` sending ``share[i]``: under
+    ``UNIFORM_ALL`` ``1/n`` to every node, a rank-one term; under
+    ``OWN_BLOCK`` one over the size of the union of its blocks to every node
+    ``v`` with ``reach[signature[v], i] == 1``, ``reach`` holding a row per
+    distinct signature (a node's set of blocks, in first-appearance order)
+    with a one wherever it meets the dangling node's blocks.
     """
 
     n: int
     policy: DanglingPolicy
     base_t: sparse.csr_array
     dangling: np.ndarray
-    share: np.ndarray | None = None
+    share: np.ndarray
     reach: sparse.csr_array | None = None
     signature: np.ndarray | None = None
 
@@ -217,8 +209,8 @@ class HyperlinkOperator:
         dense = self.base_t.T.toarray()
         if self.policy is DanglingPolicy.OWN_BLOCK:
             dense[self.dangling] = self.reach.toarray()[self.signature].T * self.share[:, None]
-        elif self.dangling.size:
-            dense[self.dangling, :] = 1.0 / self.n
+        else:
+            dense[self.dangling] = self.share[:, None]
         return dense
 
 
@@ -248,7 +240,8 @@ def build_hyperlink(
                               shape=(n, n))
     dangling = np.flatnonzero(degree == 0)
     if policy is not DanglingPolicy.OWN_BLOCK:
-        return HyperlinkOperator(n=n, policy=policy, base_t=base_t, dangling=dangling)
+        return HyperlinkOperator(n=n, policy=policy, base_t=base_t, dangling=dangling,
+                                 share=np.full(dangling.size, 1.0 / n))
 
     # v lies in the union of dangling u's blocks when their block sets meet,
     # which depends on v only through its signature, its row of B interned
@@ -261,7 +254,9 @@ def build_hyperlink(
     rows = Tokens(ids, offset[:-1], offset[1:])
     signature = Interner().add(rows).astype(np.int64)  # indexes every step
     first = np.flatnonzero(np.diff(np.maximum.accumulate(signature), prepend=-1))
-    reach = pattern(B[first] @ B[dangling].T)
+    reach = B[first] @ B[dangling].T
+    reach.sum_duplicates()
+    reach.data[:] = 1.0
     size = reach.T @ np.bincount(signature)
     return HyperlinkOperator(n=n, policy=policy, base_t=base_t, dangling=dangling,
                              share=1.0 / size, reach=reach, signature=signature)

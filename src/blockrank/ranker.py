@@ -262,17 +262,15 @@ def _csr(data, rows, cols, shape) -> sparse.csr_array:
 
 def _link_leaks(h: HyperlinkOperator, agg: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Each aggregate's leak under ``H`` (times ``eta``, a lower bound on
-    the leak under ``P``), reading the links ``tokens.BATCH`` at a time."""
+    the leak under ``P``), reading the links ``tokens.BATCH`` at a time.
+    Each dangling node sends its ``share`` to every node of its aggregate."""
     base_t, dangling = h.base_t, h.dangling
     stay = np.zeros(size.size)
     for lo in range(0, base_t.nnz, tokens.BATCH):
         hi = min(lo + tokens.BATCH, base_t.nnz)
         to = agg[_rows(base_t.indptr, lo, hi)]
         np.add.at(stay, to, base_t.data[lo:hi] * (agg[base_t.indices[lo:hi]] == to))
-    if h.policy is DanglingPolicy.OWN_BLOCK:  # the union of u's blocks holds u's aggregate
-        back = h.share * size[agg[dangling]]
-    else:
-        back = size[agg[dangling]] / h.n
+    back = h.share * size[agg[dangling]]
     stay += np.bincount(agg[dangling], weights=back, minlength=size.size)
     return 1.0 - stay / size
 
@@ -466,7 +464,10 @@ def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = Tr
     policy's.  When ``teleport > 0`` the result is the same verdict under
     ``h``'s policy, ``mu = 0`` included.  Under ``strict`` a teleport-free
     model that fails raises :class:`ReducibleModelError`, naming block
-    ``b`` as ``names[b]``."""
+    ``b`` as ``names[b]``; an ``h`` over other nodes than ``f``
+    raises :class:`DimensionError`."""
+    if h is not None and h.n != f.n:
+        raise DimensionError(f"factors are for {f.n} nodes but the operator has {h.n}")
     if params.teleport == 0.0 and params.mu == 0.0:
         if strict:
             raise ReducibleModelError(

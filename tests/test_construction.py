@@ -585,10 +585,12 @@ def test_short_labels_cannot_crowd_the_table():
 
 
 def assert_table_holds_every_id(interner: Interner) -> None:
-    """At most half the slots are taken, by the stored ids alone, no key
-    sits in two of them, and each id is at the slot its key probes to."""
+    """At most half the slots are taken, by the stored ids alone, and the
+    table has at most 64 slots or four per id; no key sits in two of them,
+    and each id is at the slot its key probes to."""
     taken = np.flatnonzero(interner.slot_id >= 0)
     assert taken.size == len(interner) and 2 * taken.size <= interner.slot_id.size
+    assert interner.slot_id.size <= max(64, 4 * len(interner))
     assert np.unique(interner.slot_key[taken]).size == taken.size
     ids = np.arange(len(interner), dtype=np.int32)
     key = blockrank.tokens._keys(interner._stored(ids), interner.salt)

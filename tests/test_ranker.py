@@ -241,6 +241,18 @@ class TestRank:
         with pytest.raises(DimensionError):
             rank(h3, f, RankParams())
 
+    @pytest.mark.parametrize("edges", ["a b\nb a", "a b"])
+    def test_gate_rejects_an_operator_over_other_nodes(self, edges):
+        """A 6-node UNIFORM_ALL operator against 2-node factors is refused
+        whether their W is irreducible or reducible, before the gate reads
+        the operator's dangling nodes."""
+        g = parse_edge_list(edges)
+        _, f = _model(g, parse_blocks("a X\nb Y", g))
+        g6 = parse_edge_list("a b\nb c\nc d\nd a\ne f")
+        h6 = build_hyperlink(g6, DanglingPolicy.UNIFORM_ALL)
+        with pytest.raises(DimensionError, match="^factors are for 2 nodes but the operator has 6$"):
+            admissible(f, RankParams(eta=0.7, mu=0.3), range(f.K), strict=False, h=h6)
+
 
 class TestGateOracle:
     """The gate against strong connectivity of the links-and-blocks digraph
