@@ -4,7 +4,7 @@
 # ends, then `check`, `rank` and `compare` on an edge list of several parse
 # windows, and `rank` on a cover where one block meets every aggregate, with
 # and without a dangling node.
-# Needs `pip install -e .`, `seq`, `awk`, `sed` and `timeout`; runs in a scratch
+# Needs `pip install -e .`, `seq`, `awk`, `sed`, `od` and `timeout`; runs in a scratch
 # directory, removed on exit.
 set -euo pipefail
 dir=$(mktemp -d)
@@ -155,6 +155,39 @@ blockrank check --graph wide.edges --blocks wide.blocks
 blockrank rank --graph wide.edges --blocks wide.blocks > wide.tsv
 test "$(wc -l < wide.tsv)" -eq 5000
 blockrank rank --graph wide.edges --blocks wide.blocks | cmp - wide.tsv
+# an edge list of three parse windows (about 640 KB) with a byte-order mark,
+# CRLF line ends and a label whose 'é' straddles the file's first 256 KiB
+# boundary (its bytes at offsets 262143 and 262144): the parser reads it a
+# window at a time, and rank prints the same bytes as on its LF twin
+# without the mark
+LC_ALL=C awk 'BEGIN {
+  printf "\357\273\277"; size = 3
+  for (i = 0; size < 262100; i++) {
+    u = i % 5000; line = sprintf("v%d\tv%d\r\n", u, (u + 1 + 37 * int(i / 5000)) % 5000)
+    printf "%s", line; size += length(line)
+  }
+  label = "w"; while (size + length("v1\t") + length(label) < 262143) label = label "x"
+  printf "v1\t%s\303\251\r\n", label; size += length("v1\t") + length(label) + 4
+  for (; size < 640000; i++) {
+    u = i % 5000; line = sprintf("v%d\tv%d\r\n", u, (u + 1 + 37 * int(i / 5000)) % 5000)
+    printf "%s", line; size += length(line)
+  }
+}' > crlf.edges
+test "$(od -An -tx1 -j262143 -N2 crlf.edges | tr -d ' ')" = c3a9
+tail -c +4 crlf.edges | tr -d '\r' > lf.edges
+tr -d '\r' < lf.edges | awk '{ print $1; print $2 }' | LC_ALL=C sort -u \
+  | awk '{ printf "%s\tb%d\n", $1, NR % 10 }' > crlf.blocks
+blockrank rank --graph crlf.edges --blocks crlf.blocks > crlf.tsv
+test "$(wc -l < crlf.tsv)" -eq 5001
+blockrank rank --graph lf.edges --blocks crlf.blocks | cmp - crlf.tsv
+# the same file with one byte that is not UTF-8 past the first window: one
+# error line naming its offset in the file, exit 2, no traceback
+{ head -c 400000 crlf.edges; printf '\377'; tail -c +400001 crlf.edges; } > badbyte.edges
+status=0
+blockrank rank --graph badbyte.edges --blocks crlf.blocks > /dev/null 2> badbyte.err || status=$?
+test "$status" -eq 2
+test "$(cat badbyte.err)" = 'error: badbyte.edges: not valid UTF-8 at byte 400000'
+test "$(wc -l < badbyte.err)" -eq 1
 # a 100,000-character label on line 1 of the edge list: check and rank
 long=$(printf '%0100000d' 0 | tr 0 x)
 { printf '%s\tv0\n' "$long"; cat big.edges; } > long.edges

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .ranker import (
     rank,
 )
 from .spectra import teleportation_free_check
-from .tokens import Interner
+from .tokens import Interner, Source
 
 DEFAULT_TOP_K = 10
 
@@ -124,19 +123,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _parse(path: str, parse, *args, **kwargs):
-    """``parse`` of a UTF-8 file's bytes, less a leading byte-order mark
-    (not part of the first label).  The parser reads them without a copy
-    and checks that they are UTF-8; an error names the file and counts the
-    offset from its first byte."""
-    data = Path(path).read_bytes()
-    mark = 3 * data.startswith(b"\xef\xbb\xbf")
-    data = data[mark:]
-    try:
-        return parse(data, *args, **kwargs)
-    except ParseError as exc:
-        if exc.byte is None:
-            raise
-        raise ParseError(f"{path}: not valid UTF-8 at byte {mark + exc.byte}") from None
+    """``parse`` of a UTF-8 file, less a leading byte-order mark (not part
+    of the first label).  The parser reads the file a window at a time and
+    checks that it is UTF-8; an error names the file and counts the offset
+    from its first byte."""
+    with open(path, "rb") as file:
+        try:
+            return parse(Source.of(file, mark=True), *args, **kwargs)
+        except ParseError as exc:
+            if exc.byte is None:
+                raise
+            raise ParseError(f"{path}: not valid UTF-8 at byte {exc.byte}") from None
 
 
 def _load(args) -> tuple[Graph, Decomposition, ProximityFactors]:

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, CoverageError, ParseError
 from .graph import Graph, ones, ones_at, require_dense
-from .tokens import Interner, codes, tokenize_pairs
+from .tokens import Interner, Source, _grow, tokenize_pairs
 
 __all__ = [
     "Decomposition",
@@ -91,10 +91,11 @@ class Decomposition:
         return FactorForm.PARTITION if single else FactorForm.COVER
 
 
-def parse_blocks(text: str | bytes, g: Graph, *, labels: Interner | None = None
+def parse_blocks(text: str | bytes | BinaryIO | Source, g: Graph, *, labels: Interner | None = None
                  ) -> Decomposition:
     """Parse block-membership text ("node_label block_label" per line;
-    ``str``, or ``bytes`` of UTF-8).
+    ``str``, or ``bytes`` of UTF-8 or a binary file of them, or a
+    :class:`~blockrank.tokens.Source`).
 
     A node may appear on several lines, which declares an overlapping
     cover.  Unknown node labels and graph nodes missing from every block
@@ -105,15 +106,16 @@ def parse_blocks(text: str | bytes, g: Graph, *, labels: Interner | None = None
     ``parse_edge_list(..., labels=...)`` filled for ``g``, when given (and
     added to it); otherwise in one built from ``g.labels``.
     """
-    text = codes(text)
+    source = Source.of(text)
     # The graph's labels are interned first and are distinct, so they hold
     # ids 0..n-1: a node token's id is its node's, or n and above for an
     # unknown label.
     nodes = Interner.of(g.labels) if labels is None else labels
     blocks = Interner()
-    pairs = np.empty((len(text) // 4 + 1, 2), dtype=np.int32)  # a line per 4 bytes
+    # a line per 4 bytes, or grown as read from a pipe
+    pairs = np.empty((0 if source.size is None else source.size // 4 + 1, 2), dtype=np.int32)
     used = 0
-    for tokens, line_nos, error in tokenize_pairs(text, "node_label block_label"):
+    for tokens, line_nos, error in tokenize_pairs(source, "node_label block_label"):
         node = nodes.add(tokens[0::2])
         unknown = np.flatnonzero(node >= g.n)
         if unknown.size:
@@ -122,6 +124,7 @@ def parse_blocks(text: str | bytes, g: Graph, *, labels: Interner | None = None
             raise CoverageError(f"line {line_nos[i]}: node label {label!r} not in the graph")
         if error is not None:
             raise error
+        pairs = _grow(pairs, used + node.size)
         pairs[used:used + node.size, 0] = node
         pairs[used:used + node.size, 1] = blocks.add(tokens[1::2])
         used += node.size

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from . import tokens
 from .errors import CapExceededError, ConfigurationError, DimensionError, ParseError
-from .tokens import Interner, Tokens, codes, tokenize_pairs
+from .tokens import Interner, Source, Tokens, _grow, tokenize_pairs
 
 if TYPE_CHECKING:
     from .decomp import Decomposition
@@ -140,8 +140,10 @@ def ones_at(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> spars
     return ones(pairs, shape)
 
 
-def parse_edge_list(text: str | bytes, *, labels: Interner | None = None) -> Graph:
-    """Parse edge-list text (``str``, or ``bytes`` of UTF-8) into a :class:`Graph`.
+def parse_edge_list(text: str | bytes | BinaryIO | Source, *, labels: Interner | None = None
+                    ) -> Graph:
+    """Parse edge-list text (``str``, or ``bytes`` of UTF-8 or a binary file
+    of them, or a :class:`~blockrank.tokens.Source`) into a :class:`Graph`.
 
     One edge per line, ``src dst`` separated by whitespace; blank lines and
     lines starting with ``#`` are skipped.  Internal ids follow first
@@ -150,26 +152,28 @@ def parse_edge_list(text: str | bytes, *, labels: Interner | None = None) -> Gra
     Raises :class:`ParseError` on malformed lines (naming the line number)
     and on input without any edge ("empty graph").
 
-    The text's UTF-8 bytes are tokenized and interned one window at a time
-    (:func:`tokenize_pairs`, :class:`Interner`), and each token keeps only
-    its int32 id, which the CSR build then packs in place into the edge's
-    key; ``bytes`` are read without a copy.  Working memory is thus the
-    text's bytes, the distinct labels, 4 bytes per token and one window's
-    temporaries.
+    The text's UTF-8 bytes are read, tokenized and interned one window at a
+    time (:func:`tokenize_pairs`, :class:`Interner`), and each token keeps
+    only its int32 id, which the CSR build then packs in place into the
+    edge's key.  Working memory is thus the distinct labels, 4 bytes per
+    token (reserved at 2 bytes per byte of a source of known size, grown
+    by doubling for a pipe) and one window's buffer and temporaries.
 
     The node labels are interned into ``labels``, an empty
     :class:`~blockrank.tokens.Interner` when given (a new one otherwise),
     in which node ``i`` then has id ``i``: a caller that passes one can
     hand it on to :func:`~blockrank.decomp.parse_blocks`.
     """
-    text = codes(text)
+    source = Source.of(text)
     if labels is None:
         labels = Interner()
-    ids = np.empty(len(text) // 2 + 1, dtype=np.int32)  # a token and a space per 2 bytes
+    # a token and a space per 2 bytes, or grown as read from a pipe
+    ids = np.empty(0 if source.size is None else source.size // 2 + 1, dtype=np.int32)
     used = 0
-    for window, _, error in tokenize_pairs(text, "src dst"):
+    for window, _, error in tokenize_pairs(source, "src dst", numbered=False):
         if error is not None:
             raise error
+        ids = _grow(ids, used + window.start.size)
         ids[used:used + window.start.size] = labels.add(window)
         used += window.start.size
     if not len(labels):

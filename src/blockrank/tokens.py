@@ -1,21 +1,27 @@
 """From text to token ids: the windowed tokenizer and the interner that
 both parsers share.
 
-Text is read as its UTF-8 bytes (:func:`codes`), which are cut into
-windows of about ``WINDOW`` bytes, each ending right after a ``'\\n'``.
+Text is read as its UTF-8 bytes, from a ``str``, ``bytes`` or a binary
+file (:class:`Source`), into one reused buffer a window of about
+``WINDOW`` bytes at a time, each window ending right after a ``'\\n'`` and
+the partial line after it carried over to the next read.
 :func:`tokenize_pairs` finds each window's tokens and lines as arrays, and
 an :class:`Interner` gives each token the id of its distinct byte
 sequence (by a salted hash table that no text can be written to slow,
 its keys made in the same numpy calls at any token length), so no
-Python string is made per token and temporaries are bounded by the window.
+Python string is made per token, the file is never held whole, and
+temporaries are bounded by the window.
 """
 
 from __future__ import annotations
 
 import codecs
+import io
+import os
 import secrets
+import stat
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,39 +40,80 @@ _IS_BREAK[list(map(ord, LINE_BREAKS))] = True
 _LEADS = np.zeros(256, dtype=bool)
 _LEADS[[0xC2, 0xE1, 0xE2, 0xE3]] = True
 
-# Bytes per parse window (cut after a '\n').  The parsers tokenize and
-# intern one window at a time, so their per-byte and per-token temporaries
-# are bounded by the window, not the file.  256 KiB, as measured on the
-# benchmark's web-partition files (1.1 MB) and the n=1M generator probe
-# (116 MB of edges): a benchmark `rank` child peaks at 51.1 MiB with
-# windows of 64 to 512 KiB, 53.5 MiB with 1 MiB ones and 53.9 MiB with one
-# window for the file; 64 KiB windows take 4.9-5.0 s on the probe's edges
-# against 4.0-4.4 s, for the same peak.
+# Bytes per parse window (cut after a '\n').  The parsers read, tokenize
+# and intern one window at a time into one reused buffer, so it and their
+# per-byte and per-token temporaries are bounded by the window, not the
+# file.  256 KiB, as measured on the benchmark's web-partition files
+# (1.1 MB) and the n=1M generator probe (116 MB of edges): a benchmark
+# `rank` child peaks at 51.1 MiB with windows of 64 to 512 KiB, 53.5 MiB
+# with 1 MiB ones and 53.9 MiB with one window for the file; 64 KiB
+# windows take 4.9-5.0 s on the probe's edges against 4.0-4.4 s, for the
+# same peak.
 WINDOW = 1 << 18
 # Tokens per intern batch (and links per batch of the CSR build and of the
 # corrector's gate): bounds the interner's temporaries also in a window
 # grown to hold a long line.  A 256 KiB window holds about 46k tokens of
-# web-partition's edges and 33k of the probe's, so it is one batch.
+# web-partition's edges and 33k of the probe's, so it is one batch.  A
+# batch is sorted with each token's index in the low 16 bits of its sort
+# word, so it holds at most 1 << 16 tokens (`Interner._sort` raises on
+# more); half that measured 0.3 MiB less peak on web-partition but a
+# slower parse (see Interner).
 BATCH = 1 << 16
 
 
+class Source(NamedTuple):
+    """UTF-8 bytes to read a window at a time: a binary ``stream``, the
+    number of bytes left in it when that is known (``None`` for a pipe),
+    whether they are checked to be UTF-8 (a ``str``'s are not: they are its
+    encoding, a lone surrogate as its 3 bytes), and whether a leading
+    byte-order mark is dropped (not part of the first label; error offsets
+    still count it)."""
+
+    stream: BinaryIO
+    size: int | None
+    checked: bool
+    mark: bool = False
+
+    @classmethod
+    def of(cls, text: str | bytes | BinaryIO | Source, *, mark: bool = False) -> Source:
+        """``text``'s bytes: a ``str`` encoded once, ``bytes`` read in
+        place, a binary file from where it stands."""
+        if isinstance(text, Source):
+            return text
+        if isinstance(text, str):
+            text = text.encode("utf-8", "surrogatepass")
+            return cls(io.BytesIO(text), len(text), False, mark)
+        if isinstance(text, (bytes, bytearray)):
+            return cls(io.BytesIO(text), len(text), True, mark)
+        try:
+            info = os.fstat(text.fileno())
+        except (AttributeError, OSError):  # no file descriptor
+            return cls(text, None, True, mark)
+        size = info.st_size - text.tell() if stat.S_ISREG(info.st_mode) else None
+        return cls(text, size, True, mark)
+
+
+def _check(decoder: codecs.IncrementalDecoder, view, at: int, final: bool) -> None:
+    """Decode ``view``, the bytes from offset ``at`` on, after those
+    ``decoder`` has seen, and drop the text: raise :class:`ParseError`
+    naming the offset of the first byte that is not UTF-8."""
+    pending = len(decoder.getstate()[0])  # an unfinished sequence's bytes
+    try:
+        decoder.decode(view, final=final)
+    except UnicodeDecodeError as exc:
+        at += exc.start - pending
+        raise ParseError(f"not valid UTF-8 at byte {at}", byte=at) from None
+
+
 def codes(text: str | bytes) -> bytes:
-    """The UTF-8 bytes of ``text``, the codes the parsers read.  A ``str``
-    is encoded once (a lone surrogate as its 3 bytes).  ``bytes`` are used
-    as they are, without a copy, once non-ASCII ones are checked by
-    decoding them a window at a time and dropping the text: those that
-    are not valid UTF-8 raise :class:`ParseError`."""
+    """The UTF-8 bytes of ``text``.  A ``str`` is encoded once (a lone
+    surrogate as its 3 bytes).  ``bytes`` are returned as they are once
+    the parsers' reader (:func:`_windows`) has checked them: those that are
+    not valid UTF-8 raise :class:`ParseError`."""
     if isinstance(text, str):
         return text.encode("utf-8", "surrogatepass")
-    if not text.isascii():
-        decoder, view = codecs.getincrementaldecoder("utf-8")(), memoryview(text)
-        for lo in range(0, len(text), WINDOW):
-            pending = len(decoder.getstate()[0])  # an unfinished sequence's bytes
-            try:
-                decoder.decode(view[lo:lo + WINDOW], final=lo + WINDOW >= len(text))
-            except UnicodeDecodeError as exc:
-                at = lo - pending + exc.start
-                raise ParseError(f"not valid UTF-8 at byte {at}", byte=at) from None
+    for _ in _windows(Source.of(text)):
+        pass
     return text
 
 
@@ -133,14 +180,56 @@ class Tokens:
         return _decode(self.joined())
 
 
-def _window_end(text: bytes, lo: int) -> int:
-    """The end of the window that starts at ``lo``: right after the last
-    ``'\\n'`` in its first ``WINDOW`` bytes, else right after the next
-    ``'\\n'``, else the end of the text."""
-    hi = lo + WINDOW
-    if hi >= len(text):
-        return len(text)
-    return text.rfind(b"\n", lo, hi) + 1 or text.find(b"\n", hi) + 1 or len(text)
+def _windows(source: Source) -> Iterator[tuple[np.ndarray, int, int]]:
+    """``source``'s bytes a window at a time, read into one reused buffer:
+    each window as ``(code, size, top)``, its bytes ``code[:size]``, then at
+    least 8 more (spaces after the last window), and its largest byte.
+
+    A window ends right after the last ``'\\n'`` in its first ``WINDOW``
+    bytes, else right after the next ``'\\n'`` (the buffer doubled until it
+    holds that line), else at the end; the bytes after it are moved to the
+    front of the buffer and the next read appends to them.  Checked bytes
+    are decoded window by window, from the first window that is not ASCII
+    on, and an error names the byte's offset in the source.  ``code`` is
+    the buffer itself: it holds the window only until the next one is
+    read.
+    """
+    buffer = bytearray(WINDOW + 9)  # a window, a byte that tells it from the last, 8 to pad
+    code = np.frombuffer(buffer, dtype=np.uint8)
+    held = offset = 0
+    ended, decoder, mark = False, None, source.mark
+    while True:
+        while not ended and held <= WINDOW:
+            got = source.stream.readinto(code[held:WINDOW + 1])
+            ended, held = not got, held + got
+        if mark:  # the first read, at least 3 bytes unless the source is shorter
+            mark = False
+            if buffer.startswith(b"\xef\xbb\xbf", 0, held):
+                offset, held = 3, held - 3
+                code[:held] = code[3:held + 3]
+                continue
+        if not held:
+            return
+        hi = held
+        if held > WINDOW:
+            hi = buffer.rfind(b"\n", 0, WINDOW) + 1 or buffer.find(b"\n", WINDOW, held) + 1
+            while not hi and not ended:  # a line longer than a window: read to its end
+                if held + 8 == code.size:
+                    buffer = bytearray(2 * code.size)
+                    np.frombuffer(buffer, dtype=np.uint8)[:held] = code[:held]
+                    code = np.frombuffer(buffer, dtype=np.uint8)
+                got = source.stream.readinto(code[held:-8])
+                ended, held = not got, held + got
+                hi = buffer.find(b"\n", held - got, held) + 1
+            hi = hi or held
+        code[held:held + 8] = 0x20
+        top = int(code[:hi].max())
+        if source.checked and top >= 0x80:
+            decoder = decoder or codecs.getincrementaldecoder("utf-8")()
+            _check(decoder, memoryview(buffer)[:hi], offset, ended and hi == held)
+        yield code[:hi + 8], hi, top
+        offset, held = offset + hi, held - hi
+        code[:held] = code[hi:hi + held]
 
 
 def _wide_spaces(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,21 +246,25 @@ def _wide_spaces(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return at[space][whole], np.where(np.arange(3) == 0, point[:, None], 0x20)[space][whole]
 
 
-def _split(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _split(code: np.ndarray, size: int, wide: bool
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The tokens of ``code[:size]``, the runs of non-space bytes: their
     start and end offsets, the 0-based line of each, and the number of
-    line breaks."""
+    line breaks.  Only when ``wide`` (a byte from 0xC2 up) may the window
+    hold a space that is not ASCII."""
     window = code[:size]
-    spaces = np.flatnonzero(window <= 32)  # every ASCII space is <= 32: look up only those
+    spaces = np.flatnonzero(window <= 32)  # every ASCII space is <= 32: test only those
     c = window[spaces]
-    space = _IS_SPACE[c]
+    space = (c - 9 <= 4) | (c >= 28)  # '\t' to '\r', and '\x1c' to ' '
     if not space.all():
         spaces, c = spaces[space], c[space]
-    if window.max() >= 0xC2:  # may hold a lead byte of another space
+    points = False  # whether c holds code points above 32, read from the tables
+    if wide:
         at, point = _wide_spaces(code, size)
-        spaces, c = np.concatenate((spaces, at)), np.concatenate((c, point))
-        order = np.argsort(spaces, kind="stable")  # a merge of the two sorted runs
-        spaces, c = spaces[order], c[order]
+        if at.size:
+            spaces, c = np.concatenate((spaces, at)), np.concatenate((c, point))
+            order = np.argsort(spaces, kind="stable")  # a merge of the two sorted runs
+            spaces, c, points = spaces[order], c[order], True
     # With a space before and after the window, a token lies between two
     # spaces more than one byte apart.
     index = np.int32 if size < 2**31 else np.int64
@@ -181,39 +274,38 @@ def _split(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     gap = np.flatnonzero(step > 1)
     starts, ends = spaces[:-1][gap], spaces[1:][gap]
     starts += 1
-    breaks = _IS_BREAK[c]
+    # the line breaks: '\n' to '\r', and '\x1c' to '\x1e' among the bytes
+    breaks = _IS_BREAK[c] if points else (c - 10 <= 3) | (c - 28 <= 2)
     breaks[1:] &= (c[1:] != 0x0A) | (c[:-1] != 0x0D) | (step != 1)  # "\r\n" ends one line
     del spaces, c, step
     line = np.cumsum(breaks, dtype=index)
     return starts, ends, line[gap], int(line[-1])
 
 
-def tokenize_pairs(text: bytes, expected: str
-                   ) -> Iterator[tuple[Tokens, np.ndarray, ParseError | None]]:
+def tokenize_pairs(text: str | bytes | BinaryIO | Source, expected: str, *, numbered: bool = True
+                   ) -> Iterator[tuple[Tokens, np.ndarray | None, ParseError | None]]:
     """Tokens ``[left, right, left, right, ...]`` of the ``left right`` lines
-    of the UTF-8 ``text`` (see :func:`codes`), one window at a time.
+    of ``text``'s UTF-8 bytes (see :class:`Source`), one window at a time.
 
     Lines are those of ``str.splitlines``; blank lines and lines whose first
     token starts with ``#`` are skipped.  A window ends right after the
     last ``'\\n'`` in its first ``WINDOW`` bytes (or, when there is none,
     the next one), so it never splits a line, and a text without ``'\\n'``
-    is one window.  Each yields its tokens, over its bytes followed by at
-    least 8 more, as int32 offsets; the 1-based numbers of its lines; and
-    the :class:`ParseError` for the first malformed line (or ``None``).
-    That error ends the windows and drops its later lines: the caller
-    raises it unless it finds an error on an earlier line.
+    is one window; it is read from a file only when the one before has
+    been handled (:func:`_windows`), so a bad byte in a later window is
+    found after the errors of earlier ones.  Each yields its tokens, over
+    its bytes followed by at least 8 more, as int32 offsets (valid until
+    the next window is read); the 1-based numbers of its lines, unless not
+    ``numbered``; and the :class:`ParseError` for the first malformed line
+    (or ``None``).  That error ends the windows and drops its later lines:
+    the caller raises it unless it finds an error on an earlier line.
 
     Tokens are found from the window's whitespace positions, so no Python
     string is made per token or line.
     """
-    code = np.frombuffer(text, dtype=np.uint8)
-    lo = lines = 0
-    while lo < code.size:
-        hi = _window_end(text, lo)
-        window = code[lo:hi + 8]
-        if hi + 8 > code.size:  # the text's last bytes: pad with spaces
-            window = np.concatenate((window, np.full(hi + 8 - code.size, 0x20, np.uint8)))
-        start, end, line, breaks = _split(window, hi - lo)
+    lines = 0
+    for window, size, top in _windows(Source.of(text)):
+        start, end, line, breaks = _split(window, size, top >= 0xC2)
         opens = np.ones(line.size, dtype=bool)  # whether a token opens its line
         np.not_equal(line[1:], line[:-1], out=opens[1:])
         first = np.flatnonzero(opens)  # the first token of each line
@@ -231,10 +323,11 @@ def tokenize_pairs(text: bytes, expected: str
         if not keep.all():
             kept = np.repeat(keep, count)
             start, end = start[kept], end[kept]
-        yield Tokens(window, start, end), line[first[keep]] + np.int64(lines + 1), error
+        numbers = line[first[keep]] + np.int64(lines + 1) if numbered else None
+        yield Tokens(window, start, end), numbers, error
         if error is not None:
             return
-        lo, lines = hi, lines + breaks
+        lines += breaks
 
 
 # A hash key has its top two bits set, which no word of a token shorter
@@ -279,12 +372,12 @@ def _same(a: Tokens, b: Tokens) -> bool:
 
 
 def _grow(buffer: np.ndarray, size: int) -> np.ndarray:
-    """``buffer``, or when it holds fewer than ``size`` items a copy at
+    """``buffer``, or when it holds fewer than ``size`` rows a copy at
     least twice as long."""
-    if buffer.size >= size:
+    if len(buffer) >= size:
         return buffer
-    grown = np.empty(max(size, 2 * buffer.size), dtype=buffer.dtype)
-    grown[:buffer.size] = buffer
+    grown = np.empty((max(size, 2 * len(buffer)), *buffer.shape[1:]), dtype=buffer.dtype)
+    grown[:len(buffer)] = buffer
     return grown
 
 
@@ -304,11 +397,16 @@ class Interner:
     mod 2^64 whatever its odd base.  So a fixed pair shares a key for a tiny
     share of salts (2^-62 if the mix acts as a random function).
 
-    A batch of up to ``BATCH`` tokens is sorted by key, equal neighbours
-    form a group, and each group's key is looked up in an open-addressing
-    table of the keys seen before, whose slots the salt also picks; a new
-    group takes the next id, and its first token's bytes are stored, each
-    sequence followed by a space.  Equal hash keys are confirmed by their
+    A batch of up to ``BATCH`` tokens is put in order by one plain sort of
+    each key's product with the salt, the token's index in its low 16 bits
+    (:meth:`_sort`): equal keys form a group, in token order, and the
+    groups come out in the order of their home slots in an open-addressing
+    table of the keys seen before, which the product's top bits pick, so
+    the table is probed in one ascending sweep.  (Two keys that share the
+    product's top 48 bits, which no text can force under a random salt,
+    send their batch to a stable argsort.)  A new group takes the next id,
+    and its first token's bytes are stored, each sequence followed by a
+    space.  Equal hash keys are confirmed by their
     words, within the batch and against the stored sequence; should two
     different sequences share one, a fresh salt is drawn, the table rebuilt
     from the stored sequences' keys and the batch interned again.  No string
@@ -380,22 +478,15 @@ class Interner:
 
     def _intern(self, batch: Tokens) -> np.ndarray | None:
         """The batch's ids, or None (nothing changed) when two sequences share a key."""
-        key = _keys(batch, self.salt)
-        order = np.argsort(key)
-        key = key[order]
-        new = np.empty(key.size, dtype=bool)  # starts a group
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        hashed = key[-1] >= _HASHED  # the batch has hash keys to confirm
+        order, key, bounds, slot = self._sort(_keys(batch, self.salt))
+        hashed = key.max() >= _HASHED  # the batch has hash keys to confirm
         if hashed:
-            same = np.flatnonzero(~new[1:] & (key[1:] >= _HASHED))
+            same = np.flatnonzero((key[1:] == key[:-1]) & (key[1:] >= _HASHED))
             if not _same(batch[order[same]], batch[order[same + 1]]):
                 return None
-        bounds = np.flatnonzero(new)
-        del new
-        first = np.minimum.reduceat(order, bounds)  # each group's first token
+        first = order[bounds]  # each group's first token: indices ascend within a group
         key = key[bounds]
-        slot = self._slots(key, None)
+        slot = self._slots(key, slot)
         group = self.slot_id[slot]  # each group's id, or -1
         if hashed:
             seen = np.flatnonzero((group >= 0) & (key >= _HASHED))
@@ -409,6 +500,44 @@ class Interner:
         ids = np.empty(order.size, dtype=np.int32)
         ids[order] = np.repeat(group, np.diff(bounds, append=order.size))
         return ids
+
+    def _sort(self, key: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """``key`` ordered so that equal keys lie together, in token order:
+        that order, the ordered keys, where each run of equal keys starts,
+        and the runs' home slots (``None`` when they are left to
+        :meth:`_slots`).
+
+        One plain sort of words: each key's product with the salt made odd,
+        its low 16 bits replaced by the token's index (``BATCH`` tokens at
+        most).  The products' top bits are the keys' home slots, so the runs
+        come out in slot order and the table is probed in one ascending
+        sweep.  Should two different keys share the top 48 bits, which no
+        text can force as the salt is random, the batch is put in key order
+        by a stable argsort instead."""
+        if key.size > 1 << 16:
+            raise ValueError(f"a batch of {key.size} tokens: at most 2^16 indices fit a sort word")
+        word = key * (self.salt | np.uint64(1))
+        word &= np.uint64(0xFFFFFFFFFFFF0000)
+        np.bitwise_or(word, np.arange(key.size, dtype=np.uint16), out=word)
+        word.sort()
+        order = np.empty(key.size, dtype=np.int32)
+        np.bitwise_and(word, np.uint64(0xFFFF), out=order, casting="unsafe")
+        word >>= np.uint64(16)
+        new = np.empty(key.size, dtype=bool)  # starts a run of one 48-bit prefix
+        new[:1] = True
+        np.not_equal(word[1:], word[:-1], out=new[1:])
+        bounds = np.flatnonzero(new)
+        shift = np.uint64(49 - self.slot_id.size.bit_length())
+        slot = (word[bounds] >> shift).astype(np.intp)
+        key = np.take(key, order, out=word, mode="clip")  # unbuffered, in place of the words
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        if np.count_nonzero(new) == bounds.size:
+            return order, key, bounds, slot
+        by_key = np.argsort(key, kind="stable")  # keeps token order among equal keys
+        order, key = order[by_key], key[by_key]
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        return order, key, np.flatnonzero(new), None
 
     def _rehash(self, salt: np.uint64 | None = None) -> None:
         """Rebuild the table from every stored sequence's key under ``salt``,

@@ -11,6 +11,8 @@ import random
 import re
 import subprocess
 import sys
+import threading
+import time
 import types
 from math import inf, nan
 
@@ -281,6 +283,36 @@ class TestFlags:
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
         assert outputs.pop().startswith(("a\t", "b\t", "c\t", "d\t"))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_byte_order_mark_read_a_byte_at_a_time_from_a_pipe(self, tmp_path, g4_files, capsys):
+        """A pipe may hand over fewer than the mark's 3 bytes in its first
+        read: the mark is still dropped, and an offset still counts it."""
+        graph, blocks = g4_files
+        assert run(["rank", "--graph", graph, "--blocks", blocks]) == 0
+        want = capsys.readouterr().out
+        cases = [(G4_EDGES.encode(), 0, ""),
+                 (b"a b\n\xff b\n", 2, "not valid UTF-8 at byte 7")]
+        for i, (data, code, err) in enumerate(cases):
+            pipe = tmp_path / f"pipe{i}"
+            os.mkfifo(pipe)
+
+            def write(pipe=pipe, data=b"\xef\xbb\xbf" + data):
+                with open(pipe, "wb", buffering=0) as out:
+                    for at in range(3):  # the mark, a byte per read
+                        out.write(data[at:at + 1])
+                        time.sleep(0.02)
+                    out.write(data[3:])
+
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            assert run(["rank", "--graph", str(pipe), "--blocks", blocks]) == code
+            writer.join(10)
+            out, got = capsys.readouterr()
+            if code:
+                assert got == f"error: {pipe}: {err}\n"
+            else:
+                assert out == want
 
 
 # Exit code and SHA-256 of stdout and stderr of each argv that ends at the

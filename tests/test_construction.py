@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import blockrank.decomp
+import blockrank.graph
 import blockrank.tokens
 from blockrank import (
     DanglingPolicy,
@@ -29,7 +34,15 @@ from blockrank import (
     parse_edge_list,
 )
 from blockrank.errors import BlockRankError, CoverageError, ParseError
-from blockrank.tokens import LINE_BREAKS, WHITESPACE, Interner, Tokens, codes, tokenize_pairs
+from blockrank.tokens import (
+    LINE_BREAKS,
+    WHITESPACE,
+    Interner,
+    Source,
+    Tokens,
+    codes,
+    tokenize_pairs,
+)
 
 from helpers import (
     block_sizes,
@@ -780,3 +793,181 @@ def test_long_label_first_seen_in_a_later_window(label):
         g = parse_edge_list(text)
         assert g.labels == ("a", "b", "c", label, label + "x")
         assert_block_parse_matches_reference(f"a X\nb X\nc X\n{label}x Y\n{label} Y\n", g)
+
+
+def test_keys_sharing_their_top_48_bits_are_interned_by_a_stable_argsort(monkeypatch):
+    """With the salt 0 the sort multiplier is 1, so the keys of "xa" and
+    "ya" (their words, below 2^24) share their top 48 bits: the batch
+    falls back to a stable argsort, once, and still gets exact ids."""
+    argsort, kinds = np.argsort, []
+
+    def counted(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    batch = tokens_of(b"xa", b"ya", b"xa")
+    assert Interner().add(batch).tolist() == [0, 1, 0]  # a random salt: no fallback
+    assert kinds.count("stable") == 0
+    interner = Interner()
+    interner.salt = np.uint64(0)  # the table is empty: no key was placed with the old salt
+    assert interner.add(batch).tolist() == [0, 1, 0]
+    assert kinds.count("stable") == 1
+    assert_table_holds_every_id(interner)
+
+
+def test_a_batch_whose_indices_overflow_the_sort_word_fails_loudly():
+    """A batch's token indices fill the low 16 bits of its sort words, so
+    a ``BATCH`` over 2^16 raises rather than giving wrong ids; 2^16 fits."""
+    text = "a b\n" * (1 << 15)  # 2^16 tokens in one window
+    assert parse_edge_list(text).labels == ("a", "b")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blockrank.tokens, "BATCH", 1 << 17)
+        with pytest.raises(ValueError, match="at most 2\\^16"):
+            parse_edge_list(text + "a b\n")
+
+
+def test_byte_order_mark_split_between_reads_is_dropped():
+    """A source's byte-order mark, when it is to be dropped, is found
+    however few bytes the first reads bring; error offsets count it."""
+    data = b"\xef\xbb\xbfa b\nb \xc3\xa9\n"
+    for chunk in (1, 2, 3, 64):
+        g = parse_edge_list(Source.of(Trickle(data, chunk), mark=True))
+        assert g.labels == ("a", "b", "\u00e9")
+        with pytest.raises(ParseError, match="not valid UTF-8 at byte 7$"):
+            parse_edge_list(Source.of(Trickle(data[:7] + b"\xff" + data[7:], chunk), mark=True))
+    assert parse_edge_list(Source.of(Trickle(data, 1))).labels[0] == "\ufeffa"
+
+
+class Trickle(io.RawIOBase):
+    """A pipe's bytes: of unknown size, read at most ``chunk`` at a time."""
+
+    def __init__(self, data: bytes, chunk: int):
+        self.data, self.at, self.chunk = data, 0, chunk
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = min(len(buffer), self.chunk, len(self.data) - self.at)
+        memoryview(buffer).cast("B")[:size] = self.data[self.at:self.at + size]
+        self.at += size
+        return size
+
+
+STREAM_LABELS = st.sampled_from(["a", "b", "d10", "\u00e9", "\U0001f600x", "abcdefghi\u00e9",
+                                 "\u3042" * 5, "#x"])
+
+
+@st.composite
+def streamed_texts(draw, labels=STREAM_LABELS) -> tuple[bytes, bool]:
+    """UTF-8 text of every line class (endings with and without ``'\\n'``,
+    so some texts have none; comments, blank lines, a last line without
+    an ending), perhaps opening with a byte-order mark; and, in text
+    without malformed lines, one byte at any offset that makes it not UTF-8.
+    Returns the bytes and whether that byte is in them."""
+    bad = draw(st.booleans())
+    texts = st.one_of(line_texts(labels, malformed=not bad),
+                      ascii_line_texts(malformed=not bad))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))  # between texts, so no line is joined
+    mark = draw(st.sampled_from(["", "\ufeffa b" + ending]))  # a byte-order mark on a pair line
+    text = mark + ending.join(draw(st.lists(texts, max_size=4)))
+    data = text.encode()
+    if bad:  # a byte no sequence takes, or a lead byte cut off (at the end, by the end)
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + data[at:]
+    return data, bad
+
+
+def utf8_error(data: bytes) -> tuple | None:
+    """The :func:`outcome` error of a parse that meets ``data``'s first
+    byte that is not UTF-8, as ``bytes.decode`` names it."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError, f"not valid UTF-8 at byte {exc.start}", None
+    return None
+
+
+@contextlib.contextmanager
+def counted_growth():
+    """Record the dimensions of each buffer the parsers grow: 1 for the
+    edge parse's ids, 2 for the block parse's pairs."""
+    grown = []
+    grow = blockrank.tokens._grow
+
+    def counted(buffer, size):
+        if len(buffer) < size:
+            grown.append(buffer.ndim)
+        return grow(buffer, size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blockrank.graph, "_grow", counted)
+        patch.setattr(blockrank.decomp, "_grow", counted)
+        yield grown
+
+
+@PARSE_SETTINGS
+@given(streamed_texts(), st.integers(16, 64), st.integers(1, 9), st.data())
+def test_streamed_parse_matches_the_whole_text(case, window, chunk, data):
+    """Read from a pipe in windows of 16 to 64 bytes and reads of 1 to 9
+    (so a "\\r\\n" or a character is split between two reads), both parsers
+    give what they give for the whole text in one window: the same graph
+    and decomposition, or the same error, ``not valid UTF-8 at byte N``
+    included.  A pipe's size is unknown, so its id buffers are grown."""
+    edges, bad = case
+    g, error = outcome(parse_edge_list, edges)
+    if bad:  # no line is malformed, so the error is the one bytes.decode names
+        assert error == utf8_error(edges)
+    labels = list(g.labels) if g is not None else ["a"]
+    if not bad:  # an unknown label would be met before a bad byte in a later window
+        labels.append("zz")
+    blocks = data.draw(line_texts(st.sampled_from(labels), malformed=not bad)).encode()
+    if bad:
+        at = data.draw(st.integers(0, len(blocks)))
+        blocks = blocks[:at] + b"\xff" + blocks[at:]
+    d = outcome(parse_blocks, blocks, g) if g is not None else None
+    if bad and d is not None:
+        assert d[1] == utf8_error(blocks)
+    with pytest.MonkeyPatch.context() as patch, counted_growth() as grown:
+        patch.setattr(blockrank.tokens, "WINDOW", window)
+        assert Source.of(Trickle(edges, chunk)).size is None
+        streamed, streamed_error = outcome(parse_edge_list, Trickle(edges, chunk))
+        assert streamed_error == error
+        if g is not None:
+            assert grown and set(grown) == {1}
+            assert streamed.labels == g.labels
+            assert np.array_equal(streamed.indptr, g.indptr)
+            assert np.array_equal(streamed.indices, g.indices)
+            got = outcome(parse_blocks, Trickle(blocks, chunk), g)
+            assert got[1] == d[1]
+            if d[1] is None:
+                assert 2 in grown
+                assert got[0].block_labels == d[0].block_labels
+                assert_same_csr(got[0].B, d[0].B)
+
+
+@PARSE_SETTINGS
+@given(streamed_texts(), st.integers(16, 64))
+@example((b"\xef\xbb\xbfa b\r\n" + b"a \xc3\xa9\r\n" * 40 + b"\xff a\r\n", True), 16)
+def test_cli_loader_reads_a_file_as_the_whole_text(case, window):
+    """The CLI's loader reads a file in windows, less its byte-order mark:
+    it gives what a parse of the text after the mark gives, and a bad
+    byte's offset counts the mark."""
+    edges, _ = case
+    mark = 3 * edges.startswith(b"\xef\xbb\xbf")
+    g, error = outcome(parse_edge_list, edges[mark:])
+    if error is not None and "UTF-8" in error[1]:
+        at = int(error[1].rsplit(" ", 1)[1]) + mark
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        path = os.path.join(directory, "streamed.edges")
+        with open(path, "wb") as file:
+            file.write(edges)
+        patch.setattr(blockrank.tokens, "WINDOW", window)
+        got, got_error = outcome(cli._parse, path, parse_edge_list)
+    if error is not None and "UTF-8" in error[1]:
+        assert got_error == (ParseError, f"{path}: not valid UTF-8 at byte {at}", None)
+    else:
+        assert got_error == error
+        if error is None:
+            assert got.labels == g.labels and np.array_equal(got.indices, g.indices)
