@@ -29,7 +29,7 @@ from scipy import sparse
 
 from .decomp import IndicatorMatrix
 from .errors import CapExceededError, ConvergenceError, DimensionError, ReducibleModelError
-from .graph import MATERIALIZE_CAP
+from .graph import require_dense
 
 __all__ = [
     "CheckReport",
@@ -176,7 +176,8 @@ def teleportation_free_check(w: IndicatorMatrix) -> CheckReport:
 
 def dense_stationary(p: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
     """Stationary vector of a dense row-stochastic matrix by power iteration
-    (dense oracle: refuses orders above ``MATERIALIZE_CAP``).
+    (dense oracle: refuses orders above ``MATERIALIZE_CAP``, by
+    :func:`blockrank.graph.require_dense`).
 
     Starts from the uniform vector and renormalizes each step; returns a
     probability vector whose residual ``||x @ p - x||_1`` is at most ``tol``.
@@ -187,9 +188,7 @@ def dense_stationary(p: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) 
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise DimensionError(f"matrix of shape {dense.shape} is not square")
     n = dense.shape[0]
-    if n > MATERIALIZE_CAP:
-        raise CapExceededError(
-            f"dense stationary oracle refused for order {n} (cap {MATERIALIZE_CAP})")
+    require_dense(n)
     if not np.isfinite(dense).all():
         raise ValueError("matrix entries must be finite")
     if dense.size and dense.min() < 0:

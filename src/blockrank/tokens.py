@@ -5,7 +5,9 @@ Text is read as its UTF-8 bytes, from a ``str``, ``bytes`` or a binary
 file (:class:`Source`), into one reused buffer a window of about
 ``WINDOW`` bytes at a time, each window ending right after a ``'\\n'`` and
 the partial line after it carried over to the next read.
-:func:`tokenize_pairs` finds each window's tokens and lines as arrays, and
+:func:`tokenize_pairs` finds each window's tokens and lines as arrays, by
+comparisons of its bytes once each space that is not ASCII has been
+overwritten with ASCII stand-ins in the buffer (:func:`_stand_ins`), and
 an :class:`Interner` gives each token the id of its distinct byte
 sequence (by a salted hash table that no text can be written to slow,
 its keys made in the same numpy calls at any token length), so no
@@ -25,20 +27,23 @@ from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigurationError, ParseError
 
 # The characters str.split() splits on and those str.splitlines() ends a
-# line at ("\r\n" counts once), as lookup tables over all code points.
+# line at ("\r\n" counts once).
 WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
               "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
-_IS_SPACE, _IS_BREAK = np.zeros((2, 0x110000), dtype=bool)
-_IS_SPACE[list(map(ord, WHITESPACE))] = True
-_IS_BREAK[list(map(ord, LINE_BREAKS))] = True
 # The bytes that lead the UTF-8 sequences of the other spaces: 2 bytes
 # after 0xC2 (U+0085, U+00A0), 3 after 0xE1, 0xE2 or 0xE3.
 _LEADS = np.zeros(256, dtype=bool)
 _LEADS[[0xC2, 0xE1, 0xE2, 0xE3]] = True
+# Per code point below 0x10000, where every space that is not ASCII lies:
+# the ASCII stand-in for the first byte of its sequence if it is a space
+# ('\v' for a line break, ' ' for another), else 0.
+_STAND_IN = np.zeros(0x10000, dtype=np.uint8)
+_STAND_IN[[ord(c) for c in WHITESPACE if not c.isascii()]] = ord(" ")
+_STAND_IN[[ord(c) for c in LINE_BREAKS if not c.isascii()]] = ord("\v")
 
 # Bytes per parse window (cut after a '\n').  The parsers read, tokenize
 # and intern one window at a time into one reused buffer, so it and their
@@ -76,15 +81,20 @@ class Source(NamedTuple):
 
     @classmethod
     def of(cls, text: str | bytes | BinaryIO | Source, *, mark: bool = False) -> Source:
-        """``text``'s bytes: a ``str`` encoded once, ``bytes`` read in
-        place, a binary file from where it stands."""
+        """``text``'s bytes: a ``str`` encoded once (:func:`codes`),
+        ``bytes`` read in place, a binary file from where it stands; any
+        other object, such as a file opened in text mode, raises
+        :class:`ConfigurationError`."""
         if isinstance(text, Source):
             return text
         if isinstance(text, str):
-            text = text.encode("utf-8", "surrogatepass")
+            text = codes(text)
             return cls(io.BytesIO(text), len(text), False, mark)
         if isinstance(text, (bytes, bytearray)):
             return cls(io.BytesIO(text), len(text), True, mark)
+        if not hasattr(text, "readinto"):
+            raise ConfigurationError(f"text must be a str, bytes or a binary file, got "
+                                     f"{type(text).__name__} (open files in binary mode)")
         try:
             info = os.fstat(text.fileno())
         except (AttributeError, OSError):  # no file descriptor
@@ -105,16 +115,9 @@ def _check(decoder: codecs.IncrementalDecoder, view, at: int, final: bool) -> No
         raise ParseError(f"not valid UTF-8 at byte {at}", byte=at) from None
 
 
-def codes(text: str | bytes) -> bytes:
-    """The UTF-8 bytes of ``text``.  A ``str`` is encoded once (a lone
-    surrogate as its 3 bytes).  ``bytes`` are returned as they are once
-    the parsers' reader (:func:`_windows`) has checked them: those that are
-    not valid UTF-8 raise :class:`ParseError`."""
-    if isinstance(text, str):
-        return text.encode("utf-8", "surrogatepass")
-    for _ in _windows(Source.of(text)):
-        pass
-    return text
+def codes(text: str) -> bytes:
+    """The UTF-8 bytes of ``text``, a lone surrogate as its 3 bytes."""
+    return text.encode("utf-8", "surrogatepass")
 
 
 def _decode(code: np.ndarray) -> list[str]:
@@ -232,39 +235,41 @@ def _windows(source: Source) -> Iterator[tuple[np.ndarray, int, int]]:
         code[:held] = code[hi:hi + held]
 
 
-def _wide_spaces(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets of the bytes of the non-ASCII spaces in ``code[:size]``,
-    and a code point for each: its character's for a sequence's first byte,
-    ``' '`` for the others, so that only the first can end a line."""
+def _stand_ins(code: np.ndarray, size: int) -> None:
+    """Overwrite each space in ``code[:size]`` that is not ASCII with ASCII
+    stand-ins, in place: its sequence's first byte with ``'\\v'`` for a
+    line break (U+0085, U+2028, U+2029) and ``' '`` for another space, its
+    other bytes with ``' '``, so that only the first can end a line.  The
+    stand-in is ``'\\v'``, not ``'\\n'``, so that ``"\\r"`` before U+2028
+    stays two line breaks.  No token holds a space, so tokens keep their
+    bytes."""
     lead = np.flatnonzero(_LEADS[code[:size]])
-    at = lead[:, None] + np.arange(3)  # up to 2 bytes past the window, in its padding
-    b = code[at].astype(np.int32) & 0x3F
+    b = code[lead[:, None] + np.arange(3)].astype(np.int32) & 0x3F  # up to 2 bytes past the window
     two = b[:, 0] == 0x02  # led by 0xC2
     point = np.where(two, b[:, 0] << 6 | b[:, 1], (b[:, 0] & 0x0F) << 12 | b[:, 1] << 6 | b[:, 2])
-    space = _IS_SPACE[point]
-    whole = (np.arange(3) < 3 - two[:, None])[space]  # the sequence's bytes
-    return at[space][whole], np.where(np.arange(3) == 0, point[:, None], 0x20)[space][whole]
+    first = _STAND_IN[point]
+    space = first > 0
+    code[lead[space]] = first[space]
+    code[lead[space] + 1] = 0x20
+    code[lead[space & ~two] + 2] = 0x20
 
 
 def _split(code: np.ndarray, size: int, wide: bool
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The tokens of ``code[:size]``, the runs of non-space bytes: their
     start and end offsets, the 0-based line of each, and the number of
-    line breaks.  Only when ``wide`` (a byte from 0xC2 up) may the window
-    hold a space that is not ASCII."""
+    line breaks.  When ``wide`` (a byte from 0xC2 up) the window may hold
+    a space that is not ASCII, and its bytes are first overwritten with
+    ASCII stand-ins (:func:`_stand_ins`); then every space is a byte up to
+    32, found by comparisons."""
+    if wide:
+        _stand_ins(code, size)
     window = code[:size]
     spaces = np.flatnonzero(window <= 32)  # every ASCII space is <= 32: test only those
     c = window[spaces]
     space = (c - 9 <= 4) | (c >= 28)  # '\t' to '\r', and '\x1c' to ' '
     if not space.all():
         spaces, c = spaces[space], c[space]
-    points = False  # whether c holds code points above 32, read from the tables
-    if wide:
-        at, point = _wide_spaces(code, size)
-        if at.size:
-            spaces, c = np.concatenate((spaces, at)), np.concatenate((c, point))
-            order = np.argsort(spaces, kind="stable")  # a merge of the two sorted runs
-            spaces, c, points = spaces[order], c[order], True
     # With a space before and after the window, a token lies between two
     # spaces more than one byte apart.
     index = np.int32 if size < 2**31 else np.int64
@@ -275,7 +280,7 @@ def _split(code: np.ndarray, size: int, wide: bool
     starts, ends = spaces[:-1][gap], spaces[1:][gap]
     starts += 1
     # the line breaks: '\n' to '\r', and '\x1c' to '\x1e' among the bytes
-    breaks = _IS_BREAK[c] if points else (c - 10 <= 3) | (c - 28 <= 2)
+    breaks = (c - 10 <= 3) | (c - 28 <= 2)
     breaks[1:] &= (c[1:] != 0x0A) | (c[:-1] != 0x0D) | (step != 1)  # "\r\n" ends one line
     del spaces, c, step
     line = np.cumsum(breaks, dtype=index)

@@ -33,7 +33,7 @@ from blockrank import (
     parse_blocks,
     parse_edge_list,
 )
-from blockrank.errors import BlockRankError, CoverageError, ParseError
+from blockrank.errors import BlockRankError, ConfigurationError, CoverageError, ParseError
 from blockrank.tokens import (
     LINE_BREAKS,
     WHITESPACE,
@@ -330,6 +330,8 @@ LABEL_EDGE_CASES = [
     # and a malformed line wins over a later unknown label
     ("a b\nb a", "a X\nzz X\nb\nb X"),
     ("a b\nb a", "a X\nb\nzz X\nb X"),
+    # labels led by 0xC2 and 0xE2 that are not spaces, between wider spaces
+    ("\u00a9\u00a0\u20ac\n\u20ac\u2003\u2010", "\u00a9\u3000X\n\u20ac X\n\u2010 X"),
 ]
 
 
@@ -361,6 +363,7 @@ MALFORMED_LINES = [
     (" a\x00 b\x1d\x1e\ta\x1fb c", 3),
     ("a b\x0b\rabcdefghi\x00\tb\x0c# x y z\x0c\x1fa b c", 5),
     ("a b\r#c\nd e f\n", 3),
+    ("a b\r\u2028c d e\n", 3),  # two line breaks, not one "\r\n"
 ]
 
 
@@ -837,6 +840,17 @@ def test_byte_order_mark_split_between_reads_is_dropped():
         with pytest.raises(ParseError, match="not valid UTF-8 at byte 7$"):
             parse_edge_list(Source.of(Trickle(data[:7] + b"\xff" + data[7:], chunk), mark=True))
     assert parse_edge_list(Source.of(Trickle(data, 1))).labels[0] == "\ufeffa"
+
+
+@pytest.mark.parametrize("parse", [parse_edge_list,
+                                   lambda text: parse_blocks(text, parse_edge_list("a b"))])
+def test_text_that_is_not_a_str_bytes_or_binary_file_is_refused_by_type(parse, tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("a b\n")
+    with open(path) as text_mode:
+        for text in (text_mode, io.StringIO("a b"), 5):
+            with pytest.raises(ConfigurationError, match=f"got {type(text).__name__} .*binary"):
+                parse(text)
 
 
 class Trickle(io.RawIOBase):
