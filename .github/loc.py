@@ -1,4 +1,5 @@
-"""Print the size of ``src/blockrank``: its total lines and its code lines.
+"""Print the size of ``src/blockrank``: its total lines and its code lines,
+then each module's.
 
 A code line is not blank, not a full-line comment and not inside a
 module, class or function docstring.  Run from the repository root:
@@ -21,12 +22,15 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-total = code = 0
+sizes = {}  # module: (total, code)
 for path in sorted(Path("src/blockrank").glob("*.py")):
     source = path.read_text(encoding="utf-8")
     skip = docstring_lines(ast.parse(source))
     lines = source.splitlines()
-    total += len(lines)
-    code += sum(1 for number, line in enumerate(lines, 1)
-                if line.strip() and not line.strip().startswith("#") and number not in skip)
+    sizes[path.stem] = (len(lines), sum(
+        1 for number, line in enumerate(lines, 1)
+        if line.strip() and not line.strip().startswith("#") and number not in skip))
+total, code = map(sum, zip(*sizes.values()))
 print(f"src/blockrank: {total} lines, {code} of them code")
+for module, (lines, code) in sorted(sizes.items(), key=lambda item: -item[1][0]):
+    print(f"  {module}.py: {lines} lines, {code} of them code")

@@ -3,7 +3,7 @@
 # on a 5-node graph with a non-ASCII label and a blocks file with CRLF line
 # ends, then `check`, `rank` and `compare` on an edge list of several parse
 # windows, and `rank` on a cover where one block meets every aggregate, with
-# and without a dangling node.
+# and without a dangling node; `rank` cut off by a reader that stops early.
 # Needs `pip install -e .`, `seq`, `awk`, `sed`, `od` and `timeout`; runs in a scratch
 # directory, removed on exit.
 set -euo pipefail
@@ -180,6 +180,14 @@ tr -d '\r' < lf.edges | awk '{ print $1; print $2 }' | LC_ALL=C sort -u \
 blockrank rank --graph crlf.edges --blocks crlf.blocks > crlf.tsv
 test "$(wc -l < crlf.tsv)" -eq 5001
 blockrank rank --graph lf.edges --blocks crlf.blocks | cmp - crlf.tsv
+# a reader that stops after the first line, as `head -1` does, while rank
+# still has most of its output (over the pipe's 64 KiB) to write: rank
+# stops quietly, status 141 (128 + SIGPIPE) and nothing on stderr
+status=0
+blockrank rank --graph crlf.edges --blocks crlf.blocks 2> pipe.err | head -1 > /dev/null \
+  || status=$?
+test "$status" -eq 141
+test ! -s pipe.err
 # the same file with one byte that is not UTF-8 past the first window: one
 # error line naming its offset in the file, exit 2, no traceback
 { head -c 400000 crlf.edges; printf '\377'; tail -c +400001 crlf.edges; } > badbyte.edges

@@ -1,8 +1,9 @@
 """Command-line front end: check / rank / compare / materialize.
 
 Exit codes: 0 success, 1 admissibility criterion fails, 2 input error,
-3 non-convergence.  Output is deterministic: identical inputs and flags
-produce byte-identical bytes, with scores printed to 12 significant digits.
+3 non-convergence, 141 output pipe closed by its reader.  Output is
+deterministic: identical inputs and flags produce byte-identical bytes,
+with scores printed to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_INADMISSIBLE = 1  # also ReducibleModelError, raised by the strict gate
 EXIT_INPUT_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader cut off
 
 
 def _jnum(x: float) -> float:
@@ -146,11 +149,14 @@ def _load(args) -> tuple[Graph, Decomposition, ProximityFactors]:
     return g, d, build_factors(d, g)
 
 
-def _prelude(args) -> tuple[Graph, ProximityFactors, bool, HyperlinkOperator, RankParams]:
+def _prelude(args) -> tuple[tuple[str, ...], ProximityFactors, bool, HyperlinkOperator,
+                             RankParams]:
     """Shared start of ``rank`` and ``compare``: check the flags, load,
     refuse a teleport-free model that is not admissible unless
     ``--no-strict``, and only then build ``H``; under ``--dangling
-    uniform`` first, as that gate reads its dangling nodes."""
+    uniform`` first, as that gate reads its dangling nodes.  It passes on
+    the node labels, not the graph, whose pattern ``H^T`` has copied in
+    length order: the links are then held once."""
     params = RankParams(eta=args.eta, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
     if args.teleport is not None:
         if not math.isfinite(args.teleport):
@@ -166,7 +172,7 @@ def _prelude(args) -> tuple[Graph, ProximityFactors, bool, HyperlinkOperator, Ra
     verdict = admissible(f, params, d.block_labels, not args.no_strict, h)
     if h is None:
         h = build_hyperlink(g, policy, d)
-    return g, f, verdict, h, params
+    return g.labels, f, verdict, h, params
 
 
 def _warn_no_convergence(subject: str, result: RankResult, tol: float) -> None:
@@ -205,10 +211,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    g, f, verdict, h, params = _prelude(args)
+    labels, f, verdict, h, params = _prelude(args)
     result = rank(h, f, params, strict=False)
-    order = order_by_score(result.scores, g.labels, args.top)
-    labels, scores = g.labels, result.scores
+    scores = result.scores
+    order = order_by_score(scores, labels, args.top)
 
     if args.output_format == "json":
         payload = {
@@ -238,11 +244,11 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g, f, _, h, params = _prelude(args)
+    labels, f, _, h, params = _prelude(args)
     model = rank(h, f, params, strict=False)
     baseline = pagerank(h, tol=params.tol, max_iter=params.max_iter)
     k = DEFAULT_TOP_K if args.top is None else args.top
-    cmp = compare(model, baseline, k, g.labels)
+    cmp = compare(model, baseline, k, labels)
     if cmp.clipped:
         print(f"warning: top-k clipped to {cmp.k}", file=sys.stderr)
 
@@ -317,7 +323,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so a closed pipe shows inside the try, not at exit
+        return code
+    except BrokenPipeError:  # an OSError, but the output's, not the input's
+        # fd 1 to the null device, so the interpreter's last flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except ReducibleModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

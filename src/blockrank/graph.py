@@ -50,7 +50,7 @@ class Graph:
     Node ids are dense integers in ``[0, n)``; ``labels[i]`` is node ``i``'s
     original label.  ``indptr`` and ``indices`` (int32) are the transposed
     adjacency in CSR: row ``v`` lists the sources of the links into ``v``,
-    ascending, the pattern ``H^T`` shares.  Duplicate edges are collapsed,
+    ascending, the pattern ``H^T`` copies.  Duplicate edges are collapsed,
     self-loops kept.
     """
 
@@ -188,8 +188,11 @@ class HyperlinkOperator:
     """Row-stochastic surfing operator, applied as ``x -> x @ H``.
 
     ``base_t`` holds the normalized link rows (``1/d_u``; dangling rows are
-    zero) transposed, in CSR on the graph's own pattern arrays: their part
-    of ``x @ H`` is the row gather ``base_t @ x``.  The dangling rows are
+    zero) transposed, in CSR: stored row ``row[v]`` lists the links into
+    node ``v``, by ascending source, so their part of ``x @ H`` is the
+    gather ``(base_t @ x)[row]``.  Within each window of ``tokens.BATCH``
+    rows the rows are stored stably by length, shortest first (see
+    :func:`build_hyperlink`).  The dangling rows are
     kept apart, dangling node ``dangling[i]`` sending ``share[i]``: under
     ``UNIFORM_ALL`` ``1/n`` to every node, a rank-one term; under
     ``OWN_BLOCK`` one over the size of the union of its blocks to every node
@@ -201,6 +204,7 @@ class HyperlinkOperator:
     n: int
     policy: DanglingPolicy
     base_t: sparse.csr_array
+    row: np.ndarray
     dangling: np.ndarray
     share: np.ndarray
     reach: sparse.csr_array | None = None
@@ -210,7 +214,7 @@ class HyperlinkOperator:
         """Materialize the full stochastic matrix (test/debug aid; refuses
         above ``MATERIALIZE_CAP`` nodes)."""
         require_dense(self.n)
-        dense = self.base_t.T.toarray()
+        dense = self.base_t[self.row].T.toarray()
         if self.policy is DanglingPolicy.OWN_BLOCK:
             dense[self.dangling] = self.reach.toarray()[self.signature].T * self.share[:, None]
         else:
@@ -228,6 +232,12 @@ def build_hyperlink(
     Non-dangling rows carry ``1/d_u`` on the out-neighbors.  A dangling
     row is uniform over the union of the node's own blocks (``OWN_BLOCK``,
     which requires ``decomp``) or uniform over all nodes (``UNIFORM_ALL``).
+
+    ``H^T``'s rows are the graph's pattern rows, stored stably by length
+    within each window of ``tokens.BATCH`` rows: a window's links keep
+    their span, so the copy is gathered a window at a time, with scratch
+    for one window's links.  Each row keeps its ascending sources, and
+    ``base_t`` holds its own arrays, so the graph can be dropped after.
     """
     if not isinstance(policy, DanglingPolicy):
         raise ConfigurationError(f"policy must be a DanglingPolicy, got {policy!r}")
@@ -239,12 +249,28 @@ def build_hyperlink(
                 f"decomposition covers {decomp.n} nodes but the graph has {g.n}"
             )
 
-    n, degree = g.n, g.out_degree  # H^T's entry (v, u) is 1/d_u, on the graph's pattern
-    base_t = sparse.csr_array(((1.0 / np.maximum(degree, 1))[g.indices], g.indices, g.indptr),
+    n, degree, length = g.n, g.out_degree, np.diff(g.indptr)
+    row = np.empty(n, dtype=np.intp)
+    indptr, indices = g.indptr.copy(), np.empty_like(g.indices)
+    for lo in range(0, n, tokens.BATCH):
+        hi = min(lo + tokens.BATCH, n)
+        nodes = length[lo:hi].astype(np.int64) << 32  # by length, then id: a stable order
+        nodes |= np.arange(lo, hi)
+        nodes.sort()
+        nodes &= 0xFFFFFFFF  # the nodes of stored rows lo .. hi - 1
+        row[nodes] = np.arange(lo, hi)
+        links = length[nodes]
+        np.cumsum(links, out=indptr[lo + 1:hi + 1])
+        indptr[lo + 1:hi + 1] += indptr[lo]
+        at = np.arange(indptr[lo], indptr[hi])  # each link's place in g
+        at += np.repeat(g.indptr[nodes] - indptr[lo:hi], links)
+        indices[indptr[lo]:indptr[hi]] = np.take(g.indices, at)
+    del length, nodes, links, at  # before the weights: H^T's entry (v, u) is 1/d_u
+    base_t = sparse.csr_array(((1.0 / np.maximum(degree, 1))[indices], indices, indptr),
                               shape=(n, n))
     dangling = np.flatnonzero(degree == 0)
     if policy is not DanglingPolicy.OWN_BLOCK:
-        return HyperlinkOperator(n=n, policy=policy, base_t=base_t, dangling=dangling,
+        return HyperlinkOperator(n=n, policy=policy, base_t=base_t, row=row, dangling=dangling,
                                  share=np.full(dangling.size, 1.0 / n))
 
     # v lies in the union of dangling u's blocks when their block sets meet,
@@ -262,7 +288,7 @@ def build_hyperlink(
     reach.sum_duplicates()
     reach.data[:] = 1.0
     size = reach.T @ np.bincount(signature)
-    return HyperlinkOperator(n=n, policy=policy, base_t=base_t, dangling=dangling,
+    return HyperlinkOperator(n=n, policy=policy, base_t=base_t, row=row, dangling=dangling,
                              share=1.0 / size, reach=reach, signature=signature)
 
 
@@ -270,15 +296,19 @@ def hyperlink_apply(h: HyperlinkOperator, x: np.ndarray) -> np.ndarray:
     """Compute ``x @ H`` without materializing the dense matrix.
 
     ``x`` must have length ``n`` with non-negative entries; the result is
-    exactly what the dense row-stochastic matrix would produce.  The
-    ``OWN_BLOCK`` dangling term adds, at each node, the same products
-    ``share[i] * x[dangling[i]]`` in the same ascending order as a product
-    with the explicit rows would.
+    exactly what the dense row-stochastic matrix would produce.  The links'
+    part is ``(base_t @ x)[row]``: each stored row sums its links in
+    ascending source order, as a node-ordered ``H^T`` would, and the gather
+    puts the sums back in node order.  Rows of one length run together, so
+    the product's loop over a row's links ends where the branch predictor
+    expects.  The ``OWN_BLOCK`` dangling term adds, at each node, the same
+    products ``share[i] * x[dangling[i]]`` in the same ascending order as a
+    product with the explicit rows would.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (h.n,):
         raise DimensionError(f"vector of length {x.shape} against operator of order {h.n}")
-    y = h.base_t @ x
+    y = (h.base_t @ x)[h.row]
     if h.dangling.size:
         if h.policy is DanglingPolicy.OWN_BLOCK:
             y += (h.reach @ (x[h.dangling] * h.share))[h.signature]

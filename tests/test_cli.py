@@ -603,6 +603,33 @@ class TestRank:
         assert "no convergence of the model after 3 iterations" in err
         assert "no convergence of the baseline after 3 iterations" in err
 
+    def test_closed_output_pipe_prints_nothing_and_exits_141(self, tmp_path):
+        """A reader that closes the output after its first line, as ``head
+        -1`` does: no error line and status 141 (128 + SIGPIPE), where the
+        closed pipe was once reported as an input error, status 2.  The
+        20,000 rows (about 390 KB) outgrow the pipe's 64 KiB buffer, so the
+        command is still writing when the pipe closes."""
+        n = 20_000
+        graph, blocks = tmp_path / "ring.edges", tmp_path / "ring.blocks"
+        graph.write_text("".join(f"v{u}\tv{(u + 1) % n}\nv{u}\tv{(7 * u + 3) % n}\n"
+                                 for u in range(n)), encoding="utf-8")
+        blocks.write_text("".join(f"v{u}\tb{u % 10}\n" for u in range(n)), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(blockrank.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = "import sys; from blockrank.cli import main; sys.exit(main())"
+        argv = [sys.executable, "-c", script, "rank", "--graph", str(graph), "--blocks", str(blocks)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": path}) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                err = proc.stderr.read()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+        assert first.startswith(b"v")
+        assert (code, err) == (141, b"")
+
 
 class TestCompare:
     def test_identical_models_have_zero_distance(self, tmp_path, capsys):

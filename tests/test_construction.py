@@ -150,7 +150,7 @@ def test_hyperlink_matches_per_node_reference(instance):
     for policy in DanglingPolicy:
         h = build_hyperlink(g, policy, d)
         base, dangling_rows = reference_hyperlink(g, policy, d)
-        assert_same_csr(h.base_t.T.tocsr(), base)
+        assert_same_csr(h.base_t[h.row].T.tocsr(), base)
         if policy is DanglingPolicy.OWN_BLOCK:
             assert_same_csr(explicit_dangling_rows(h), dangling_rows)
         assert h.dangling.tolist() == np.flatnonzero(g.out_degree == 0).tolist()
