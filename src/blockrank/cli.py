@@ -321,16 +321,22 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` when ``None``) and
+    return its exit code.  A closed output pipe gives 141 and nothing on
+    stderr; run as the script (``argv`` ``None``), fd 1 is then pointed at
+    the null device for the rest of the process, so that the interpreter's
+    last flush stays quiet."""
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.run(args)
-        sys.stdout.flush()  # so a closed pipe shows inside the try, not at exit
-        return code
+        try:
+            return args.run(args)
+        finally:
+            sys.stdout.flush()  # in the try, so a closed pipe is caught on every path
     except BrokenPipeError:  # an OSError, but the output's, not the input's
-        # fd 1 to the null device, so the interpreter's last flush stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
+        if argv is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
         return EXIT_CLOSED_PIPE
     except ReducibleModelError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 MATERIALIZE_CAP = 2000  # largest order of a dense debug view or oracle input
+# H^T's rows are stored by length within windows of LENGTH_WINDOW rows, on
+# graphs of at most LENGTH_ORDER_NODES nodes.  A window is wide enough for
+# rows of one length to run together and narrow enough to keep the rows
+# whose sources lie close in node order together.  Past 2^18 nodes x (8
+# bytes a node) outgrows a core's 2 MiB cache: the product waits on memory
+# in any row order, and the gather back into node order only adds to it.
+LENGTH_WINDOW = 4096
+LENGTH_ORDER_NODES = 1 << 18
 
 
 def require_dense(order: int) -> None:
@@ -50,7 +58,8 @@ class Graph:
     Node ids are dense integers in ``[0, n)``; ``labels[i]`` is node ``i``'s
     original label.  ``indptr`` and ``indices`` (int32) are the transposed
     adjacency in CSR: row ``v`` lists the sources of the links into ``v``,
-    ascending, the pattern ``H^T`` copies.  Duplicate edges are collapsed,
+    ascending: ``H^T``'s pattern, which :func:`build_hyperlink` shares or
+    copies in length order.  Duplicate edges are collapsed,
     self-loops kept.
     """
 
@@ -190,9 +199,11 @@ class HyperlinkOperator:
     ``base_t`` holds the normalized link rows (``1/d_u``; dangling rows are
     zero) transposed, in CSR: stored row ``row[v]`` lists the links into
     node ``v``, by ascending source, so their part of ``x @ H`` is the
-    gather ``(base_t @ x)[row]``.  Within each window of ``tokens.BATCH``
-    rows the rows are stored stably by length, shortest first (see
-    :func:`build_hyperlink`).  The dangling rows are
+    gather ``(base_t @ x)[row]``.  Within each window of ``LENGTH_WINDOW``
+    rows the rows are stored stably by length, shortest first; ``row`` is
+    ``None`` where they are stored in node order (see
+    :func:`build_hyperlink`).  Other modules read the links through
+    :func:`links_by_node` and :func:`grouped_links`.  The dangling rows are
     kept apart, dangling node ``dangling[i]`` sending ``share[i]``: under
     ``UNIFORM_ALL`` ``1/n`` to every node, a rank-one term; under
     ``OWN_BLOCK`` one over the size of the union of its blocks to every node
@@ -204,7 +215,7 @@ class HyperlinkOperator:
     n: int
     policy: DanglingPolicy
     base_t: sparse.csr_array
-    row: np.ndarray
+    row: np.ndarray | None
     dangling: np.ndarray
     share: np.ndarray
     reach: sparse.csr_array | None = None
@@ -214,7 +225,7 @@ class HyperlinkOperator:
         """Materialize the full stochastic matrix (test/debug aid; refuses
         above ``MATERIALIZE_CAP`` nodes)."""
         require_dense(self.n)
-        dense = self.base_t[self.row].T.toarray()
+        dense = (self.base_t if self.row is None else self.base_t[self.row]).T.toarray()
         if self.policy is DanglingPolicy.OWN_BLOCK:
             dense[self.dangling] = self.reach.toarray()[self.signature].T * self.share[:, None]
         else:
@@ -233,11 +244,11 @@ def build_hyperlink(
     row is uniform over the union of the node's own blocks (``OWN_BLOCK``,
     which requires ``decomp``) or uniform over all nodes (``UNIFORM_ALL``).
 
-    ``H^T``'s rows are the graph's pattern rows, stored stably by length
-    within each window of ``tokens.BATCH`` rows: a window's links keep
-    their span, so the copy is gathered a window at a time, with scratch
-    for one window's links.  Each row keeps its ascending sources, and
-    ``base_t`` holds its own arrays, so the graph can be dropped after.
+    ``H^T``'s rows are the graph's pattern rows, by ascending source.  On
+    at most ``LENGTH_ORDER_NODES`` nodes they are stored by length within
+    windows (see :func:`_by_length`) in arrays of ``base_t``'s own, and on
+    more in node order on the graph's own arrays: either way the graph
+    can be dropped after, and the links are held once.
     """
     if not isinstance(policy, DanglingPolicy):
         raise ConfigurationError(f"policy must be a DanglingPolicy, got {policy!r}")
@@ -249,23 +260,8 @@ def build_hyperlink(
                 f"decomposition covers {decomp.n} nodes but the graph has {g.n}"
             )
 
-    n, degree, length = g.n, g.out_degree, np.diff(g.indptr)
-    row = np.empty(n, dtype=np.intp)
-    indptr, indices = g.indptr.copy(), np.empty_like(g.indices)
-    for lo in range(0, n, tokens.BATCH):
-        hi = min(lo + tokens.BATCH, n)
-        nodes = length[lo:hi].astype(np.int64) << 32  # by length, then id: a stable order
-        nodes |= np.arange(lo, hi)
-        nodes.sort()
-        nodes &= 0xFFFFFFFF  # the nodes of stored rows lo .. hi - 1
-        row[nodes] = np.arange(lo, hi)
-        links = length[nodes]
-        np.cumsum(links, out=indptr[lo + 1:hi + 1])
-        indptr[lo + 1:hi + 1] += indptr[lo]
-        at = np.arange(indptr[lo], indptr[hi])  # each link's place in g
-        at += np.repeat(g.indptr[nodes] - indptr[lo:hi], links)
-        indices[indptr[lo]:indptr[hi]] = np.take(g.indices, at)
-    del length, nodes, links, at  # before the weights: H^T's entry (v, u) is 1/d_u
+    n, degree = g.n, g.out_degree  # H^T's entry (v, u) is 1/d_u
+    indptr, indices, row = (g.indptr, g.indices, None) if n > LENGTH_ORDER_NODES else _by_length(g)
     base_t = sparse.csr_array(((1.0 / np.maximum(degree, 1))[indices], indices, indptr),
                               shape=(n, n))
     dangling = np.flatnonzero(degree == 0)
@@ -292,6 +288,30 @@ def build_hyperlink(
                              share=1.0 / size, reach=reach, signature=signature)
 
 
+def _by_length(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph's pattern rows, stored stably by length within each window
+    of ``LENGTH_WINDOW`` rows, as ``indptr``, ``indices`` and each node's
+    stored row.  A window's links keep their span, so they are copied a
+    window at a time, with scratch for one window's links."""
+    n, length = g.n, np.diff(g.indptr)
+    row = np.empty(n, dtype=np.intp)
+    indptr, indices = g.indptr.copy(), np.empty_like(g.indices)
+    for lo in range(0, n, LENGTH_WINDOW):
+        hi = min(lo + LENGTH_WINDOW, n)
+        nodes = length[lo:hi].astype(np.int64) << 32  # by length, then id: a stable order
+        nodes |= np.arange(lo, hi)
+        nodes.sort()
+        nodes &= 0xFFFFFFFF  # the nodes of stored rows lo .. hi - 1
+        row[nodes] = np.arange(lo, hi)
+        links = length[nodes]
+        np.cumsum(links, out=indptr[lo + 1:hi + 1])
+        indptr[lo + 1:hi + 1] += indptr[lo]
+        at = np.arange(indptr[lo], indptr[hi])  # each link's place in g
+        at += np.repeat(g.indptr[nodes] - indptr[lo:hi], links)
+        indices[indptr[lo]:indptr[hi]] = np.take(g.indices, at)
+    return indptr, indices, row
+
+
 def hyperlink_apply(h: HyperlinkOperator, x: np.ndarray) -> np.ndarray:
     """Compute ``x @ H`` without materializing the dense matrix.
 
@@ -301,17 +321,65 @@ def hyperlink_apply(h: HyperlinkOperator, x: np.ndarray) -> np.ndarray:
     ascending source order, as a node-ordered ``H^T`` would, and the gather
     puts the sums back in node order.  Rows of one length run together, so
     the product's loop over a row's links ends where the branch predictor
-    expects.  The ``OWN_BLOCK`` dangling term adds, at each node, the same
-    products ``share[i] * x[dangling[i]]`` in the same ascending order as a
-    product with the explicit rows would.
+    expects.  Rows stored in node order (``row`` ``None``) need no gather.
+    The ``OWN_BLOCK`` dangling term adds, at each node, the same products
+    ``share[i] * x[dangling[i]]`` in the same ascending order as a product
+    with the explicit rows would.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (h.n,):
         raise DimensionError(f"vector of length {x.shape} against operator of order {h.n}")
-    y = (h.base_t @ x)[h.row]
+    y = h.base_t @ x
+    if h.row is not None:
+        y = y[h.row]
     if h.dangling.size:
         if h.policy is DanglingPolicy.OWN_BLOCK:
             y += (h.reach @ (x[h.dangling] * h.share))[h.signature]
         else:
             y += x[h.dangling].sum() / h.n
     return y
+
+
+def links_by_node(h: HyperlinkOperator, step: int, label: np.ndarray
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``H^T``'s links in node order (by target, then source), ``step`` at a
+    time, whatever order ``base_t`` stores its rows in: for each batch,
+    each link's target and source mapped through ``label``, and its
+    weight, a copy the caller may overwrite.  Scratch: 8 bytes a node, and
+    16 a link of the batch."""
+    base_t = h.base_t
+    ptr, shift = base_t.indptr, None
+    if h.row is not None:  # node v's links: from ptr[v] in node order, ptr[v] + shift[v] as stored
+        shift = base_t.indptr[:-1][h.row]
+        ptr = np.zeros(h.n + 1, dtype=shift.dtype)
+        np.take(base_t.indptr[1:], h.row, out=ptr[1:], mode="clip")  # clip: no buffered copy
+        ptr[1:] -= shift
+        np.cumsum(ptr, out=ptr)
+        shift -= ptr[:-1]
+    for lo in range(0, base_t.nnz, step):
+        hi = min(lo + step, base_t.nnz)
+        first, last = np.searchsorted(ptr, (lo, hi - 1), side="right") - 1
+        links = np.diff(np.clip(ptr[first:last + 2], lo, hi))
+        if shift is None:
+            source, weight = label[base_t.indices[lo:hi]], base_t.data[lo:hi].copy()
+        else:
+            at = np.repeat(shift[first:last + 1], links)
+            at += np.arange(lo, hi, dtype=at.dtype)
+            # np.take gathers 2.5 times as fast as [] by int32 indices, but it
+            # makes an int64 copy of them: [] on the weights keeps the scratch small
+            source, weight = np.take(base_t.indices, at), base_t.data[at]
+            del at
+            source = label[source]
+        yield np.repeat(label[first:last + 1], links), source, weight
+        del source, weight  # before the next batch's, if the caller has dropped them
+
+
+def grouped_links(h: HyperlinkOperator, members: np.ndarray, bounds: np.ndarray
+                  ) -> sparse.csr_array:
+    """``E^T H^T``, ``E^T``'s row ``k`` having ones at the nodes
+    ``members[bounds[k]:bounds[k + 1]]`` (``bounds`` int32): each entry
+    adds its terms in the order the nodes are listed, whatever order
+    ``base_t`` stores its rows in."""
+    rows = members if h.row is None else h.row[members].astype(np.int32)
+    e_t = sparse.csr_array((np.ones(members.size), rows, bounds), shape=(bounds.size - 1, h.n))
+    return e_t @ h.base_t

@@ -4,10 +4,10 @@ The step ``x' = eta * (x @ H) + mu * ((x @ R) @ A) + t / n``, with
 ``t = 1 - eta - mu`` (teleportation is uniform), forms neither the dense
 proximity matrix nor the ``OWN_BLOCK`` dangling rows.  It reads ``H^T`` and ``R^T`` row-wise in
 CSR, as stored: a row gather beats a column scatter and sums in the same
-order.  ``H^T``'s rows are stored by length within windows, so its product
-is gathered back into node order; the corrector's build reads the links
-in node order too, so each sum keeps its order and every score its bits.
-``A`` is stored as CSR rows, one per block, and its part is
+order.  ``H^T``'s product comes back in node order whatever order its
+rows are stored in, and the corrector's build reads the links in node
+order through ``graph``, so each sum keeps its order and every score its
+bits.  ``A`` is stored as CSR rows, one per block, and its part is
 applied through the CSC view ``A.T``, a column scatter of each block's
 mass over its members.  A step costs O(nnz(G) + n + nnz(Q) + nnz(R) +
 nnz(A)), ``Q`` being ``HyperlinkOperator.reach``.
@@ -34,7 +34,8 @@ from scipy import sparse
 from . import tokens
 from .decomp import ProximityFactors, indicator
 from .errors import ConfigurationError, DimensionError, ReducibleModelError
-from .graph import DanglingPolicy, HyperlinkOperator, hyperlink_apply
+from .graph import (DanglingPolicy, HyperlinkOperator, grouped_links, hyperlink_apply,
+                    links_by_node)
 from .spectra import is_irreducible, teleportation_free_check
 
 __all__ = [
@@ -251,12 +252,11 @@ class BlockAggregation:
         return pi / pi.sum()
 
 
-def _spread(indptr: np.ndarray, lo: int, hi: int, *values: np.ndarray) -> list[np.ndarray]:
-    """Each of ``values``, one entry per row of a CSR matrix, repeated over
-    the row's entries among ``lo .. hi - 1``."""
+def _rows(indptr: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The row (int32) of each entry ``lo .. hi - 1`` of a CSR matrix."""
     first, last = np.searchsorted(indptr, (lo, hi - 1), side="right") - 1
-    links = np.diff(np.clip(indptr[first:last + 2], lo, hi))
-    return [np.repeat(v[first:last + 1], links) for v in values]
+    return np.repeat(np.arange(first, last + 1, dtype=np.int32),
+                     np.diff(np.clip(indptr[first:last + 2], lo, hi)))
 
 
 def _csr(data, rows, cols, shape) -> sparse.csr_array:
@@ -267,29 +267,15 @@ def _csr(data, rows, cols, shape) -> sparse.csr_array:
 def _link_leaks(h: HyperlinkOperator, agg: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Each aggregate's leak under ``H`` (times ``eta``, a lower bound on
     the leak under ``P``), reading the links ``tokens.BATCH`` at a time in
-    node order (by target, then source), whatever order ``H^T`` stores its
-    rows in, so the sums are those of node-ordered rows.  Each dangling
-    node sends its ``share`` to every node of its aggregate."""
-    base_t, dangling = h.base_t, h.dangling
-    # node v's links start at ptr[v] in node order and at ptr[v] + shift[v] as stored
-    shift = base_t.indptr[:-1][h.row]
-    ptr = np.zeros(h.n + 1, dtype=base_t.indptr.dtype)
-    np.take(base_t.indptr[1:], h.row, out=ptr[1:], mode="clip")
-    ptr[1:] -= shift
-    np.cumsum(ptr, out=ptr)
-    shift -= ptr[:-1]
+    node order, so the sums are those of node-ordered rows whatever order
+    ``H^T`` stores its rows in.  Each dangling node sends its ``share`` to
+    every node of its aggregate."""
+    dangling = h.dangling
     stay = np.zeros(size.size)
-    for lo in range(0, base_t.nnz, tokens.BATCH):
-        hi = min(lo + tokens.BATCH, base_t.nnz)
-        to, at = _spread(ptr, lo, hi, agg, shift)
-        at += np.arange(lo, hi, dtype=at.dtype)
-        # np.take gathers 2.5 times as fast as [] by int32 indices, but it
-        # makes an int64 copy of them: [] on data keeps within the bound
-        same = agg[np.take(base_t.indices, at)] == to
-        weight = base_t.data[at]
-        weight *= same
+    for to, source, weight in links_by_node(h, tokens.BATCH, agg):
+        weight *= source == to
         np.add.at(stay, to, weight)
-        del to, at, same, weight  # before the next batch's
+        del to, source, weight  # before the next batch's
     back = h.share * size[agg[dangling]]
     stay += np.bincount(agg[dangling], weights=back, minlength=size.size)
     return 1.0 - stay / size
@@ -297,17 +283,12 @@ def _link_leaks(h: HyperlinkOperator, agg: np.ndarray, size: np.ndarray) -> np.n
 
 def _aggregated_links(h: HyperlinkOperator, agg: np.ndarray, order: np.ndarray,
                       size: np.ndarray, eta: float) -> sparse.csr_array:
-    """``eta (H E)^T`` as ``eta E^T H^T``.  ``E^T``'s columns are ``H^T``'s
-    stored rows, each aggregate's listed in node order, so the product adds
-    each entry's terms in node order as with node-ordered rows.
-    ``OWN_BLOCK`` dangling node i sends ``share[i] * (nodes of signature
-    s)`` to aggregate ``agg(s)`` for each signature s its row reaches;
-    ``UNIFORM_ALL`` ones are left out."""
+    """``eta (H E)^T`` as ``eta E^T H^T``, each entry adding its terms in
+    node order.  ``OWN_BLOCK`` dangling node i sends ``share[i] * (nodes of
+    signature s)`` to aggregate ``agg(s)`` for each signature s its row
+    reaches; ``UNIFORM_ALL`` ones are left out."""
     n, k = h.n, size.size
-    e_t = sparse.csr_array((np.ones(n), h.row[order].astype(np.int32),
-                            np.append(0, np.cumsum(size)).astype(np.int32)), shape=(k, n))
-    he_t = e_t @ h.base_t
-    del e_t
+    he_t = grouped_links(h, order, np.append(0, np.cumsum(size)).astype(np.int32))
     if h.policy is DanglingPolicy.OWN_BLOCK:
         sig_agg = np.empty(h.reach.shape[0], dtype=np.int32)
         sig_agg[h.signature] = agg
@@ -361,10 +342,9 @@ def block_aggregation(
         return None
     R, A = f.R, f.A
     first = np.full(n, K, dtype=np.int32)  # each node's lowest block
-    block = np.arange(K, dtype=np.int32)
     for lo in range(0, A.nnz, tokens.BATCH):
         hi = min(lo + tokens.BATCH, A.nnz)
-        np.minimum.at(first, A.indices[lo:hi], *_spread(A.indptr, lo, hi, block))
+        np.minimum.at(first, A.indices[lo:hi], _rows(A.indptr, lo, hi))
     used = np.bincount(first, minlength=K) > 0
     k = int(used.sum())
     if k < 2:

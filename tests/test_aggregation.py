@@ -428,9 +428,10 @@ def traced_peak(call):
 def test_refusal_scratch_memory_is_linear_in_the_nodes_not_the_links(degree):
     """A refusal by the links reads them ``tokens.BATCH`` at a time: on
     20,000 nodes the traced peak is the same with 220k and 880k links,
-    1.08 MB (0.34 MB with batches of 4096: about 14.5 bytes per node and 12
-    per batch entry), against 4.2 and 14.4 MB when every link was gathered
-    at once."""
+    1.53 MB (0.49 MB with batches of 4096: about 21 bytes per node and 17
+    per batch entry, the node-order map over length-ordered rows included;
+    1.08 MB, 14.5 and 12, with the rows stored in node order), against 4.2
+    and 14.4 MB when every link was gathered at once."""
     g, d = large_instance(20_000, 40, degree, 0.9, 7)
     h, f = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d), build_factors(d, g)
     assert h.base_t.nnz >= 200_000

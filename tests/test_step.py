@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-import blockrank.tokens
+import blockrank.graph
 from blockrank import (
     DanglingPolicy,
     Decomposition,
@@ -95,20 +95,20 @@ def test_links_are_stored_once_and_transposed_as_csr(instance):
 
 @SETTINGS
 @given(instances(), st.integers(1, 5))
-def test_rows_are_stored_by_length_within_windows(instance, batch):
+def test_rows_are_stored_by_length_within_windows(instance, window):
     g, d, _ = instance
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(blockrank.tokens, "BATCH", batch)
+        patch.setattr(blockrank.graph, "LENGTH_WINDOW", window)
         h = build_hyperlink(g, DanglingPolicy.OWN_BLOCK, d)
     indptr, indices = h.base_t.indptr, h.base_t.indices
     length = np.diff(indptr)
     node = np.empty(g.n, dtype=np.int64)  # each stored row's node
     node[h.row] = np.arange(g.n)
     assert sorted(node.tolist()) == list(range(g.n))
-    for lo in range(0, g.n, batch):  # a window's own nodes, by length, then id
-        window = list(zip(length[lo:lo + batch].tolist(), node[lo:lo + batch].tolist()))
-        assert window == sorted(window)
-        assert sorted(node[lo:lo + batch].tolist()) == list(range(lo, min(lo + batch, g.n)))
+    for lo in range(0, g.n, window):  # a window's own nodes, by length, then id
+        rows = list(zip(length[lo:lo + window].tolist(), node[lo:lo + window].tolist()))
+        assert rows == sorted(rows)
+        assert sorted(node[lo:lo + window].tolist()) == list(range(lo, min(lo + window, g.n)))
     for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
         assert (np.diff(indices[a:b]) > 0).all()  # ascending sources
     links, _ = reference_hyperlink(g, DanglingPolicy.OWN_BLOCK, d)
@@ -178,12 +178,17 @@ def same_csr(a: sparse.csr_array, b: sparse.csr_array) -> bool:
 @pytest.mark.parametrize("cover", [False, True], ids=["partition", "cover"])
 @pytest.mark.parametrize("policy", list(DanglingPolicy))
 def test_length_order_gives_the_bits_of_node_order(policy, cover):
-    """Rows stored by length give what the same links in node order give,
-    bit for bit: the product, both rankings and the corrector."""
+    """Rows stored by length give what the same links in node order (as
+    on a graph above ``LENGTH_ORDER_NODES``) give, bit for bit: the dense
+    view, the product, both rankings and the corrector."""
     g, d = ncd_instance(np.random.default_rng(37), 400, 6, 0.01, cover=cover, dangling=0.05)
     h, f = build_hyperlink(g, policy, d), build_factors(d, g)
-    plain = dataclasses.replace(h, base_t=h.base_t[h.row], row=np.arange(g.n))
-    assert h.dangling.size > 0 and not np.array_equal(h.row, plain.row)
+    with pytest.MonkeyPatch.context() as patch:  # as on a graph too large for the length order
+        patch.setattr(blockrank.graph, "LENGTH_ORDER_NODES", g.n - 1)
+        plain = build_hyperlink(g, policy, d)
+    assert plain.row is None and np.shares_memory(plain.base_t.indices, g.indices)
+    assert h.dangling.size > 0 and not np.array_equal(h.row, np.arange(g.n))
+    assert np.array_equal(h.to_dense(), plain.to_dense())
     x = non_negative(np.random.default_rng(3), g.n)
     assert np.array_equal(hyperlink_apply(h, x), hyperlink_apply(plain, x))
 
