@@ -69,6 +69,11 @@ blockrank rank --graph loop.edges --blocks sink.blocks --dangling uniform 2> loo
 test "$status" -eq 1
 test "$(cat loop.err)" = 'error: indicator matrix is reducible; blocking components: X Y'
 test "$(wc -l < loop.err)" -eq 1
+status=0
+blockrank compare --graph loop.edges --blocks sink.blocks --dangling uniform 2> loop.err || status=$?
+test "$status" -eq 1
+test "$(cat loop.err)" = 'error: indicator matrix is reducible; blocking components: X Y'
+test "$(wc -l < loop.err)" -eq 1
 # one step observes no rate: exit 3 with one warning line, no traceback
 status=0
 blockrank rank --graph smoke.edges --blocks smoke.blocks --max-iter 1 > one.tsv 2> one.err \

@@ -156,7 +156,8 @@ def _prelude(args) -> tuple[tuple[str, ...], ProximityFactors, bool, HyperlinkOp
     ``--no-strict``, and only then build ``H``; under ``--dangling
     uniform`` first, as that gate reads its dangling nodes.  It passes on
     the node labels, not the graph, whose pattern ``H^T`` has copied in
-    length order: the links are then held once."""
+    length order, or above ``graph.LENGTH_ORDER_NODES`` nodes shares in
+    node order: either way the links are then held once."""
     params = RankParams(eta=args.eta, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
     if args.teleport is not None:
         if not math.isfinite(args.teleport):

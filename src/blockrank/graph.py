@@ -203,7 +203,8 @@ class HyperlinkOperator:
     rows the rows are stored stably by length, shortest first; ``row`` is
     ``None`` where they are stored in node order (see
     :func:`build_hyperlink`).  Other modules read the links through
-    :func:`links_by_node` and :func:`grouped_links`.  The dangling rows are
+    :func:`links_by_node` and :func:`grouped_links`, and ``UNIFORM_ALL``'s
+    jump through :func:`jump_block`.  The dangling rows are
     kept apart, dangling node ``dangling[i]`` sending ``share[i]``: under
     ``UNIFORM_ALL`` ``1/n`` to every node, a rank-one term; under
     ``OWN_BLOCK`` one over the size of the union of its blocks to every node
@@ -376,10 +377,31 @@ def links_by_node(h: HyperlinkOperator, step: int, label: np.ndarray
 
 def grouped_links(h: HyperlinkOperator, members: np.ndarray, bounds: np.ndarray
                   ) -> sparse.csr_array:
-    """``E^T H^T``, ``E^T``'s row ``k`` having ones at the nodes
-    ``members[bounds[k]:bounds[k + 1]]`` (``bounds`` int32): each entry
-    adds its terms in the order the nodes are listed, whatever order
-    ``base_t`` stores its rows in."""
+    """``E^T H^T`` without ``UNIFORM_ALL``'s dangling rows (see
+    :func:`jump_block`), ``E^T``'s row ``k`` having ones at the nodes
+    ``members[bounds[k]:bounds[k + 1]]`` (``bounds`` int32), groups that
+    partition the nodes and hold each signature whole, as the nodes'
+    lowest blocks do.  A link entry adds its terms in the order the nodes
+    are listed, whatever order ``base_t`` stores its rows in; an
+    ``OWN_BLOCK`` dangling node ``i`` sends ``share[i] * (nodes of
+    signature s)`` to the group of each signature ``s`` its row reaches."""
+    n, k = h.n, bounds.size - 1
     rows = members if h.row is None else h.row[members].astype(np.int32)
-    e_t = sparse.csr_array((np.ones(members.size), rows, bounds), shape=(bounds.size - 1, h.n))
-    return e_t @ h.base_t
+    links = sparse.csr_array((np.ones(members.size), rows, bounds), shape=(k, n)) @ h.base_t
+    if h.policy is DanglingPolicy.UNIFORM_ALL:
+        return links
+    group = np.empty(h.reach.shape[0], dtype=np.int32)
+    group[h.signature[members]] = np.repeat(np.arange(k, dtype=np.int32), np.diff(bounds))
+    reach = h.reach.tocoo()
+    return links + sparse.csr_array((h.share[reach.col] * np.bincount(h.signature)[reach.row],
+                                     (h.dangling[reach.col].astype(np.int32), group[reach.row])),
+                                    shape=(n, k)).T
+
+
+def jump_block(h: HyperlinkOperator) -> sparse.csr_array | None:
+    """``UNIFORM_ALL``'s jump as one more block that the dangling nodes
+    enter and that holds every node: its ``1 x n`` row of the dangling
+    nodes, or ``None`` under ``OWN_BLOCK`` or when no node dangles."""
+    if h.policy is DanglingPolicy.OWN_BLOCK or h.dangling.size == 0:
+        return None
+    return ones_at(np.zeros_like(h.dangling), h.dangling, (1, h.n))

@@ -10,7 +10,7 @@ order through ``graph``, so each sum keeps its order and every score its
 bits.  ``A`` is stored as CSR rows, one per block, and its part is
 applied through the CSC view ``A.T``, a column scatter of each block's
 mass over its members.  A step costs O(nnz(G) + n + nnz(Q) + nnz(R) +
-nnz(A)), ``Q`` being ``HyperlinkOperator.reach``.
+nnz(A)), ``Q`` being ``graph``'s map of the ``OWN_BLOCK`` dangling rows.
 
 Without teleportation the iteration contracts at ``|lambda_2(P)|``, near 1
 when a block nearly decouples.  There :func:`rank` rescales ``x`` before
@@ -34,9 +34,8 @@ from scipy import sparse
 from . import tokens
 from .decomp import ProximityFactors, indicator
 from .errors import ConfigurationError, DimensionError, ReducibleModelError
-from .graph import (DanglingPolicy, HyperlinkOperator, grouped_links, hyperlink_apply,
-                    links_by_node)
-from .spectra import is_irreducible, teleportation_free_check
+from .graph import HyperlinkOperator, grouped_links, hyperlink_apply, jump_block, links_by_node
+from .spectra import teleportation_free_check
 
 __all__ = [
     "ComparisonReport",
@@ -177,16 +176,16 @@ class BlockAggregation:
     ``C = E^T Diag(x) P E`` stays factored as ``P`` does: ``C = L + Z (mu A
     E)``, with ``L = E^T Diag(x) eta H E`` and ``Z = E^T Diag(x) R`` (for a
     cover ``Z A E`` can hold ``k^2`` entries).  Under ``UNIFORM_ALL`` with
-    some dangling node, the dangling rows are one more block of that form, a
-    hub: ``Z`` gains a column of each aggregate's dangling mass and ``mu A
-    E`` a row ``eta * size / n``.  ``f`` stacks ``L^T`` over ``Z^T`` on a
-    fixed pattern whose entries each correction rewrites as ``runs @ x``,
-    and ``ae_t`` is ``mu (A E)^T`` (with the hub's column), so ``C^T =
-    f[:k] + ae_t @ f[k:]``.  ``leak`` is the weakest aggregate's.  With
-    ``exact`` (``K^2 <= n``) ``C`` is formed and solved densely, else
-    applied through the factors by power steps.  A correction costs
-    O(nnz(H E) + nnz(R) + n) plus ``K^3`` or ``steps * (nnz(L) + nnz(Z) +
-    nnz(A E))``.
+    some dangling node, the dangling rows are one more block of that form,
+    :func:`~blockrank.graph.jump_block`'s hub: ``Z`` gains a column of each
+    aggregate's dangling mass and ``mu A E`` a row ``eta * size / n``.
+    ``f`` stacks ``L^T`` over ``Z^T`` on a fixed pattern whose entries each
+    correction rewrites as ``runs @ x``, and ``ae_t`` is ``mu (A E)^T``
+    (with the hub's column), so ``C^T = f[:k] + ae_t @ f[k:]``.  ``leak``
+    is the weakest aggregate's.  With ``exact`` (``K^2 <= n``) ``C`` is
+    formed and solved densely, else applied through the factors by power
+    steps.  A correction costs O(nnz(H E) + nnz(R) + n) plus ``K^3`` or
+    ``steps * (nnz(L) + nnz(Z) + nnz(A E))``.
     """
 
     agg: np.ndarray
@@ -259,11 +258,6 @@ def _rows(indptr: np.ndarray, lo: int, hi: int) -> np.ndarray:
                      np.diff(np.clip(indptr[first:last + 2], lo, hi)))
 
 
-def _csr(data, rows, cols, shape) -> sparse.csr_array:
-    """The CSR matrix of COO triples, with int32 indices."""
-    return sparse.csr_array((data, (rows.astype(np.int32), cols.astype(np.int32))), shape=shape)
-
-
 def _link_leaks(h: HyperlinkOperator, agg: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Each aggregate's leak under ``H`` (times ``eta``, a lower bound on
     the leak under ``P``), reading the links ``tokens.BATCH`` at a time in
@@ -281,30 +275,14 @@ def _link_leaks(h: HyperlinkOperator, agg: np.ndarray, size: np.ndarray) -> np.n
     return 1.0 - stay / size
 
 
-def _aggregated_links(h: HyperlinkOperator, agg: np.ndarray, order: np.ndarray,
-                      size: np.ndarray, eta: float) -> sparse.csr_array:
-    """``eta (H E)^T`` as ``eta E^T H^T``, each entry adding its terms in
-    node order.  ``OWN_BLOCK`` dangling node i sends ``share[i] * (nodes of
-    signature s)`` to aggregate ``agg(s)`` for each signature s its row
-    reaches; ``UNIFORM_ALL`` ones are left out."""
-    n, k = h.n, size.size
-    he_t = grouped_links(h, order, np.append(0, np.cumsum(size)).astype(np.int32))
-    if h.policy is DanglingPolicy.OWN_BLOCK:
-        sig_agg = np.empty(h.reach.shape[0], dtype=np.int32)
-        sig_agg[h.signature] = agg
-        reach = h.reach.tocoo()
-        he_t = he_t + _csr(h.share[reach.col] * np.bincount(h.signature)[reach.row],
-                           h.dangling[reach.col], sig_agg[reach.row], (n, k)).T
-    he_t.data *= eta
-    return he_t
-
-
-def _runs(m: sparse.csr_array, order: np.ndarray, rank: np.ndarray, agg: np.ndarray, k: int):
-    """The entries of ``m`` (CSR over nodes) in runs of one row and one
-    aggregate, as the rows of a CSR matrix, nodes ascending, and the runs'
-    keys ``row * k + aggregate``.  ``order`` lists the nodes by aggregate,
-    then id; ``rank`` inverts it.  The runs take over ``m.data``, sorted in
-    place, so ``m`` must be a temporary."""
+def _runs(blocks: list, order: np.ndarray, rank: np.ndarray, agg: np.ndarray, k: int):
+    """The entries of the CSR ``blocks`` (over nodes) stacked, in runs of one
+    row and one aggregate, as the rows of a CSR matrix, nodes ascending, and
+    the runs' keys ``row * k + aggregate``.  ``order`` lists the nodes by
+    aggregate, then id; ``rank`` inverts it.  ``blocks`` is emptied once
+    stacked, and the runs take over the stack's data, sorted in place."""
+    m = sparse.vstack(blocks, format="csr")
+    blocks.clear()
     m = sparse.csr_array((m.data, rank[m.indices], m.indptr), shape=m.shape)
     m.sort_indices()
     nodes = order[m.indices]
@@ -372,18 +350,19 @@ def block_aggregation(
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
     ae.data *= mu
-    hub = []
-    if h.policy is DanglingPolicy.UNIFORM_ALL and h.dangling.size > 0:
-        hub = [sparse.csr_array((np.ones(h.dangling.size), h.dangling,
-                                 np.array([0, h.dangling.size], dtype=np.int32)), shape=(1, n))]
+    blocks = [grouped_links(h, order, np.append(0, np.cumsum(size)).astype(np.int32)), R.T]
+    blocks[0].data *= eta
+    hub = jump_block(h)
+    if hub is not None:
+        blocks.append(hub)
         ae = sparse.vstack((ae, sparse.csr_array(eta * size[None, :] / n)), format="csr")
-    runs, key = _runs(sparse.vstack((_aggregated_links(h, agg, order, size, eta), R.T, *hub),
-                                    format="csr"), order, rank, agg, k)
+    runs, key = _runs(blocks, order, rank, agg, k)
     return BlockAggregation(
         agg=agg,
         leak=float(leaks.min()),
         runs=runs,
-        f=_csr(np.zeros(key.size), key // k, key % k, (k + ae.shape[0], k)),
+        f=sparse.csr_array((np.zeros(key.size), ((key // k).astype(np.int32),
+                            (key % k).astype(np.int32))), shape=(k + ae.shape[0], k)),
         ae_t=ae.T.tocsr(),
         exact=K * K <= n,
     )
@@ -459,17 +438,17 @@ def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = Tr
     """The one admissibility gate: whether ranking without teleportation is
     well-defined, i.e. ``mu > 0`` and ``W`` is irreducible (the paper's
     theorem; at ``mu = 0`` the operator is ``H`` alone, which ``W`` does not
-    decide).  Under ``h``'s ``UNIFORM_ALL`` policy a dangling row links to
-    every node, so a reducible ``W`` also passes when every sink component
-    of its condensation holds a block of a dangling node (every node
-    reaches such a node, which reaches every node), that is, when ``W``
-    plus a hub that each such block links to, and that links to every
-    block, is irreducible.  Without ``h`` the verdict is the ``OWN_BLOCK``
-    policy's.  When ``teleport > 0`` the result is the same verdict under
-    ``h``'s policy, ``mu = 0`` included.  Under ``strict`` a teleport-free
-    model that fails raises :class:`ReducibleModelError`, naming block
-    ``b`` as ``names[b]``; an ``h`` over other nodes than ``f``
-    raises :class:`DimensionError`."""
+    decide).  Under ``h``'s ``UNIFORM_ALL`` policy the dangling rows are one
+    more block (:func:`~blockrank.graph.jump_block`), which the dangling
+    nodes enter and which holds every node, so a reducible ``W`` also
+    passes when the ``W`` of the factors with that block appended is
+    irreducible: when every sink component of ``W``'s condensation holds a
+    block of a dangling node.  Without ``h`` the verdict is the
+    ``OWN_BLOCK`` policy's.  When ``teleport > 0`` the result is the same
+    verdict under ``h``'s policy, ``mu = 0`` included.  Under ``strict`` a
+    teleport-free model that fails raises :class:`ReducibleModelError`,
+    naming block ``b`` as ``names[b]``; an ``h`` over other nodes than
+    ``f`` raises :class:`DimensionError`."""
     if h is not None and h.n != f.n:
         raise DimensionError(f"factors are for {f.n} nodes but the operator has {h.n}")
     if params.teleport == 0.0 and params.mu == 0.0:
@@ -478,15 +457,13 @@ def admissible(f: ProximityFactors, params: RankParams, names, strict: bool = Tr
                 "mu = 0 without teleportation leaves the hyperlink chain alone, "
                 "which the indicator matrix does not decide", components=())
         return False
-    w = indicator(f)
-    report = teleportation_free_check(w)
-    verdict = report.irreducible
-    if not verdict and h is not None and h.policy is DanglingPolicy.UNIFORM_ALL:
-        dangling = np.zeros(f.n)
-        dangling[h.dangling] = 1.0
-        held = f.A @ dangling > 0
-        verdict, _ = is_irreducible(sparse.bmat([[w.matrix, held[:, None]],
-                                                 [np.ones((1, f.K)), None]]))
+    report = teleportation_free_check(indicator(f))
+    verdict, jump = report.irreducible, None if h is None else jump_block(h)
+    if not verdict and jump is not None:
+        every = sparse.csr_array(np.ones((1, f.n)))  # the jump block holds every node
+        hub = ProximityFactors(R=sparse.vstack((f.R.T, jump), format="csr").T,
+                               A=sparse.vstack((f.A, every), format="csr"))
+        verdict = teleportation_free_check(indicator(hub)).irreducible
     if strict and params.teleport == 0.0 and not verdict:
         report.require_irreducible(names)
     return verdict

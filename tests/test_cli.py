@@ -462,6 +462,19 @@ class TestRank:
             assert captured.err == "error: indicator matrix is reducible; blocking components: X Y\n"
         assert run(["check", *files[:4]]) == 1
 
+    def test_uniform_jump_without_a_dangling_node_is_refused(self, tmp_path, capsys):
+        # b links to itself, so no node dangles and the sink block Y holds
+        # none: refused under --dangling uniform too, naming W's components
+        graph, blocks = tmp_path / "loop.edges", tmp_path / "loop.blocks"
+        graph.write_text("a b\nb b\n", encoding="utf-8")
+        blocks.write_text("a X\nb Y\n", encoding="utf-8")
+        files = ["--graph", str(graph), "--blocks", str(blocks), "--dangling", "uniform"]
+        for command in ("rank", "compare"):
+            assert run([command, *files]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: indicator matrix is reducible; blocking components: X Y\n"
+
     def test_json_meta(self, g4_files, capsys):
         graph, blocks = g4_files
         code = run(["rank", "--graph", graph, "--blocks", blocks,

@@ -38,7 +38,7 @@ from blockrank.errors import (
     DimensionError,
     ReducibleModelError,
 )
-from blockrank.graph import MATERIALIZE_CAP
+from blockrank.graph import MATERIALIZE_CAP, jump_block
 from blockrank.ranker import _rate, admissible, order_by_score, power_iteration
 
 from helpers import (
@@ -187,6 +187,18 @@ class TestRank:
             rank(h, f, params)
         assert not admissible(f, params, d.block_labels, strict=False, h=h)
         assert not admissible(f, params, d.block_labels, strict=False)
+
+    def test_uniform_jump_without_a_dangling_node_refuses_a_reducible_indicator(self):
+        # b links to itself, so no node dangles and there is no jump block:
+        # the sink block Y holds no dangling node, and W's verdict stands
+        g = parse_edge_list("a b\nb b")
+        d = parse_blocks("a X\nb Y", g)
+        h, f = _model(g, d, DanglingPolicy.UNIFORM_ALL)
+        assert h.dangling.size == 0 and jump_block(h) is None
+        with pytest.raises(ReducibleModelError, match="blocking components: 0 1$") as excinfo:
+            rank(h, f, RankParams())
+        assert excinfo.value.components == ((0,), (1,))
+        assert not admissible(f, RankParams(), d.block_labels, strict=False, h=h)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(list(DanglingPolicy)))

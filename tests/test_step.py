@@ -93,6 +93,54 @@ def test_links_are_stored_once_and_transposed_as_csr(instance):
         assert np.array_equal(h.base_t[h.row].T.toarray(), links.toarray())
 
 
+def grouped_and_dense(h: HyperlinkOperator, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``grouped_links`` on the groups ``group`` (one a node), and ``E^T
+    H^T`` from the dense rows with ``UNIFORM_ALL``'s dangling ones left
+    out."""
+    members = np.argsort(group, kind="stable").astype(np.int32)
+    bounds = np.append(0, np.cumsum(np.bincount(group))).astype(np.int32)
+    dense = h.to_dense()
+    if h.policy is DanglingPolicy.UNIFORM_ALL:
+        dense[h.dangling] = 0.0
+    E = np.eye(bounds.size - 1)[group]
+    return blockrank.graph.grouped_links(h, members, bounds).toarray(), (dense @ E).T
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 6))
+def test_grouped_links_and_the_jump_block_match_the_dense_rows(instance, groups):
+    """``grouped_links`` is ``E^T H^T`` with ``OWN_BLOCK``'s dangling rows
+    and without ``UNIFORM_ALL``'s, on the nodes' lowest blocks merged at
+    random into at most ``groups`` groups; ``jump_block`` is the row of
+    the dangling nodes under ``UNIFORM_ALL`` only, ``None`` when none
+    dangles."""
+    g, d, rng = instance
+    group = rng.integers(0, groups, size=d.K)[d.B.indices[d.B.indptr[:-1]]]
+    looped = Graph.from_edges(g.labels, [(u, u) for u in range(g.n)])
+    for policy in DanglingPolicy:
+        h = build_hyperlink(g, policy, d)
+        np.testing.assert_allclose(*grouped_and_dense(h, group), rtol=0, atol=1e-15)
+        jump = blockrank.graph.jump_block(h)
+        if policy is DanglingPolicy.OWN_BLOCK or h.dangling.size == 0:
+            assert jump is None
+        else:
+            assert np.array_equal(jump.toarray()[0], np.isin(np.arange(g.n), h.dangling))
+        assert blockrank.graph.jump_block(build_hyperlink(looped, policy, d)) is None
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["partition", "cover"])
+def test_grouped_links_carry_the_own_block_dangling_rows(cover):
+    """With dangling nodes in every block, the ``OWN_BLOCK`` dangling rows
+    give each dangling node's column entries that the links alone lack."""
+    g, d = ncd_instance(np.random.default_rng(41), 60, 5, 0.05, cover=cover, dangling=0.2)
+    for policy in DanglingPolicy:
+        h = build_hyperlink(g, policy, d)
+        got, want = grouped_and_dense(h, d.B.indices[d.B.indptr[:-1]])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert h.dangling.size > 0
+        assert (got[:, h.dangling].sum(axis=0) > 0).all() == (policy is DanglingPolicy.OWN_BLOCK)
+
+
 @SETTINGS
 @given(instances(), st.integers(1, 5))
 def test_rows_are_stored_by_length_within_windows(instance, window):
